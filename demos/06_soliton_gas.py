@@ -14,7 +14,7 @@ from cnoidal_kdv import (
     build_model,
     carrier_quantities,
     equation_of_state_residual,
-    free_speed_s0,
+    free_speeds,
     half_periods,
     ndr_solve,
     pair_shifts,
@@ -26,8 +26,7 @@ curve = half_periods(2.0, 1.0, -3.0)
 model = ndr_solve(build_model(curve, [GasInterval(0, 0.15, 0.40)], sigma=1.0,
                               n_per_interval=64))
 s = model.speeds
-s0 = np.array([free_speed_s0(model.jacobian_point(i), curve)
-               for i in range(model.nodes_r.size)])
+s0 = free_speeds(model)
 k_t, w_t = carrier_quantities(model)
 print("moderate-density hot gas (sigma = 1) on beta in (0.15, 0.40):")
 print(f"  u range [{model.solved_u.min():.4f}, {model.solved_u.max():.4f}]")

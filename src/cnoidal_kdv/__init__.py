@@ -62,6 +62,7 @@ from .gas import (
     carrier_quantities,
     equation_of_state_residual,
     free_speed_s0,
+    free_speeds,
     interaction_kernel,
     interval_from_physical,
     ndr_solve,

@@ -287,11 +287,11 @@ def cmd_gas(cfg: dict, args) -> tuple[Report, int]:
     curve = _build_curve(cfg)
     model = gas.ndr_solve(_gas_model_from_config(cfg, curve))
     speeds = model.speeds
+    s0 = gas.free_speeds(model)
     rep = Report("gas", cfg, ["eta", "u", "v", "s", "s0"])
     for i in range(model.nodes_r.size):
-        pt = model.jacobian_point(i)
-        rep.add(pt.beta, model.solved_u[i], model.solved_v[i], speeds[i],
-                gas.free_speed_s0(pt, curve))
+        rep.add(model.jacobian_point(i).beta, model.solved_u[i], model.solved_v[i],
+                speeds[i], s0[i])
     k_t, w_t = gas.carrier_quantities(model)
     rep.footer["k_tilde"] = k_t
     rep.footer["w_tilde"] = w_t

@@ -213,23 +213,29 @@ def legendre_combination(curve: CurveParams) -> complex:
     return zeta_varpi1(curve) * curve.varpi3 - zeta_half_period(curve) * curve.varpi1
 
 
-def _lattice_distance(s: complex, curve: CurveParams) -> float:
+def _lattice_distance(s, curve: CurveParams):
     w1, w3 = curve.varpi1, curve.varpi3
     a = s.real / (2.0 * w1)
     b = s.imag / (2.0 * w3.imag)
-    da = a - round(a)
-    db = b - round(b)
-    return abs(da * 2.0 * w1 + db * 2.0 * w3)
+    da = a - np.round(a)
+    db = b - np.round(b)
+    return np.abs(da * 2.0 * w1 + db * 2.0 * w3)
 
 
-def weierstrass(s: complex, curve: CurveParams):
-    """(wp, wp', zeta) at the unnormalized argument s.
+def weierstrass(s, curve: CurveParams):
+    """(wp, wp', zeta) at the unnormalized argument s, a scalar or an array.
 
-    Routed through log-derivatives of theta1 at beta = s/(2 varpi3).
+    Routed through log-derivatives of theta1 at beta = s/(2 varpi3).  An
+    array is evaluated elementwise in one pass; numpy rounds complex
+    products and quotients differently from Python complex scalars, so its
+    values can differ from per-element calls in the last bits.
+    LatticePoint names the first offending element.
     """
-    s = complex(s)
-    if _lattice_distance(s, curve) < 1e-10:
-        raise LatticePoint(f"s = {s} within 1e-10 of the period lattice")
+    s = complex(s) if np.ndim(s) == 0 else np.asarray(s, dtype=np.complex128)
+    near = _lattice_distance(s, curve) < 1e-10
+    if np.any(near):
+        bad = s if np.ndim(s) == 0 else complex(s[near][0])
+        raise LatticePoint(f"s = {bad} within 1e-10 of the period lattice")
     w3 = curve.varpi3
     beta = s / (2.0 * w3)
     d1, d2, d3 = log_theta1_derivatives(beta, curve.tau)

@@ -25,7 +25,7 @@ discretization error only.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,6 +69,9 @@ class GasModel:
     solved_v: np.ndarray | None = None
     carrier_k: float | None = None
     carrier_w: float | None = None
+    # kernel_matrix of these nodes, kept by ndr_solve for the equation of state;
+    # dataclasses.replace copies it, so reset it when replacing curve or nodes
+    kernel: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def betas(self) -> np.ndarray:
@@ -152,43 +155,49 @@ def interaction_kernel(eta: JacobianPoint, beta: JacobianPoint, curve: CurvePara
     return float(np.log(abs(num / den)))
 
 
+def _node_terms(curve: CurveParams, beta, chi):
+    """(P, wp'(2 varpi3 beta), s0) at points given as arrays of beta and chi.
+
+    One weierstrass call gives all three: P in its zeta form
+    zeta(2 varpi3 beta) - 2 zeta(varpi3) beta + chi i pi/(2 varpi3) is also
+    the denominator of the free speed s0 = wp'/(2 P).
+    """
+    _, wpp, zw = weierstrass(2.0 * curve.varpi3 * beta, curve)
+    p = zw - 2.0 * zeta_half_period(curve) * beta + chi * 1j * np.pi / (2.0 * curve.varpi3)
+    return p, wpp, (0.5 * wpp / p).real
+
+
 def free_speed_s0(eta: JacobianPoint, curve: CurveParams) -> float:
-    """Free tracer speed; coincides with the group velocity formula."""
-    s = 2.0 * curve.varpi3 * eta.beta
-    _, wpp, zw = weierstrass(s, curve)
-    denom = (zw - 2.0 * zeta_half_period(curve) * eta.beta
-             + eta.chi * 1j * np.pi / (2.0 * curve.varpi3))
-    return float((0.5 * wpp / denom).real)
+    """Free tracer speed; coincides with the group velocity formula.
+
+    Evaluated as a one-element free_speeds, so both agree exactly.
+    """
+    return float(_node_terms(curve, np.array([eta.beta]), np.array([eta.chi]))[2][0])
 
 
-def _hat_log_integrals(nodes: np.ndarray, x0: float) -> np.ndarray:
-    """Exact integrals of ln|x0 - r| against the hat functions on the nodes."""
+def free_speeds(model: GasModel) -> np.ndarray:
+    """free_speed_s0 at every node of the model, in one array evaluation."""
+    return _node_terms(model.curve, model.betas, model.nodes_chi)[2]
 
-    def f1(u):
-        return np.where(u == 0.0, 0.0, u * (np.log(np.abs(u) + (u == 0.0)) - 1.0))
 
-    def f2(u):
-        return np.where(u == 0.0, 0.0, 0.5 * u * u * np.log(np.abs(u) + (u == 0.0)) - 0.25 * u * u)
+def _hat_log_integrals(nodes: np.ndarray, x0) -> np.ndarray:
+    """Exact integrals of ln|x0 - r| against the hat functions on the nodes.
 
-    n = nodes.size
+    Row i holds the integrals for the evaluation point x0[i].
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))[:, None]
+    u = nodes - x0
+    log_u = np.log(np.abs(u) + (u == 0.0))
+    f1 = np.where(u == 0.0, 0.0, u * (log_u - 1.0))
+    f2 = np.where(u == 0.0, 0.0, 0.5 * u * u * log_u - 0.25 * u * u)
+    d1 = f1[:, 1:] - f1[:, :-1]
+    d2 = f2[:, 1:] - f2[:, :-1]
     h = nodes[1] - nodes[0]
-    out = np.zeros(n)
-
-    def rising(a, b):
-        # integral over [a, b] of (r - a)/h * ln|r - x0|
-        ua, ub = a - x0, b - x0
-        return ((f2(ub) - f2(ua)) + (x0 - a) * (f1(ub) - f1(ua))) / h
-
-    def falling(a, b):
-        # integral over [a, b] of (b - r)/h * ln|r - x0|
-        ua, ub = a - x0, b - x0
-        return ((b - x0) * (f1(ub) - f1(ua)) - (f2(ub) - f2(ua))) / h
-
-    for j in range(n):
-        if j > 0:
-            out[j] += rising(nodes[j - 1], nodes[j])
-        if j < n - 1:
-            out[j] += falling(nodes[j], nodes[j + 1])
+    out = np.zeros(u.shape)
+    # rising half of the hat on [r_{j-1}, r_j]: (r - r_{j-1})/h; falling half
+    # on [r_j, r_{j+1}]: (r_{j+1} - r)/h
+    out[:, 1:] += (d2 + (x0 - nodes[:-1]) * d1) / h
+    out[:, :-1] += ((nodes[1:] - x0) * d1 - d2) / h
     return out
 
 
@@ -196,8 +205,8 @@ def _theta1_prime0(curve: CurveParams) -> float:
     return float(theta1(0.0, curve.tau, 1).real)
 
 
-def kernel_row(model: GasModel, eta: JacobianPoint) -> np.ndarray:
-    """Quadrature row: sum_j row[j] g_j ~ int K(eta, beta) g(beta) dbeta.
+def _kernel_rows(model: GasModel, eta: np.ndarray, eta_chi: np.ndarray) -> np.ndarray:
+    """Quadrature rows at the points eta (segment flags eta_chi), one per point.
 
     On same-segment blocks the kernel is split as ln|r_eta - r| plus a smooth
     remainder; the logarithm is integrated exactly against the hat functions,
@@ -207,71 +216,63 @@ def kernel_row(model: GasModel, eta: JacobianPoint) -> np.ndarray:
     tau_mod = curve.tau
     betas = model.betas
     stars = 1.0 - betas + model.nodes_chi * tau_mod
-    row = np.zeros(model.nodes_r.size)
-    th1p0 = _theta1_prime0(curve)
+    num = np.abs(theta1(eta[:, None] - betas, tau_mod))
+    den = np.abs(theta1(eta[:, None] - stars, tau_mod))
+    x0 = eta.real
+    sep = x0[:, None] - model.nodes_r
+    same = eta_chi[:, None] == model.nodes_chi
+    tiny = same & (np.abs(sep) < 1e-13)
+    ratio = np.where(tiny, _theta1_prime0(curve),
+                     num / np.where(same, np.abs(sep + tiny), 1.0))
+    rows = model.weights * (np.log(ratio) - np.log(den))
     per = model.n_per_interval
     for bi, iv in enumerate(model.intervals):
         cols = slice(bi * per, (bi + 1) * per)
-        r_col = model.nodes_r[cols]
-        w_col = model.weights[cols]
-        diff = eta.beta - betas[cols]
-        denom = np.abs(theta1(eta.beta - stars[cols], tau_mod))
-        if eta.chi == iv.chi:
-            x0 = eta.beta.real
-            sep = x0 - r_col
-            tiny = np.abs(sep) < 1e-13
-            ratio = np.where(tiny, th1p0,
-                             np.abs(theta1(diff, tau_mod)) / np.abs(sep + tiny))
-            smooth = np.log(ratio) - np.log(denom)
-            row[cols] = w_col * smooth + _hat_log_integrals(r_col, x0)
-        else:
-            row[cols] = w_col * (np.log(np.abs(theta1(diff, tau_mod))) - np.log(denom))
-    return row
+        hit = eta_chi == iv.chi
+        rows[hit, cols] += _hat_log_integrals(model.nodes_r[cols], x0[hit])
+    return rows
+
+
+def kernel_row(model: GasModel, eta: JacobianPoint) -> np.ndarray:
+    """Quadrature row: sum_j row[j] g_j ~ int K(eta, beta) g(beta) dbeta."""
+    return _kernel_rows(model, np.array([complex(eta.beta)]), np.array([eta.chi]))[0]
 
 
 def kernel_matrix(model: GasModel) -> np.ndarray:
     """Quadrature matrix A with sum_j A[i, j] g_j ~ int K(eta_i, beta) g(beta) dbeta."""
-    return np.stack([kernel_row(model, model.jacobian_point(i))
-                     for i in range(model.nodes_r.size)])
+    return _kernel_rows(model, model.betas, model.nodes_chi)
 
 
-def _rhs_vectors(model: GasModel) -> tuple[np.ndarray, np.ndarray]:
-    """Real right-hand sides (p/2 for u, (i/4) wp' for v), reality asserted."""
-    curve = model.curve
-    n = model.nodes_r.size
-    rhs_u = np.empty(n)
-    rhs_v = np.empty(n)
-    for i in range(n):
-        pt = model.jacobian_point(i)
-        p = quasi_momentum(pt, curve)
-        val_u = -0.5j * p
-        _, wpp, _ = weierstrass(2.0 * curve.varpi3 * pt.beta, curve)
-        val_v = 0.25j * wpp
-        for val in (val_u, val_v):
-            if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
-                raise SingularSystem(f"NDR right-hand side {val} not real")
-        rhs_u[i] = val_u.real
-        rhs_v[i] = val_v.real
-    return rhs_u, rhs_v
+def _rhs_vectors(model: GasModel) -> np.ndarray:
+    """Real right-hand sides as columns (p/2 for u, (i/4) wp' for v), reality asserted."""
+    p, wpp, _ = _node_terms(model.curve, model.betas, model.nodes_chi)
+    vals = np.stack([-0.5j * p, 0.25j * wpp], axis=1)
+    bad = np.abs(vals.imag) > 1e-10 * np.maximum(1.0, np.abs(vals))
+    if bad.any():
+        raise SingularSystem(f"NDR right-hand side {complex(vals[bad][0])} not real")
+    return vals.real
 
 
 def ndr_solve(model: GasModel) -> GasModel:
-    """Solve the discretized NDR pair; returns a model with u, v filled in."""
+    """Solve the discretized NDR pair; returns a model with u, v filled in.
+
+    The kernel matrix is kept on the returned model for the equation of state.
+    """
     a = kernel_matrix(model)
     m = a + np.diag(model.sigma)
     cond = np.linalg.cond(m)
     if cond > _COND_LIMIT:
         raise SingularSystem(f"condition number {cond:.3e}")
-    rhs_u, rhs_v = _rhs_vectors(model)
-    u = np.linalg.solve(m, rhs_u)
-    v = np.linalg.solve(m, rhs_v)
-    for sol, rhs in ((u, rhs_u), (v, rhs_v)):
-        defect = float(np.max(np.abs(m @ sol - rhs)))
-        if defect > 1e-9 * (1.0 + float(np.max(np.abs(rhs)))):
+    rhs = _rhs_vectors(model)
+    sol = np.linalg.solve(m, rhs)
+    for x, b in zip(sol.T, rhs.T):
+        defect = float(np.max(np.abs(m @ x - b)))
+        if defect > 1e-9 * (1.0 + float(np.max(np.abs(b)))):
             raise SingularSystem(f"solve defect {defect}")
+    u, v = sol.T
     if np.min(u) < -1e-8:
         warnings.warn(f"density of states dips to {np.min(u)}", NegativeDensityWarning)
-    return replace(model, solved_u=u, solved_v=v)
+    return replace(model, solved_u=u, solved_v=v, kernel=a)
 
 
 def carrier_quantities(model: GasModel) -> tuple[float, float]:
@@ -290,19 +291,15 @@ def equation_of_state_residual(model: GasModel) -> float:
 
     Delta(eta, beta) = i ln|theta1(eta-beta)/theta1(eta-beta^star)|^2 / P(eta)
     equals 2 K(eta, beta)/|P(eta)|; the integral reuses the log-subtracted
-    quadrature, so the residual measures discretization only.
+    quadrature (the solve's kernel where the model keeps it), so the residual
+    measures discretization only.
     """
     s = model.speeds
-    a = kernel_matrix(model)
-    out = 0.0
-    for i in range(model.nodes_r.size):
-        pt = model.jacobian_point(i)
-        p_expr = quasi_momentum(pt, model.curve)     # purely imaginary, i |P|
-        s0 = free_speed_s0(pt, model.curve)
-        g = (s[i] - s) * model.solved_u
-        integral = (2.0 / p_expr.imag) * float(a[i] @ g)
-        out = max(out, abs(s[i] - s0 - integral))
-    return out
+    a = kernel_matrix(model) if model.kernel is None else model.kernel
+    p, _, s0 = _node_terms(model.curve, model.betas, model.nodes_chi)
+    g = (s[:, None] - s) * model.solved_u
+    integral = (2.0 / p.imag) * np.sum(a * g, axis=1)
+    return float(np.max(np.abs(s - s0 - integral)))
 
 
 def tracer_shift(model: GasModel, density: np.ndarray, eta: JacobianPoint) -> float:
@@ -321,10 +318,7 @@ def tracer_shift(model: GasModel, density: np.ndarray, eta: JacobianPoint) -> fl
     # velocity decreases monotonically with b on both segments, so b_eta > b
     # flags a faster partner; faster partners carry +K (push the tracer back,
     # K <= 0), matching the per-partner terms of the total-shift schedule
-    signs = np.empty(model.nodes_r.size)
-    for j in range(model.nodes_r.size):
-        b_j = weierstrass(2.0 * curve.varpi3 * model.betas[j], curve)[0].real
-        signs[j] = np.sign(b_eta - b_j)
+    signs = np.sign(b_eta - weierstrass(2.0 * curve.varpi3 * model.betas, curve)[0].real)
     row = kernel_row(model, eta)
     return float((2.0 / p_abs) * (row @ (signs * density)))
 
@@ -341,10 +335,7 @@ def density_from_physical(model: GasModel, phys_density) -> np.ndarray:
     Applies the Jacobian factor 2 varpi3 wp'(2 varpi3 beta), which is real
     on both segments.
     """
-    out = np.empty(model.nodes_r.size)
-    for j in range(model.nodes_r.size):
-        pt = model.jacobian_point(j)
-        wp, wpp, _ = weierstrass(2.0 * model.curve.varpi3 * pt.beta, model.curve)
-        jac = (2.0 * model.curve.varpi3 * wpp).real
-        out[j] = phys_density(wp.real) * abs(jac)
-    return out
+    curve = model.curve
+    wp, wpp, _ = weierstrass(2.0 * curve.varpi3 * model.betas, curve)
+    jac = np.abs((2.0 * curve.varpi3 * wpp).real)
+    return np.array([phys_density(b) * j for b, j in zip(wp.real, jac)])

@@ -96,3 +96,67 @@ def fd_derivative(fn, x0: complex, order: int, h: float = 1e-4) -> complex:
         return (fn(x0 + 2 * h) - 2.0 * fn(x0 + h) + 2.0 * fn(x0 - h)
                 - fn(x0 - 2 * h)) / (2.0 * h ** 3)
     raise ValueError(order)
+
+
+def hat_log_integrals_loop(nodes: np.ndarray, x0: float) -> np.ndarray:
+    """Integrals of ln|x0 - r| against the hat functions, one node at a time."""
+
+    def f1(u):
+        return np.where(u == 0.0, 0.0, u * (np.log(np.abs(u) + (u == 0.0)) - 1.0))
+
+    def f2(u):
+        return np.where(u == 0.0, 0.0, 0.5 * u * u * np.log(np.abs(u) + (u == 0.0)) - 0.25 * u * u)
+
+    n = nodes.size
+    h = nodes[1] - nodes[0]
+    out = np.zeros(n)
+
+    def rising(a, b):
+        # integral over [a, b] of (r - a)/h * ln|r - x0|
+        ua, ub = a - x0, b - x0
+        return ((f2(ub) - f2(ua)) + (x0 - a) * (f1(ub) - f1(ua))) / h
+
+    def falling(a, b):
+        # integral over [a, b] of (b - r)/h * ln|r - x0|
+        ua, ub = a - x0, b - x0
+        return ((b - x0) * (f1(ub) - f1(ua)) - (f2(ub) - f2(ua))) / h
+
+    for j in range(n):
+        if j > 0:
+            out[j] += rising(nodes[j - 1], nodes[j])
+        if j < n - 1:
+            out[j] += falling(nodes[j], nodes[j + 1])
+    return out
+
+
+def kernel_row_loop(model, eta) -> np.ndarray:
+    """Nystrom row of the gas kernel at eta, assembled block by block.
+
+    Same-segment blocks split the kernel into ln|r_eta - r| (integrated
+    exactly against the hats) plus a smooth remainder (trapezoid weights).
+    """
+    from cnoidal_kdv.elliptic import theta1
+
+    tau_mod = model.curve.tau
+    betas = model.betas
+    stars = 1.0 - betas + model.nodes_chi * tau_mod
+    row = np.zeros(model.nodes_r.size)
+    th1p0 = float(theta1(0.0, tau_mod, 1).real)
+    per = model.n_per_interval
+    for bi, iv in enumerate(model.intervals):
+        cols = slice(bi * per, (bi + 1) * per)
+        r_col = model.nodes_r[cols]
+        w_col = model.weights[cols]
+        diff = eta.beta - betas[cols]
+        denom = np.abs(theta1(eta.beta - stars[cols], tau_mod))
+        if eta.chi == iv.chi:
+            x0 = eta.beta.real
+            sep = x0 - r_col
+            tiny = np.abs(sep) < 1e-13
+            ratio = np.where(tiny, th1p0,
+                             np.abs(theta1(diff, tau_mod)) / np.abs(sep + tiny))
+            smooth = np.log(ratio) - np.log(denom)
+            row[cols] = w_col * smooth + hat_log_integrals_loop(r_col, x0)
+        else:
+            row[cols] = w_col * (np.log(np.abs(theta1(diff, tau_mod))) - np.log(denom))
+    return row

@@ -191,6 +191,30 @@ class TestWeierstrass:
         with pytest.raises(LatticePoint):
             el.weierstrass(2.0 * curve.varpi1, curve)
 
+    def test_array_matches_scalar_calls(self, curve):
+        # hot and cool points and generic points mixed in one 2-D array; numpy
+        # and Python complex arithmetic round differently, so allow 50 ulps
+        # of each component's scale
+        rng = np.random.default_rng(5)
+        chi = rng.integers(0, 2, (6, 7))
+        beta = rng.uniform(0.01, 0.49, chi.shape) + chi * curve.tau / 2.0
+        beta[0] = rng.uniform(0.05, 0.95, 7) + rng.uniform(0.05, 0.95, 7) * curve.tau
+        s = 2.0 * curve.varpi3 * beta
+        arrays = el.weierstrass(s, curve)
+        for k, arr in enumerate(arrays):
+            assert arr.shape == s.shape
+            scalars = np.array([el.weierstrass(x, curve)[k] for x in s.ravel()])
+            scale = np.max(np.abs(scalars))
+            assert np.max(np.abs(arr.ravel() - scalars)) <= 50 * np.finfo(float).eps * scale
+
+    def test_scalar_returns_complex(self, curve):
+        assert all(type(v) is complex for v in el.weierstrass(0.3 + 0.2j, curve))
+
+    def test_lattice_point_in_array(self, curve):
+        s = np.array([0.3 + 0.2j, 2.0 * curve.varpi1 + 2.0 * curve.varpi3, 0.1 - 0.4j])
+        with pytest.raises(LatticePoint, match="within 1e-10"):
+            el.weierstrass(s, curve)
+
 
 class TestInvertWp:
     def test_paper_figure_points(self, curve):

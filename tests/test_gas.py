@@ -1,15 +1,18 @@
 """Interaction kernel, NDR solver, equation of state, carrier, tracer."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from cnoidal_kdv import cli
 from cnoidal_kdv import dynamics as dy
 from cnoidal_kdv import elliptic as el
 from cnoidal_kdv import gas
 from cnoidal_kdv import tau as tu
 from cnoidal_kdv.errors import DiagonalSingularity, SingularSystem, ZeroDensityNode
+from oracles import hat_log_integrals_loop, kernel_row_loop
 
 
 def hot_model(curve, sigma=1.0, nodes=64, lo=0.15, hi=0.40):
@@ -69,7 +72,111 @@ class TestKernel:
             done += 1
 
 
+def kernel_models(curve):
+    return {
+        "hot": hot_model(curve, nodes=40),
+        "cool": gas.build_model(curve, [gas.GasInterval(1, 0.12, 0.41)], 1.0, 36),
+        "hot+cool": gas.build_model(
+            curve, [gas.GasInterval(0, 0.2, 0.3), gas.GasInterval(1, 0.2, 0.3),
+                    gas.GasInterval(0, 0.35, 0.45)], 1.0, 24),
+    }
+
+
+def assert_close_rel(actual, expected, rtol=1e-13):
+    np.testing.assert_allclose(actual, expected, rtol=rtol,
+                               atol=rtol * np.max(np.abs(expected)))
+
+
+class TestKernelAssembly:
+    """The array-built Nystrom kernel against the row-by-row oracle."""
+
+    @pytest.mark.parametrize("kind", ["hot", "cool", "hot+cool"])
+    def test_matrix_matches_row_oracle(self, curve, kind):
+        m = kernel_models(curve)[kind]
+        oracle = np.stack([kernel_row_loop(m, m.jacobian_point(i))
+                           for i in range(m.nodes_r.size)])
+        assert_close_rel(gas.kernel_matrix(m), oracle)
+
+    def test_row_matches_row_oracle(self, curve):
+        # two points between nodes (hot and cool) and one on a node
+        m = kernel_models(curve)["hot+cool"]
+        h = m.nodes_r[1] - m.nodes_r[0]
+        for eta in (el.JacobianPoint(m.nodes_r[5] + 0.37 * h + 0j, 0),
+                    el.JacobianPoint(m.nodes_r[30] + 0.5 * h + curve.tau / 2.0, 1),
+                    m.jacobian_point(30)):
+            assert_close_rel(gas.kernel_row(m, eta), kernel_row_loop(m, eta))
+
+    def test_hat_integrals(self):
+        nodes = np.linspace(0.2, 0.3, 17)
+        h = nodes[1] - nodes[0]
+        points = [nodes[0], nodes[6], nodes[-1], nodes[3] + 0.25 * h, 0.21 + 1e-9]
+        rows = gas._hat_log_integrals(nodes, np.array(points))
+        assert rows.shape == (len(points), nodes.size)
+        for row, x0 in zip(rows, points):
+            assert_close_rel(row, hat_log_integrals_loop(nodes, x0))
+
+    def test_hat_integrals_exact_for_constants(self):
+        # the hats sum to one, so the row sums to int_lo^hi ln|x0 - r| dr
+        nodes = np.linspace(0.2, 0.3, 17)
+        x0 = nodes[4] + 0.3 * (nodes[1] - nodes[0])
+        a, b = nodes[0] - x0, nodes[-1] - x0
+        exact = b * (np.log(abs(b)) - 1.0) - a * (np.log(abs(a)) - 1.0)
+        assert abs(gas._hat_log_integrals(nodes, x0).sum() - exact) < 1e-14
+
+
+class TestSharedKernel:
+    def test_solve_keeps_its_kernel(self, curve):
+        m = hot_model(curve, nodes=24)
+        assert m.kernel is None
+        solved = gas.ndr_solve(m)
+        np.testing.assert_array_equal(solved.kernel, gas.kernel_matrix(m))
+        assert "kernel" not in repr(solved)
+
+    def test_cli_builds_one_kernel_per_solve(self, curve, tmp_path, monkeypatch, capsys):
+        calls = []
+        build = gas.kernel_matrix
+
+        def counting(model):
+            calls.append(model.nodes_r.size)
+            return build(model)
+
+        monkeypatch.setattr(gas, "kernel_matrix", counting)
+        cfg = {"curve": {"e1": 2.0, "e2": 1.0, "e3": -3.0},
+               "gas": {"support": [{"kind": "hot", "lo": 0.2, "hi": 0.3}],
+                       "sigma": 1.0, "nodes": 17}}
+        path = tmp_path / "gas.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["gas", "--config", str(path), "--double-nodes"]) == 0
+        assert "eos_residual" in capsys.readouterr().out
+        assert calls == [17, 33]
+
+    def test_eos_without_kept_kernel(self, curve):
+        m = gas.ndr_solve(hot_model(curve, nodes=24))
+        fresh = dataclasses.replace(m, kernel=None)
+        assert abs(gas.equation_of_state_residual(fresh)
+                   - gas.equation_of_state_residual(m)) < 1e-14
+        dead = dataclasses.replace(fresh, solved_u=np.zeros_like(m.solved_u))
+        with pytest.raises(ZeroDensityNode):
+            gas.equation_of_state_residual(dead)
+
+    def test_stacked_solve_matches_separate_solves(self, curve):
+        m = gas.build_model(curve, [gas.GasInterval(0, 0.2, 0.3),
+                                    gas.GasInterval(1, 0.2, 0.3)], 0.7, 20)
+        solved = gas.ndr_solve(m)
+        mat = gas.kernel_matrix(m) + np.diag(m.sigma)
+        rhs = gas._rhs_vectors(m)
+        assert_close_rel(solved.solved_u, np.linalg.solve(mat, rhs[:, 0]), 1e-12)
+        assert_close_rel(solved.solved_v, np.linalg.solve(mat, rhs[:, 1]), 1e-12)
+
+
 class TestFreeSpeed:
+    def test_array_equals_scalar_view(self, curve):
+        m = kernel_models(curve)["hot+cool"]
+        s0 = np.array([gas.free_speed_s0(m.jacobian_point(i), curve)
+                       for i in range(m.nodes_r.size)])
+        np.testing.assert_array_equal(gas.free_speeds(m), s0)
+
+
     def test_equals_group_velocity(self, curve):
         rng = np.random.default_rng(2)
         for _ in range(20):
