@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import dynamics, gas, riemann, tau
 from .elliptic import JacobianPoint, half_periods, invert_wp
-from .errors import CnoidalKdvError
+from .errors import CnoidalKdvError, InvalidNorming
 
 _DEFAULT_EPS_DEGEN = [1e-2, 1e-4, 1e-6]
 _DEFAULT_EPS_MC = [1e-2, 1e-3, 1e-4]
@@ -251,12 +251,18 @@ def cmd_dynamics(cfg: dict, args) -> tuple[Report, int]:
     if mode == "track":
         if len(spectrum) != 1:
             raise ConfigError("track mode needs exactly one soliton")
-        norming = float(cfg.get("dynamics", {}).get("norming", 1.0))
+        try:
+            norming = float(cfg.get("dynamics", {}).get("norming", 1.0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"dynamics.norming: {exc}") from exc
         _, ts = _grid(cfg)
+        try:
+            phis = dynamics.track_phase(spectrum.entries[0].point, curve, norming, ts)
+        except InvalidNorming as exc:
+            raise ConfigError(f"dynamics.norming: {exc}") from exc
         rep = Report("dynamics", cfg, ["t", "Phi"])
-        for t in ts:
-            rep.add(float(t), dynamics.track_phase(spectrum.entries[0].point,
-                                                   curve, norming, float(t)))
+        for t, phi in zip(ts, phis):
+            rep.add(float(t), float(phi))
         return rep, 0
     raise ConfigError("dynamics.mode must be velocity|shifts|track")
 

@@ -29,6 +29,7 @@ from .errors import (
     BranchPointLimit,
     EqualVelocities,
     FitDiverged,
+    InvalidNorming,
     UnorderedVelocities,
 )
 from .tau import SolitonSpectrum, TauContext, quasi_energy, quasi_momentum, u_grid
@@ -80,13 +81,18 @@ def group_velocity(point: JacobianPoint, curve: CurveParams) -> float:
 
 
 def _tracker_rhs(point: JacobianPoint, curve: CurveParams, norming: float):
-    """R(Phi, t) of the equal-addenda equation, plus |P| and V."""
+    """R(Phi, t) of the equal-addenda equation, plus |P| and V.
+
+    R takes scalars or broadcastable arrays of Phi and t.
+    """
+    if not (np.isfinite(norming) and norming > 0.0):
+        raise InvalidNorming(f"norming constant {norming} is not a finite positive number")
     p_abs = quasi_momentum(point, curve).imag
     v = group_velocity(point, curve)
     mu = point.mu()
     x_period = curve.period_x
 
-    def rhs(phi: float, t: float) -> float:
+    def rhs(phi, t):
         w = (v * t + phi) / x_period
         ratio = (theta3(w - mu / 2.0, curve.tau) / theta3(w + mu / 2.0, curve.tau)).real
         return -np.log(ratio) / p_abs + np.log(norming) / p_abs
@@ -94,34 +100,38 @@ def _tracker_rhs(point: JacobianPoint, curve: CurveParams, norming: float):
     return rhs, p_abs, v
 
 
-def track_phase(point: JacobianPoint, curve: CurveParams, norming: float, t: float) -> float:
+def track_phase(point: JacobianPoint, curve: CurveParams, norming: float, t):
     """Unique Phi(t) solving the equal-addenda condition, by bisection.
 
-    F(Phi) = Phi - R(Phi, t) is strictly increasing (dR/dPhi <= 1 with
-    equality at isolated points), so bisection on a bracket wide enough to
-    contain all values of R is robust where fixed-point iteration may stall.
+    t is a scalar (a float is returned) or an array (an array of its shape
+    is returned); all t are bisected together, one theta3 array call per
+    numerator and denominator per step.  F(Phi) = Phi - R(Phi, t) is
+    strictly increasing (dR/dPhi <= 1 with equality at isolated points), so
+    bisection on a bracket wide enough to contain all values of R is robust
+    where fixed-point iteration may stall.
     """
     rhs, p_abs, _ = _tracker_rhs(point, curve, norming)
+    ts = np.asarray(t, dtype=float).ravel()
     ws = np.linspace(0.0, 1.0, 512, endpoint=False)
     mu = point.mu()
     log_ratio = np.log((theta3(ws - mu / 2.0, curve.tau)
                         / theta3(ws + mu / 2.0, curve.tau)).real)
     m = (float(np.max(np.abs(log_ratio))) + abs(np.log(norming))) / p_abs + 1.0
-    lo, hi = -m, m
-    f_lo = lo - rhs(lo, t)
-    f_hi = hi - rhs(hi, t)
-    if not (f_lo < 0.0 < f_hi):
+    ends = np.array([[-m], [m]])
+    f_lo, f_hi = ends - rhs(ends, ts)
+    if not np.all((f_lo < 0.0) & (0.0 < f_hi)):
         raise BracketFailure("tracker bracket does not straddle a root")
+    lo, hi = np.full(ts.shape, -m), np.full(ts.shape, m)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if mid - rhs(mid, t) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+        below = mid - rhs(mid, ts) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
     phi = 0.5 * (lo + hi)
-    if abs(phi - rhs(phi, t)) > 1e-10:
-        raise BracketFailure(f"tracker residual {abs(phi - rhs(phi, t))}")
-    return float(phi)
+    resid = float(np.max(np.abs(phi - rhs(phi, ts)), initial=0.0))
+    if not resid <= 1e-10:
+        raise BracketFailure(f"tracker residual {resid}")
+    return float(phi[0]) if np.ndim(t) == 0 else phi.reshape(np.shape(t))
 
 
 def tracking_period(point: JacobianPoint, curve: CurveParams) -> float:
@@ -138,7 +148,7 @@ def mean_track_phase(point: JacobianPoint, curve: CurveParams, norming: float) -
 
     def average(n: int) -> float:
         ts = (np.arange(n) + 0.5) * period / n
-        return float(np.mean([track_phase(point, curve, norming, t) for t in ts]))
+        return float(np.mean(track_phase(point, curve, norming, ts)))
 
     coarse, fine = average(256), average(512)
     if abs(fine - coarse) > 1e-9:

@@ -25,6 +25,7 @@ so that no conditionally convergent lattice sums appear in production code.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +64,13 @@ class CurveParams:
     def period_x(self) -> float:
         """Spatial period 4 i varpi3 of the cnoidal wave (a positive real)."""
         return float((4j * self.varpi3).real)
+
+    @functools.cached_property
+    def _zeta_varpi3(self) -> complex:
+        # cached_property writes the instance __dict__, which a frozen dataclass allows
+        t1 = theta1(0.0, self.tau, 1)
+        t3 = theta1(0.0, self.tau, 3)
+        return -t3 / (12.0 * self.varpi3 * t1)
 
 
 @dataclass(frozen=True)
@@ -139,7 +147,7 @@ def _theta_sum(half_index: bool, beta, tau: complex, order: int):
     total = np.zeros_like(b)
     if not half_index and order == 0:
         total += 1.0
-    running_max = float(np.max(np.abs(total))) if total.size else 0.0
+    running_max = float(np.abs(total).max()) if total.size else 0.0
     m = 0.5 if half_index else 1.0
     quiet = 0
     while True:
@@ -147,7 +155,7 @@ def _theta_sum(half_index: bool, beta, tau: complex, order: int):
         qm = np.exp(1j * np.pi * tau * m * m)
         term = qm * (w ** order * np.exp(w * z) + (-w) ** order * np.exp(-w * z))
         total = total + term
-        peak = float(np.max(np.abs(term)))
+        peak = float(np.abs(term).max())
         running_max = max(running_max, peak)
         if peak == 0.0 or (running_max > 0.0 and peak < 1e-16 * running_max):
             quiet += 1
@@ -194,10 +202,8 @@ def log_theta1_derivatives(beta, tau: complex):
 
 
 def zeta_half_period(curve: CurveParams) -> complex:
-    """Weierstrass zeta(varpi3), from theta1'''(0)/theta1'(0)."""
-    t1 = theta1(0.0, curve.tau, 1)
-    t3 = theta1(0.0, curve.tau, 3)
-    return -t3 / (12.0 * curve.varpi3 * t1)
+    """Weierstrass zeta(varpi3), from theta1'''(0)/theta1'(0); computed once per curve."""
+    return curve._zeta_varpi3
 
 
 def zeta_varpi1(curve: CurveParams) -> complex:

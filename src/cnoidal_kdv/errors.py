@@ -99,6 +99,10 @@ class BracketFailure(CnoidalKdvError):
     """Bisection bracket for the tracker equation failed (should not occur)."""
 
 
+class InvalidNorming(CnoidalKdvError):
+    """Tracker norming constant is not a finite positive number."""
+
+
 class FitDiverged(CnoidalKdvError):
     """Background-phase fit residual above tolerance."""
 

@@ -46,3 +46,20 @@ def ctx_bright(curve, bright_point):
 def ctx_dimbright(curve, dim_point, bright_point):
     spectrum = tu.spectrum_from_points(curve, [(dim_point, 0.0), (bright_point, 0.0)])
     return tu.build_context(curve, spectrum)
+
+
+@pytest.fixture
+def theta_calls(monkeypatch):
+    """Names of the theta1/theta3 calls made from any package module, in order."""
+    calls = []
+    for name in ("theta1", "theta3"):
+        original = getattr(el, name)
+
+        def counting(*args, _fn=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("cnoidal_kdv") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    return calls

@@ -3,8 +3,12 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
+import pytest
+
+from cnoidal_kdv import cli
 
 BASE_CURVE = {"e1": 2.0, "e2": 1.0, "e3": -3.0}
 
@@ -286,3 +290,34 @@ class TestExitCodes:
                "verify": {"which": "fay", "fay_n": 2, "trials": 5}, "seed": 1}
         res = run_cli(tmp_path, cfg, "verify", "--tol", "1e-25")
         assert res.returncode == 4
+
+
+def track_cfg(nt, norming=1.0):
+    return {"curve": BASE_CURVE,
+            "solitons": [{"beta": 0.30, "kind": "hot"}],
+            "grid": {"xmin": -1, "xmax": 1, "nx": 2, "tmin": -2.0, "tmax": 2.0, "nt": nt},
+            "dynamics": {"mode": "track", "norming": norming}}
+
+
+class TestTrackOp:
+    def test_theta3_calls_do_not_grow_with_nt(self, tmp_path, capsys, theta_calls):
+        counts = []
+        for nt in (8, 64):
+            path = tmp_path / f"track{nt}.json"
+            path.write_text(json.dumps(track_cfg(nt)))
+            theta_calls.clear()
+            assert cli.main(["dynamics", "--config", str(path)]) == 0
+            _, rows = parse_csv(capsys.readouterr().out)
+            assert len(rows) == nt
+            counts.append(theta_calls.count("theta3"))
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("norming", [0, -1, "nan"])
+    def test_bad_norming_is_config_error(self, tmp_path, capsys, norming):
+        path = tmp_path / "track.json"
+        path.write_text(json.dumps(track_cfg(4, norming)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["dynamics", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dynamics.norming")

@@ -10,6 +10,7 @@ from cnoidal_kdv.errors import (
     BranchPointLimit,
     EqualVelocities,
     FitDiverged,
+    InvalidNorming,
     UnorderedVelocities,
 )
 
@@ -78,6 +79,32 @@ class TestTrackPhase:
         for k in (0.4, 2.5):
             mean = dy.mean_track_phase(bright_point, curve, k)
             assert abs(mean - np.log(k) / p_abs) < 1e-8
+
+
+class TestTrackPhaseArray:
+    def test_array_matches_scalar_calls(self, curve, bright_point):
+        ts = np.random.default_rng(3).uniform(-5, 5, (4, 8))
+        phis = dy.track_phase(bright_point, curve, 0.6, ts)
+        assert isinstance(phis, np.ndarray) and phis.shape == ts.shape
+        scalar = [dy.track_phase(bright_point, curve, 0.6, float(t)) for t in ts.ravel()]
+        assert np.max(np.abs(phis.ravel() - scalar)) <= 1e-12
+
+    def test_array_defining_equation_residual(self, curve, dim_point):
+        rhs, _, _ = dy._tracker_rhs(dim_point, curve, 1.7)
+        ts = np.random.default_rng(1).uniform(-5, 5, 100)
+        phis = dy.track_phase(dim_point, curve, 1.7, ts)
+        assert np.max(np.abs(phis - rhs(phis, ts))) <= 1e-10
+
+    def test_scalar_t_returns_float(self, curve, bright_point):
+        for t in (0.3, np.float64(0.3), np.array(0.3)):
+            assert type(dy.track_phase(bright_point, curve, 1.0, t)) is float
+
+    @pytest.mark.parametrize("norming", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_norming_rejected_before_theta(self, curve, bright_point, norming,
+                                               theta_calls):
+        with pytest.raises(InvalidNorming):
+            dy.track_phase(bright_point, curve, norming, np.linspace(0.0, 1.0, 4))
+        assert theta_calls == []
 
 
 class TestPairShifts:
