@@ -30,12 +30,17 @@ from .errors import (
     CoincidentSolitons,
     FactorizationMismatch,
     NonRealTau,
+    PhaseOverflow,
     SingularConfiguration,
     TruncationInsufficient,
 )
 from .tau import SolitonSpectrum, fredholm_factor
 
 _IDENTITY_GATE = 1e-9
+# Largest |exponent| of the x-only factor E of a lattice term.  E never
+# overflows, and a term whose per-draw factor C underflows lies below
+# exp(-_E_EXPONENT_BOUND) of the nu = 0 term, which is 1.
+_E_EXPONENT_BOUND = 0.5 * float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -81,17 +86,18 @@ def degenerate_period_matrix(spec: DegenerationSpec) -> PeriodMatrix:
     sp = spec.spectrum
     curve = sp.curve
     n = len(sp)
-    betas = [e.beta for e in sp.entries]
-    stars = [e.beta_star for e in sp.entries]
-    b = np.zeros((n, n), dtype=complex)
-    for l in range(n):
-        b[l, l] = 1j * spec.lam
-        for j in range(l + 1, n):
-            if abs(betas[j] - betas[l]) < 1e-10:
-                raise CoincidentSolitons(f"beta_{j} and beta_{l} coincide")
-            ratio = abs(theta1(betas[j] - betas[l], curve.tau)
-                        / theta1(betas[j] - stars[l], curve.tau))
-            b[l, j] = b[j, l] = np.log(ratio) / (1j * np.pi)
+    betas = np.array([e.beta for e in sp.entries], dtype=complex)
+    stars = np.array([e.beta_star for e in sp.entries], dtype=complex)
+    b = np.diag(np.full(n, 1j * spec.lam))
+    low, high = np.triu_indices(n, 1)           # pairs l < j, row by row
+    if low.size:
+        close = np.abs(betas[high] - betas[low]) < 1e-10
+        if np.any(close):
+            first = int(np.argmax(close))
+            raise CoincidentSolitons(f"beta_{high[first]} and beta_{low[first]} coincide")
+        ratio = np.abs(theta1(betas[high] - betas[low], curve.tau)
+                       / theta1(betas[high] - stars[low], curve.tau))
+        b[low, high] = b[high, low] = np.log(ratio) / (1j * np.pi)
     mu = np.array([e.point.mu() for e in sp.entries], dtype=float)
     omega = np.zeros((n + 1, n + 1), dtype=complex)
     omega[:n, :n] = b
@@ -218,9 +224,9 @@ def fay_residual(n: int, xs, xhats, e_point: complex, curve) -> float:
     mat = theta3(xs[:, None] - xhats[None, :] + e_point, tau_mod) / (cross * th_e)
     lhs = complex(np.linalg.det(mat))
     rhs = theta3(np.sum(xs - xhats) + e_point, tau_mod) / th_e
-    for j in range(n):
-        for k in range(j + 1, n):
-            rhs *= theta1(xs[j] - xs[k], tau_mod) * theta1(xhats[k] - xhats[j], tau_mod)
+    j, k = np.triu_indices(n, 1)
+    if j.size:
+        rhs *= np.prod(theta1(xs[j] - xs[k], tau_mod) * theta1(xhats[k] - xhats[j], tau_mod))
     rhs /= np.prod(cross)
     return abs(lhs - rhs)
 
@@ -240,51 +246,97 @@ def cnoidal_reference(curve, xs) -> np.ndarray:
     return (t2 / t0 - (t1 / t0) ** 2).real / (8.0 * w3_abs * w3_abs)
 
 
-def finite_gap_solution(spec: DegenerationSpec, phi, xs, ts, radius: int) -> np.ndarray:
-    """u_{N+1}(x, t) = 2 d^2/dx^2 ln Theta(X(x,t) - Omega u/2) at finite epsilon.
+def _x_blocks(xs: np.ndarray, reach: float) -> list[np.ndarray]:
+    """Index sets of xs, each spanning at most 2 reach."""
+    lo, hi = float(xs.min()), float(xs.max())
+    count = max(1, int(np.ceil((hi - lo) / (2.0 * reach))))
+    if count == 1:
+        return [np.arange(xs.size)]
+    which = np.minimum(((xs - lo) * (count / (hi - lo))).astype(int), count - 1)
+    return [idx for idx in (np.flatnonzero(which == b) for b in range(count)) if idx.size]
 
-    u = (1 - phi_1, ..., 1 - phi_N, 0); phi = 0 is the half-period tuning of
-    the soliton solution.  Shape of the result: (len(ts), len(xs)).
+
+def _finite_gap_theta(spec: DegenerationSpec, draws: np.ndarray, xs: np.ndarray,
+                      h: float, ts: np.ndarray, radius: int) -> np.ndarray:
+    """Theta(X(x, t) - Omega u/2) on the D2 stencil of xs: shape (k, nt, nx, 5).
+
+    X is affine in x with slope a = (P_1/2pi, ..., P_N/2pi, 1/(4|varpi3|)), so
+    at a block centre x_c each lattice term splits into
+        C[draw, t, nu] = exp(i pi nu.Omega.nu + 2 pi i nu.(X(x_c, t) - Omega u/2))
+        E[nu, x]       = prod_j exp(2 pi i nu_j a_j (x - x_c))
+    and the sum over a block is the one matrix product C @ E.  C is a single
+    exponent per term: the damping from the quadratic form and the growth
+    from the half-period shift must not be exponentiated separately (their
+    product is finite where the factors overflow).  The soliton slopes are
+    imaginary, so E is a real exponential; the blocks keep its exponent
+    within _E_EXPONENT_BOUND.
     """
     sp = spec.spectrum
     curve = sp.curve
     n = len(sp)
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (n,):
-        raise ValueError("phi must have one entry per soliton")
     pm = degenerate_period_matrix(spec)
-    shift = 0.5 * pm.omega @ np.concatenate([1.0 - phi, [0.0]])
+    u = np.zeros((draws.shape[0], n + 1))
+    u[:, :n] = 1.0 - draws
+    shift = 0.5 * u @ pm.omega.T
 
     nu = _lattice(n + 1, radius)
     quad = 1j * np.pi * np.einsum("ij,jk,ik->i", nu, pm.omega, nu)
 
-    xs = np.asarray(xs, dtype=float)
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    h = 1e-3 * curve.period_x
-    x_st = (xs[:, None] + h * fd.D2_OFFSETS[None, :]).ravel()
-
     p = np.array([e.P for e in sp.entries])
     en = np.array([e.E for e in sp.entries])
     xsh = np.array([e.x_shift for e in sp.entries])
-    out = np.empty((ts.size, xs.size))
-    for i, t in enumerate(ts):
-        big_x = np.empty((n + 1, x_st.size), dtype=complex)
-        big_x[:n] = ((x_st[None, :] - xsh[:, None]) * p[:, None]
-                     + t * en[:, None]) / (2.0 * np.pi)
-        big_x[n] = (x_st - sp.x0) / (4.0 * abs(curve.varpi3))
-        # single exponent per term: the damping from the quadratic form and
-        # the growth from the half-period shift must not be exponentiated
-        # separately (their product is finite where the factors overflow)
-        vals = np.sum(np.exp(quad[:, None] + 2j * np.pi * (nu @ (big_x - shift[:, None]))),
-                      axis=0)
-        if float(np.max(np.abs(vals.imag) / (np.abs(vals) + 1e-300))) > 1e-8:
-            raise NonRealTau("theta sum not real on a real (x, t) grid")
-        re = vals.real
-        if np.min(re) <= 0.0:
-            raise NonRealTau("theta sum not positive; cannot take logarithms")
-        ld = np.log(re).reshape(xs.size, 5)
-        out[i] = 2.0 * fd.second_derivative(ld, h)
-    return out
+    w3 = 4.0 * abs(curve.varpi3)
+    slope = np.append(p / (2.0 * np.pi), 1.0 / w3)
+    growth = radius * float(np.sum(np.abs(p.imag)))      # max |Re log E| per unit |x - x_c|
+    reach = (_E_EXPONENT_BOUND / growth if growth > 0.0 else np.inf) - 2.0 * h
+    m = np.arange(-radius, radius + 1, dtype=float)
+
+    vals = np.empty((draws.shape[0], ts.size, xs.size, fd.D2_OFFSETS.size), dtype=complex)
+    for idx in _x_blocks(xs, reach):
+        x_blk = (xs[idx, None] + h * fd.D2_OFFSETS[None, :]).ravel()
+        x_c = 0.5 * (x_blk.min() + x_blk.max())
+        dx = x_blk - x_c
+        big_x = np.empty((ts.size, n + 1), dtype=complex)
+        big_x[:, :n] = ((x_c - xsh) * p + ts[:, None] * en) / (2.0 * np.pi)
+        big_x[:, n] = (x_c - sp.x0) / w3
+        arg = quad + 2j * np.pi * ((big_x[None, :, :] - shift[:, None, :]) @ nu.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # E row by row in lattice order (first index slowest), one factor table per axis
+            table = np.ones((1, dx.size), dtype=complex)
+            for a in slope:
+                factor = np.exp(2j * np.pi * a * m[:, None] * dx[None, :])
+                table = (table[:, None, :] * factor[None, :, :]).reshape(-1, dx.size)
+            theta = np.exp(arg).reshape(-1, nu.shape[0]) @ table
+        vals[:, :, idx] = theta.reshape(vals.shape[:2] + (idx.size, -1))
+    return vals
+
+
+def finite_gap_solution(spec: DegenerationSpec, phi, xs, ts, radius: int) -> np.ndarray:
+    """u_{N+1}(x, t) = 2 d^2/dx^2 ln Theta(X(x,t) - Omega u/2) at finite epsilon.
+
+    u = (1 - phi_1, ..., 1 - phi_N, 0); phi = 0 is the half-period tuning of
+    the soliton solution.  phi is one draw, shape (N,), giving a result of
+    shape (len(ts), len(xs)), or k draws, shape (k, N), giving (k, len(ts),
+    len(xs)) from one lattice sum over all draws.
+    """
+    sp = spec.spectrum
+    n = len(sp)
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim not in (1, 2) or phi.shape[-1] != n:
+        raise ValueError("phi must have one entry per soliton, shape (N,) or (k, N)")
+    xs = np.asarray(xs, dtype=float)
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    h = 1e-3 * sp.curve.period_x
+    vals = _finite_gap_theta(spec, phi.reshape(-1, n), xs, h, ts, radius)
+    if not np.all(np.isfinite(vals)):
+        raise PhaseOverflow("theta lattice sum not finite in double precision")
+    if float(np.max(np.abs(vals.imag) / (np.abs(vals) + 1e-300))) > 1e-8:
+        raise NonRealTau("theta sum not real on a real (x, t) grid")
+    re = vals.real
+    if np.min(re) <= 0.0:
+        raise NonRealTau("theta sum not positive; cannot take logarithms")
+    u_big = 2.0 * fd.second_derivative(np.log(re), h)
+    return u_big[0] if phi.ndim == 1 else u_big
 
 
 def random_phase_trial(spec: DegenerationSpec, phi, xs, ts, radius: int) -> float:
@@ -299,15 +351,16 @@ def random_phase_mc(spectrum: SolitonSpectrum, epsilons, n_trials: int, seed: in
     """Mean sup-deviation per epsilon over common random phase draws.
 
     The same phi sequence (given by the seed) is reused for every epsilon so
-    the means are comparable trial by trial.
+    the means are comparable trial by trial; each epsilon is one
+    finite_gap_solution call over all draws.
     """
     n = len(spectrum)
     rng = np.random.default_rng(seed)
     phis = rng.uniform(-1.0, 1.0, size=(n_trials, n))
+    u1 = cnoidal_reference(spectrum.curve, xs)
     means = []
     for eps in epsilons:
         spec = DegenerationSpec(epsilon=float(eps), spectrum=spectrum)
-        devs = [random_phase_trial(spec, phis[k], xs, ts, radius)
-                for k in range(n_trials)]
-        means.append(float(np.mean(devs)))
+        u_big = finite_gap_solution(spec, phis, xs, ts, radius)
+        means.append(float(np.mean(np.abs(u_big - u1).max(axis=(1, 2)))))
     return np.array(means)

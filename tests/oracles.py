@@ -160,3 +160,42 @@ def kernel_row_loop(model, eta) -> np.ndarray:
         else:
             row[cols] = w_col * (np.log(np.abs(theta1(diff, tau_mod))) - np.log(denom))
     return row
+
+
+def finite_gap_theta_loop(spec, phi, x, t: float, radius: int) -> np.ndarray:
+    """Theta(X(x, t) - Omega u/2) at the points x for one draw phi and one t.
+
+    The box sum with one exponent per lattice term and point, as in its
+    definition: exp(i pi nu.Omega.nu + 2 pi i nu.(X(x, t) - Omega u/2)).
+    """
+    from cnoidal_kdv.riemann import _lattice, degenerate_period_matrix
+
+    sp = spec.spectrum
+    n = len(sp)
+    pm = degenerate_period_matrix(spec)
+    shift = 0.5 * pm.omega @ np.concatenate([1.0 - np.asarray(phi, dtype=float), [0.0]])
+    nu = _lattice(n + 1, radius)
+    quad = 1j * np.pi * np.einsum("ij,jk,ik->i", nu, pm.omega, nu)
+    x = np.asarray(x, dtype=float)
+    p = np.array([e.P for e in sp.entries])
+    en = np.array([e.E for e in sp.entries])
+    xsh = np.array([e.x_shift for e in sp.entries])
+    big_x = np.empty((n + 1, x.size), dtype=complex)
+    big_x[:n] = ((x[None, :] - xsh[:, None]) * p[:, None] + t * en[:, None]) / (2.0 * np.pi)
+    big_x[n] = (x - sp.x0) / (4.0 * abs(sp.curve.varpi3))
+    return np.sum(np.exp(quad[:, None] + 2j * np.pi * (nu @ (big_x - shift[:, None]))), axis=0)
+
+
+def finite_gap_solution_loop(spec, phi, xs, ts, radius: int) -> np.ndarray:
+    """u_{N+1} = 2 d^2/dx^2 ln Theta for one draw, one t at a time: shape (nt, nx)."""
+    from cnoidal_kdv import fd
+
+    xs = np.asarray(xs, dtype=float)
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    h = 1e-3 * spec.spectrum.curve.period_x
+    x_st = (xs[:, None] + h * fd.D2_OFFSETS[None, :]).ravel()
+    out = np.empty((ts.size, xs.size))
+    for i, t in enumerate(ts):
+        vals = finite_gap_theta_loop(spec, phi, x_st, t, radius)
+        out[i] = 2.0 * fd.second_derivative(np.log(vals.real).reshape(xs.size, -1), h)
+    return out
