@@ -15,7 +15,6 @@ from .elliptic import (
     invert_wp,
     theta1,
     theta3,
-    theta_eval,
     weierstrass,
     wp_on_segment,
     zeta_half_period,
@@ -61,7 +60,6 @@ from .gas import (
     build_model,
     carrier_quantities,
     equation_of_state_residual,
-    free_speed_s0,
     free_speeds,
     interaction_kernel,
     interval_from_physical,
@@ -69,4 +67,17 @@ from .gas import (
     tracer_shift,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CurveParams", "JacobianPoint", "half_periods", "invert_wp", "theta1", "theta3",
+    "weierstrass", "wp_on_segment", "zeta_half_period", "SolitonSpectrum",
+    "TauContext", "build_context", "build_spectrum", "g_matrix", "kdv_residual",
+    "logdet_x_analytic", "spectrum_from_points", "tau_eval", "tau_grid", "u_eval",
+    "u_field", "u_grid", "DegenerationSpec", "PeriodMatrix",
+    "degenerate_period_matrix", "degeneration_residual", "fay_residual",
+    "random_phase_mc", "random_phase_trial", "theta_lattice_sum", "TrackedSoliton",
+    "background_shift_probe", "group_velocity", "mean_track_phase", "pair_shifts",
+    "total_shift_schedule", "track_phase", "track_soliton", "GasInterval",
+    "GasModel", "build_model", "carrier_quantities", "equation_of_state_residual",
+    "free_speeds", "interaction_kernel", "interval_from_physical", "ndr_solve",
+    "tracer_shift",
+]

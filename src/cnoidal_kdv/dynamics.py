@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .elliptic import CurveParams, JacobianPoint, theta1, theta3, weierstrass, zeta_half_period
+from .elliptic import CurveParams, JacobianPoint, theta3
+from .elliptic import _cnoidal_wave, _log_theta1_ratio, _zeta_form
 from .errors import (
     BracketFailure,
     BranchPointLimit,
@@ -70,11 +71,7 @@ def _check_interior(point: JacobianPoint) -> None:
 def group_velocity(point: JacobianPoint, curve: CurveParams) -> float:
     """Asymptotic speed V(beta) = -E/P of the solitary disturbance."""
     _check_interior(point)
-    s = 2.0 * curve.varpi3 * point.beta
-    _, wpp, zw = weierstrass(s, curve)
-    denom = (zw - 2.0 * zeta_half_period(curve) * point.beta
-             + point.chi * 1j * np.pi / (2.0 * curve.varpi3))
-    v = 0.5 * wpp / denom
+    _, _, v = _zeta_form(point.beta, point.chi, curve)
     if abs(v.imag) > 1e-10 * max(1.0, abs(v)):
         raise BranchPointLimit(f"velocity {v} not real at beta = {point.beta}")
     return float(v.real)
@@ -165,9 +162,8 @@ def pair_shifts(point1: JacobianPoint, point2: JacobianPoint,
         raise UnorderedVelocities(f"V(beta1) = {v1} must exceed V(beta2) = {v2}")
     p1 = quasi_momentum(point1, curve).imag
     p2 = quasi_momentum(point2, curve).imag
-    log_mod = float(np.log(abs(
-        theta1(point1.beta - point2.star(curve.tau), curve.tau)
-        / theta1(point1.beta - point2.beta, curve.tau))))
+    log_mod = float(_log_theta1_ratio(point1.beta - point2.star(curve.tau),
+                                      point1.beta - point2.beta, curve.tau))
     return 2.0 * log_mod / p1, -2.0 * log_mod / p2
 
 
@@ -177,42 +173,28 @@ def total_shift_schedule(spectrum: SolitonSpectrum) -> np.ndarray:
     <Phi_j^+> - <Phi_j^-> = (2/|P_j|) [ sum_{k slower} - sum_{k faster} ]
                             ln|theta1(beta_j - beta_k^star)/theta1(beta_j - beta_k)|.
     """
-    curve = spectrum.curve
     entries = spectrum.entries
-    vs = np.array([e.velocity for e in entries])
     n = len(entries)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vs[i] - vs[j]) < 1e-12 * max(1.0, abs(vs[i])):
-                raise EqualVelocities(f"V_{i} = V_{j} = {vs[i]}")
-    out = np.zeros(n)
-    for j, ej in enumerate(entries):
-        acc = 0.0
-        for k, ek in enumerate(entries):
-            if k == j:
-                continue
-            log_mod = float(np.log(abs(
-                theta1(ej.beta - ek.beta_star, curve.tau)
-                / theta1(ej.beta - ek.beta, curve.tau))))
-            acc += log_mod if vs[k] < vs[j] else -log_mod
-        out[j] = 2.0 * acc / ej.p_abs
-    return out
+    vs = np.array([e.velocity for e in entries])
+    low, high = np.triu_indices(n, 1)           # pairs i < j, row by row
+    same = np.abs(vs[low] - vs[high]) < 1e-12 * np.maximum(1.0, np.abs(vs[low]))
+    if np.any(same):
+        first = int(np.argmax(same))
+        raise EqualVelocities(f"V_{low[first]} = V_{high[first]} = {vs[low[first]]}")
+    betas = np.array([e.beta for e in entries])
+    stars = np.array([e.beta_star for e in entries])
+    # off-diagonal pairs only: the diagonal would be theta1(0) = 0
+    j, k = np.nonzero(~np.eye(n, dtype=bool))
+    log_mod = np.zeros((n, n))
+    log_mod[j, k] = _log_theta1_ratio(betas[j] - stars[k], betas[j] - betas[k],
+                                      spectrum.curve.tau)
+    signed = np.where(vs[None, :] < vs[:, None], log_mod, -log_mod)
+    return 2.0 * signed.sum(axis=1) / np.array([e.p_abs for e in entries])
 
 
 # ----------------------------------------------------------------------------
 # Background phase probe (conveyer-belt effect)
 # ----------------------------------------------------------------------------
-
-def _cnoidal_with_phase(ctx: TauContext, xs: np.ndarray, phase: float) -> np.ndarray:
-    """2 d^2/dx^2 ln theta3((x - x0)/(4 i varpi3) + phase) - zeta(varpi3)/(2 varpi3)."""
-    curve = ctx.curve
-    w3_abs = abs(curve.varpi3)
-    y = (xs - ctx.spectrum.x0) / (4.0 * w3_abs) + phase
-    t0 = theta3(y, curve.tau)
-    t1 = theta3(y, curve.tau, 1)
-    t2 = theta3(y, curve.tau, 2)
-    return (t2 / t0 - (t1 / t0) ** 2).real / (8.0 * w3_abs * w3_abs) - 4.0 * ctx.quad_const
-
 
 def background_shift_probe(ctx: TauContext, t: float,
                            windows: list[tuple[float, float]],
@@ -227,9 +209,11 @@ def background_shift_probe(ctx: TauContext, t: float,
     for lo, hi in windows:
         xs = np.linspace(lo, hi, samples_per_window)
         u_w = u_grid(ctx, xs, t)
+        y = (xs - ctx.spectrum.x0) / (4.0 * abs(ctx.curve.varpi3))
 
         def cost(phase: float) -> float:
-            return float(np.mean((u_w - _cnoidal_with_phase(ctx, xs, phase)) ** 2))
+            fit = _cnoidal_wave(y + phase, ctx.curve) - 4.0 * ctx.quad_const
+            return float(np.mean((u_w - fit) ** 2))
 
         coarse = np.linspace(0.0, 1.0, 256, endpoint=False)
         c0 = min(coarse, key=cost)

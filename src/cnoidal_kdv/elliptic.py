@@ -138,16 +138,19 @@ def _theta_sum(half_index: bool, beta, tau: complex, order: int):
     """Adaptive q-series for theta1 (half_index) or theta3 and beta-derivatives.
 
     Terms are accumulated symmetrically in +-m until three consecutive
-    increments fall below 1e-16 of the running maximum.
+    increments fall below 1e-16 of the running maximum.  An empty beta array
+    gives an empty result.
     """
     if tau.imag < MIN_IM_TAU:
         raise ThetaConvergenceError(f"Im(tau) = {tau.imag} < {MIN_IM_TAU}")
     b = np.asarray(beta, dtype=np.complex128)
+    if b.size == 0:
+        return b.copy()
     z = b - 0.5 if half_index else b
     total = np.zeros_like(b)
     if not half_index and order == 0:
         total += 1.0
-    running_max = float(np.abs(total).max()) if total.size else 0.0
+    running_max = float(np.abs(total).max())
     m = 0.5 if half_index else 1.0
     quiet = 0
     while True:
@@ -179,16 +182,6 @@ def theta3(beta, tau: complex, order: int = 0):
     return _theta_sum(False, beta, tau, order)
 
 
-def theta_eval(kind: int, order: int, beta, curve: CurveParams):
-    """Order-th beta-derivative of theta1 or theta3 on the curve's modulus."""
-    if kind not in (1, 3):
-        raise ValueError("kind must be 1 or 3")
-    if not 0 <= order <= 3:
-        raise ValueError("order must be in 0..3")
-    fn = theta1 if kind == 1 else theta3
-    return fn(beta, curve.tau, order)
-
-
 def log_theta1_derivatives(beta, tau: complex):
     """(d ln th1, d^2 ln th1, d^3 ln th1) with respect to beta."""
     t0 = theta1(beta, tau, 0)
@@ -204,19 +197,6 @@ def log_theta1_derivatives(beta, tau: complex):
 def zeta_half_period(curve: CurveParams) -> complex:
     """Weierstrass zeta(varpi3), from theta1'''(0)/theta1'(0); computed once per curve."""
     return curve._zeta_varpi3
-
-
-def zeta_varpi1(curve: CurveParams) -> complex:
-    """Weierstrass zeta(varpi1), via the theta representation at beta = tau/2."""
-    w3 = curve.varpi3
-    d1, _, _ = log_theta1_derivatives(curve.tau / 2.0, curve.tau)
-    z3 = zeta_half_period(curve)
-    return (d1 + 4.0 * w3 * z3 * (curve.tau / 2.0)) / (2.0 * w3)
-
-
-def legendre_combination(curve: CurveParams) -> complex:
-    """zeta(varpi1)*varpi3 - zeta(varpi3)*varpi1; modulus must be pi/2."""
-    return zeta_varpi1(curve) * curve.varpi3 - zeta_half_period(curve) * curve.varpi1
 
 
 def _lattice_distance(s, curve: CurveParams):
@@ -252,7 +232,34 @@ def weierstrass(s, curve: CurveParams):
     return wp, wp_prime, zeta_w
 
 
-def wp_on_segment(point: JacobianPoint | complex, curve: CurveParams, chi: int | None = None) -> float:
+def _zeta_form(beta, chi, curve: CurveParams):
+    """(P, wp', V) at Jacobian points beta on segments chi, scalars or arrays.
+
+    One weierstrass call gives the quasi-momentum in its zeta form
+    P = zeta(2 varpi3 beta) - 2 zeta(varpi3) beta + chi i pi/(2 varpi3),
+    wp'(2 varpi3 beta), and the velocity V = wp'/(2 P), left complex for the
+    caller's reality check.
+    """
+    _, wpp, zw = weierstrass(2.0 * curve.varpi3 * beta, curve)
+    p = zw - 2.0 * zeta_half_period(curve) * beta + chi * 1j * np.pi / (2.0 * curve.varpi3)
+    return p, wpp, 0.5 * wpp / p
+
+
+def _log_theta1_ratio(a, b, tau: complex):
+    """ln|theta1(a) / theta1(b)|; the builtin abs keeps Python's hypot for scalars."""
+    return np.log(abs(theta1(a, tau) / theta1(b, tau)))
+
+
+def _cnoidal_wave(y, curve: CurveParams):
+    """Cnoidal wave 2 d^2/dx^2 ln theta3(y) at real theta arguments y = x / (4 |varpi3|) + c."""
+    t0 = theta3(y, curve.tau)
+    t1 = theta3(y, curve.tau, 1)
+    t2 = theta3(y, curve.tau, 2)
+    w3_abs = abs(curve.varpi3)
+    return (t2 / t0 - (t1 / t0) ** 2).real / (8.0 * w3_abs * w3_abs)
+
+
+def wp_on_segment(point: JacobianPoint | complex, curve: CurveParams) -> float:
     """Real value of wp(2 varpi3 beta) for beta on a hot or cool segment."""
     beta = point.beta if isinstance(point, JacobianPoint) else complex(point)
     wp, _, _ = weierstrass(2.0 * curve.varpi3 * beta, curve)

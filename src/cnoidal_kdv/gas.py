@@ -29,7 +29,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .elliptic import CurveParams, JacobianPoint, theta1, weierstrass, zeta_half_period
+from .elliptic import CurveParams, JacobianPoint, theta1, weierstrass
+from .elliptic import _log_theta1_ratio, _zeta_form
 from .errors import (
     DiagonalSingularity,
     NegativeDensityWarning,
@@ -150,34 +151,13 @@ def interaction_kernel(eta: JacobianPoint, beta: JacobianPoint, curve: CurvePara
     """ln|theta1(eta - beta) / theta1(eta - beta^star)|."""
     if abs(eta.beta - beta.beta) < 1e-13:
         raise DiagonalSingularity("kernel evaluated at eta == beta")
-    num = theta1(eta.beta - beta.beta, curve.tau)
-    den = theta1(eta.beta - beta.star(curve.tau), curve.tau)
-    return float(np.log(abs(num / den)))
-
-
-def _node_terms(curve: CurveParams, beta, chi):
-    """(P, wp'(2 varpi3 beta), s0) at points given as arrays of beta and chi.
-
-    One weierstrass call gives all three: P in its zeta form
-    zeta(2 varpi3 beta) - 2 zeta(varpi3) beta + chi i pi/(2 varpi3) is also
-    the denominator of the free speed s0 = wp'/(2 P).
-    """
-    _, wpp, zw = weierstrass(2.0 * curve.varpi3 * beta, curve)
-    p = zw - 2.0 * zeta_half_period(curve) * beta + chi * 1j * np.pi / (2.0 * curve.varpi3)
-    return p, wpp, (0.5 * wpp / p).real
-
-
-def free_speed_s0(eta: JacobianPoint, curve: CurveParams) -> float:
-    """Free tracer speed; coincides with the group velocity formula.
-
-    Evaluated as a one-element free_speeds, so both agree exactly.
-    """
-    return float(_node_terms(curve, np.array([eta.beta]), np.array([eta.chi]))[2][0])
+    return float(_log_theta1_ratio(eta.beta - beta.beta, eta.beta - beta.star(curve.tau),
+                                   curve.tau))
 
 
 def free_speeds(model: GasModel) -> np.ndarray:
-    """free_speed_s0 at every node of the model, in one array evaluation."""
-    return _node_terms(model.curve, model.betas, model.nodes_chi)[2]
+    """Free tracer speed s0 = wp'/(2 P) at every node, the group velocity formula."""
+    return _zeta_form(model.betas, model.nodes_chi, model.curve)[2].real
 
 
 def _hat_log_integrals(nodes: np.ndarray, x0) -> np.ndarray:
@@ -245,7 +225,7 @@ def kernel_matrix(model: GasModel) -> np.ndarray:
 
 def _rhs_vectors(model: GasModel) -> np.ndarray:
     """Real right-hand sides as columns (p/2 for u, (i/4) wp' for v), reality asserted."""
-    p, wpp, _ = _node_terms(model.curve, model.betas, model.nodes_chi)
+    p, wpp, _ = _zeta_form(model.betas, model.nodes_chi, model.curve)
     vals = np.stack([-0.5j * p, 0.25j * wpp], axis=1)
     bad = np.abs(vals.imag) > 1e-10 * np.maximum(1.0, np.abs(vals))
     if bad.any():
@@ -296,10 +276,10 @@ def equation_of_state_residual(model: GasModel) -> float:
     """
     s = model.speeds
     a = kernel_matrix(model) if model.kernel is None else model.kernel
-    p, _, s0 = _node_terms(model.curve, model.betas, model.nodes_chi)
+    p, _, s0 = _zeta_form(model.betas, model.nodes_chi, model.curve)
     g = (s[:, None] - s) * model.solved_u
     integral = (2.0 / p.imag) * np.sum(a * g, axis=1)
-    return float(np.max(np.abs(s - s0 - integral)))
+    return float(np.max(np.abs(s - s0.real - integral)))
 
 
 def tracer_shift(model: GasModel, density: np.ndarray, eta: JacobianPoint) -> float:

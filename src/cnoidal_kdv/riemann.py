@@ -19,13 +19,12 @@ convergence experiment of the averaging appendix.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fd
-from .elliptic import theta1, theta3
+from .elliptic import _cnoidal_wave, _log_theta1_ratio, theta1, theta3
 from .errors import (
     CoincidentSolitons,
     FactorizationMismatch,
@@ -90,14 +89,12 @@ def degenerate_period_matrix(spec: DegenerationSpec) -> PeriodMatrix:
     stars = np.array([e.beta_star for e in sp.entries], dtype=complex)
     b = np.diag(np.full(n, 1j * spec.lam))
     low, high = np.triu_indices(n, 1)           # pairs l < j, row by row
-    if low.size:
-        close = np.abs(betas[high] - betas[low]) < 1e-10
-        if np.any(close):
-            first = int(np.argmax(close))
-            raise CoincidentSolitons(f"beta_{high[first]} and beta_{low[first]} coincide")
-        ratio = np.abs(theta1(betas[high] - betas[low], curve.tau)
-                       / theta1(betas[high] - stars[low], curve.tau))
-        b[low, high] = b[high, low] = np.log(ratio) / (1j * np.pi)
+    close = np.abs(betas[high] - betas[low]) < 1e-10
+    if np.any(close):
+        first = int(np.argmax(close))
+        raise CoincidentSolitons(f"beta_{high[first]} and beta_{low[first]} coincide")
+    b[low, high] = b[high, low] = _log_theta1_ratio(
+        betas[high] - betas[low], betas[high] - stars[low], curve.tau) / (1j * np.pi)
     mu = np.array([e.point.mu() for e in sp.entries], dtype=float)
     omega = np.zeros((n + 1, n + 1), dtype=complex)
     omega[:n, :n] = b
@@ -112,8 +109,9 @@ def degenerate_period_matrix(spec: DegenerationSpec) -> PeriodMatrix:
 def _lattice(dim: int, radius: int) -> np.ndarray:
     if (2 * radius + 1) ** dim > 2e7:
         raise ValueError(f"lattice box (2*{radius}+1)^{dim} too large to enumerate")
-    rng = range(-radius, radius + 1)
-    return np.array(list(itertools.product(rng, repeat=dim)), dtype=float)
+    # rows in lexicographic order, first index slowest
+    box = np.indices((2 * radius + 1,) * dim).reshape(dim, -1).T
+    return (box - radius).astype(float)
 
 
 def _tail_bound(x: np.ndarray, omega: np.ndarray, radius: int) -> float:
@@ -134,6 +132,12 @@ def _tail_bound(x: np.ndarray, omega: np.ndarray, radius: int) -> float:
     return float(total)
 
 
+def _box_sum(nu: np.ndarray, omega: np.ndarray, x: np.ndarray) -> complex:
+    """Sum over the lattice rows nu of exp(i pi nu.Omega.nu + 2 pi i nu.X)."""
+    quad = np.einsum("ij,jk,ik->i", nu, omega, nu)
+    return complex(np.sum(np.exp(1j * np.pi * quad + 2j * np.pi * nu @ x)))
+
+
 def theta_lattice_sum(x, omega: PeriodMatrix | np.ndarray, radius: int,
                       tol: float | None = None) -> tuple[complex, float]:
     """Box-truncated Riemann theta sum; returns (value, a-posteriori tail bound)."""
@@ -143,9 +147,7 @@ def theta_lattice_sum(x, omega: PeriodMatrix | np.ndarray, radius: int,
         raise ValueError("dim(X) must match the period matrix")
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    nu = _lattice(om.shape[0], radius)
-    quad = np.einsum("ij,jk,ik->i", nu, om, nu)
-    value = complex(np.sum(np.exp(1j * np.pi * quad + 2j * np.pi * nu @ x)))
+    value = _box_sum(_lattice(om.shape[0], radius), om, x)
     tail = _tail_bound(x, om, radius)
     if tol is not None and tail > tol:
         raise TruncationInsufficient(f"tail bound {tail} > tolerance {tol}")
@@ -170,19 +172,12 @@ def _half_period_split_sums(x: np.ndarray, omega: np.ndarray, n_solitons: int,
     restricted_mask = np.all((soliton_part == 0.0) | (soliton_part == 1.0), axis=1)
 
     # complement: plain summand at X - Omega u / 2
-    x_eff = x - 0.5 * omega @ u
-    nu_c = nu[~restricted_mask]
-    quad_c = np.einsum("ij,jk,ik->i", nu_c, omega, nu_c)
-    complement = complex(np.sum(np.exp(1j * np.pi * quad_c + 2j * np.pi * nu_c @ x_eff)))
-
+    complement = _box_sum(nu[~restricted_mask], omega, x - 0.5 * omega @ u)
     # restricted: same summand with the soliton diagonal removed analytically
     om0 = omega.copy()
     idx = np.arange(n)
     om0[idx, idx] = 0.0
-    x0_eff = x - 0.5 * om0 @ u
-    nu_r = nu[restricted_mask]
-    quad_r = np.einsum("ij,jk,ik->i", nu_r, om0, nu_r)
-    restricted = complex(np.sum(np.exp(1j * np.pi * quad_r + 2j * np.pi * nu_r @ x0_eff)))
+    restricted = _box_sum(nu[restricted_mask], om0, x - 0.5 * om0 @ u)
     return restricted, complement
 
 
@@ -225,8 +220,7 @@ def fay_residual(n: int, xs, xhats, e_point: complex, curve) -> float:
     lhs = complex(np.linalg.det(mat))
     rhs = theta3(np.sum(xs - xhats) + e_point, tau_mod) / th_e
     j, k = np.triu_indices(n, 1)
-    if j.size:
-        rhs *= np.prod(theta1(xs[j] - xs[k], tau_mod) * theta1(xhats[k] - xhats[j], tau_mod))
+    rhs *= np.prod(theta1(xs[j] - xs[k], tau_mod) * theta1(xhats[k] - xhats[j], tau_mod))
     rhs /= np.prod(cross)
     return abs(lhs - rhs)
 
@@ -237,13 +231,7 @@ def fay_residual(n: int, xs, xhats, e_point: complex, curve) -> float:
 
 def cnoidal_reference(curve, xs) -> np.ndarray:
     """u1(x) = 2 d^2/dx^2 ln theta3(x / (4 i varpi3)), the bare cnoidal wave."""
-    xs = np.asarray(xs, dtype=float)
-    w3_abs = abs(curve.varpi3)
-    y = xs / (4.0 * w3_abs)
-    t0 = theta3(y, curve.tau)
-    t1 = theta3(y, curve.tau, 1)
-    t2 = theta3(y, curve.tau, 2)
-    return (t2 / t0 - (t1 / t0) ** 2).real / (8.0 * w3_abs * w3_abs)
+    return _cnoidal_wave(np.asarray(xs, dtype=float) / (4.0 * abs(curve.varpi3)), curve)
 
 
 def _x_blocks(xs: np.ndarray, reach: float) -> list[np.ndarray]:

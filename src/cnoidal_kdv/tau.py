@@ -36,6 +36,7 @@ from . import fd
 from .elliptic import (
     CurveParams,
     JacobianPoint,
+    _cnoidal_wave,
     invert_wp,
     log_theta1_derivatives,
     theta1,
@@ -108,13 +109,6 @@ def quasi_momentum(point: JacobianPoint, curve: CurveParams) -> complex:
     """P(beta) = theta1'(beta)/theta1(beta)/(2 varpi3) + chi i pi/(2 varpi3)."""
     d1, _, _ = log_theta1_derivatives(point.beta, curve.tau)
     return d1 / (2.0 * curve.varpi3) + point.chi * 1j * np.pi / (2.0 * curve.varpi3)
-
-
-def quasi_momentum_zeta_form(point: JacobianPoint, curve: CurveParams) -> complex:
-    """Equivalent zeta-function form zeta(2 varpi3 b) - 2 zeta(varpi3) b (+ chi term)."""
-    _, _, zw = weierstrass(2.0 * curve.varpi3 * point.beta, curve)
-    z3 = zeta_half_period(curve)
-    return zw - 2.0 * z3 * point.beta + point.chi * 1j * np.pi / (2.0 * curve.varpi3)
 
 
 def quasi_energy(point: JacobianPoint, curve: CurveParams) -> complex:
@@ -200,26 +194,24 @@ def build_context(curve: CurveParams, spectrum: SolitonSpectrum) -> TauContext:
 # G matrix and determinant evaluation
 # ----------------------------------------------------------------------------
 
-def _background_theta(ctx: TauContext, xs: np.ndarray, order: int = 0):
-    y = (xs - ctx.spectrum.x0) / (4j * ctx.curve.varpi3)
-    return theta3(y.real - ctx.spectrum.background_shift_A, ctx.curve.tau, order)
+def _background_phase(ctx: TauContext, xs) -> np.ndarray:
+    """Real theta argument y - A of the background at each x."""
+    y = (np.asarray(xs, dtype=float) - ctx.spectrum.x0) / (4j * ctx.curve.varpi3)
+    return y.real - ctx.spectrum.background_shift_A
 
 
-def _a_tensor(ctx: TauContext, xs: np.ndarray) -> np.ndarray:
-    """A_lm(x) = th3(beta_l - beta_m* + y - A) / (th1(beta_m* - beta_l) th3(y - A))."""
-    sp = ctx.spectrum
-    n = len(sp)
-    xs = np.asarray(xs, dtype=float)
-    y = (xs - sp.x0) / (4j * ctx.curve.varpi3)
-    ybg = y.real - sp.background_shift_A
-    th_bg = theta3(ybg, ctx.curve.tau)
+def _a_tensor(spectrum: SolitonSpectrum, ybg: np.ndarray) -> np.ndarray:
+    """A_lm = th3(beta_l - beta_m* + ybg) / (th1(beta_m* - beta_l) th3(ybg)), ybg = y - A."""
+    tau_mod = spectrum.curve.tau
+    n = len(spectrum)
+    th_bg = theta3(ybg, tau_mod)
     if np.min(np.abs(th_bg)) < 1e-13:
         raise BackgroundThetaZero("theta3 of the background phase vanished")
-    a = np.empty((xs.size, n, n), dtype=complex)
-    for l, el in enumerate(sp.entries):
-        for m, em in enumerate(sp.entries):
-            num = theta3(el.beta - em.beta_star + ybg, ctx.curve.tau)
-            den = theta1(em.beta_star - el.beta, ctx.curve.tau)
+    a = np.empty((ybg.size, n, n), dtype=complex)
+    for l, el in enumerate(spectrum.entries):
+        for m, em in enumerate(spectrum.entries):
+            num = theta3(el.beta - em.beta_star + ybg, tau_mod)
+            den = theta1(em.beta_star - el.beta, tau_mod)
             a[:, l, m] = num / (den * th_bg)
     return a
 
@@ -238,11 +230,7 @@ def _phase_exponents(ctx: TauContext, xs: np.ndarray, t: float) -> np.ndarray:
 
 def g_matrix(ctx: TauContext, x: float, t: float) -> np.ndarray:
     """The N x N matrix G(x, t) of the Fredholm determinant."""
-    a = _a_tensor(ctx, np.array([x]))[0]
-    expo = _phase_exponents(ctx, np.array([x]), t)[0]
-    sqrt_c = np.sqrt([e.C_norm for e in ctx.spectrum.entries])
-    d = sqrt_c * np.exp(expo)
-    return a * np.outer(d, d)
+    return _g_stack(ctx, np.array([x]), t)[0]
 
 
 def g_matrix_from_phases(spectrum: SolitonSpectrum, psis, beta_phase: float) -> np.ndarray:
@@ -251,21 +239,10 @@ def g_matrix_from_phases(spectrum: SolitonSpectrum, psis, beta_phase: float) -> 
     Used by the degeneration experiments, where the phases are not tied to
     (x, t).
     """
-    curve = spectrum.curve
-    n = len(spectrum)
+    a = _a_tensor(spectrum, np.array([beta_phase - spectrum.background_shift_A]))[0]
     psis = np.asarray(psis, dtype=complex)
-    shift_a = spectrum.background_shift_A
-    th_bg = theta3(beta_phase - shift_a, curve.tau)
-    if abs(th_bg) < 1e-13:
-        raise BackgroundThetaZero("theta3 of the carrier phase vanished")
     d = np.sqrt([e.C_norm for e in spectrum.entries]) * np.exp(1j * np.pi * psis)
-    g = np.empty((n, n), dtype=complex)
-    for l, el in enumerate(spectrum.entries):
-        for m, em in enumerate(spectrum.entries):
-            num = theta3(el.beta - em.beta_star + beta_phase - shift_a, curve.tau)
-            den = theta1(em.beta_star - el.beta, curve.tau)
-            g[l, m] = num / (den * th_bg) * d[l] * d[m]
-    return g
+    return a * d[:, None] * d[None, :]
 
 
 def fredholm_factor(spectrum: SolitonSpectrum, psis, beta_phase: float) -> complex:
@@ -281,7 +258,7 @@ def fredholm_factor(spectrum: SolitonSpectrum, psis, beta_phase: float) -> compl
 def _g_stack(ctx: TauContext, xs: np.ndarray, t: float,
              a: np.ndarray | None = None) -> np.ndarray:
     if a is None:
-        a = _a_tensor(ctx, xs)
+        a = _a_tensor(ctx.spectrum, _background_phase(ctx, xs))
     expo = _phase_exponents(ctx, xs, t)
     sqrt_c = np.sqrt([e.C_norm for e in ctx.spectrum.entries])
     d = sqrt_c[None, :] * np.exp(expo)
@@ -330,7 +307,7 @@ def tau_grid(ctx: TauContext, xs, t: float) -> tuple[np.ndarray, np.ndarray]:
     """(tau, det(1+G)) on an array of x values at fixed t; both real arrays."""
     xs = np.asarray(xs, dtype=float)
     det = _det_one_plus_g(ctx, xs, t)
-    th = _background_theta(ctx, xs)
+    th = theta3(_background_phase(ctx, xs), ctx.curve.tau)
     vals = np.exp(-ctx.quad_const * xs * xs) * det * th
     if float(np.max(np.abs(vals.imag) / (np.abs(vals) + 1e-300))) > _REALITY_TOL:
         raise NonRealTau("tau has a non-negligible imaginary part")
@@ -344,13 +321,7 @@ def tau_eval(ctx: TauContext, x: float, t: float) -> float:
 
 def u_background(ctx: TauContext, xs) -> np.ndarray:
     """Cnoidal part 2 d^2/dx^2 ln theta3(y - A) - zeta(varpi3)/(2 varpi3)."""
-    xs = np.asarray(xs, dtype=float)
-    t0 = _background_theta(ctx, xs, 0)
-    t1 = _background_theta(ctx, xs, 1)
-    t2 = _background_theta(ctx, xs, 2)
-    d2log = (t2 / t0 - (t1 / t0) ** 2).real
-    w3_abs = abs(ctx.curve.varpi3)
-    return d2log / (8.0 * w3_abs * w3_abs) - 4.0 * ctx.quad_const
+    return _cnoidal_wave(_background_phase(ctx, xs), ctx.curve) - 4.0 * ctx.quad_const
 
 
 def _logdet_stencil(ctx: TauContext, xs: np.ndarray, t: float,
@@ -401,12 +372,12 @@ def logdet_x_analytic(ctx: TauContext, x: float, t: float) -> float:
     y = (x - sp.x0) / w4 - sp.background_shift_A
     ld_bg = (theta3(y, curve.tau, 1) / theta3(y, curve.tau)) / w4
     g = g_matrix(ctx, x, t)
-    rates = np.empty((n, n), dtype=complex)
-    for l, el_ in enumerate(sp.entries):
-        for m, em in enumerate(sp.entries):
-            arg = el_.beta - em.beta_star + y
-            ld_num = (theta3(arg, curve.tau, 1) / theta3(arg, curve.tau)) / w4
-            rates[l, m] = ld_num - ld_bg - 0.5 * (el_.p_abs + em.p_abs)
+    betas = np.array([e.beta for e in sp.entries])
+    stars = np.array([e.beta_star for e in sp.entries])
+    p_abs = np.array([e.p_abs for e in sp.entries])
+    args = betas[:, None] - stars[None, :] + y
+    ld_num = (theta3(args, curve.tau, 1) / theta3(args, curve.tau)) / w4
+    rates = ld_num - ld_bg - 0.5 * (p_abs[:, None] + p_abs[None, :])
     val = np.trace(np.linalg.solve(np.eye(n) + g, g * rates))
     if abs(val.imag) > _REALITY_TOL * (1.0 + abs(val)):
         raise NonRealTau(f"analytic log-derivative {val} not real")
@@ -425,7 +396,7 @@ def u_field(ctx: TauContext, xs, ts) -> np.ndarray:
         return out
     h = ctx.fd_step
     grid = (xs[:, None] + h * fd.D2_OFFSETS[None, :]).ravel()
-    a = _a_tensor(ctx, grid)
+    a = _a_tensor(ctx.spectrum, _background_phase(ctx, grid))
     for i, t in enumerate(ts):
         ld = _logdet_one_plus_g(ctx, grid, float(t), a=a).reshape(xs.size, 5)
         out[i] = ubg + 2.0 * fd.second_derivative(ld, h)

@@ -98,6 +98,26 @@ def fd_derivative(fn, x0: complex, order: int, h: float = 1e-4) -> complex:
     raise ValueError(order)
 
 
+def theta_eval(kind: int, order: int, beta, curve):
+    """Order-th beta-derivative of theta1 (kind 1) or theta3 (kind 3) on the curve."""
+    from cnoidal_kdv.elliptic import theta1, theta3
+
+    return (theta1 if kind == 1 else theta3)(beta, curve.tau, order)
+
+
+def legendre_combination(curve) -> complex:
+    """zeta(varpi1) varpi3 - zeta(varpi3) varpi1; its modulus must be pi/2.
+
+    zeta(varpi1) comes from the theta representation at beta = tau/2.
+    """
+    from cnoidal_kdv.elliptic import log_theta1_derivatives, zeta_half_period
+
+    w3, z3 = curve.varpi3, zeta_half_period(curve)
+    d1, _, _ = log_theta1_derivatives(curve.tau / 2.0, curve.tau)
+    zeta_varpi1 = (d1 + 4.0 * w3 * z3 * (curve.tau / 2.0)) / (2.0 * w3)
+    return zeta_varpi1 * w3 - z3 * curve.varpi1
+
+
 def hat_log_integrals_loop(nodes: np.ndarray, x0: float) -> np.ndarray:
     """Integrals of ln|x0 - r| against the hat functions, one node at a time."""
 

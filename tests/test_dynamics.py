@@ -178,6 +178,15 @@ class TestSchedule:
                     total += dy.pair_shifts(pk, pj, curve)[1]
             assert abs(sched[j] - total) < 1e-12
 
+    def test_one_theta1_pair_for_all_pairs(self, curve, theta_calls):
+        pts = [el.JacobianPoint(r + 0j, 0) for r in (0.12, 0.22, 0.35)]
+        pts.append(el.JacobianPoint(0.3 + curve.tau / 2, 1))
+        sp = tu.spectrum_from_points(curve, [(p, 0.0) for p in pts])
+        theta_calls.clear()
+        sched = dy.total_shift_schedule(sp)
+        assert theta_calls == ["theta1", "theta1"]
+        assert sched.shape == (4,) and np.all(np.isfinite(sched))
+
     def test_equal_velocities_rejected(self, curve, bright_point):
         import dataclasses
         other = el.JacobianPoint(0.41 + 0j, 0)

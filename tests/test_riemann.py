@@ -1,5 +1,7 @@
 """Lattice theta sums, synthetic period matrices, degeneration and Fay checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,12 @@ class TestPeriodMatrix:
 
 
 class TestLatticeSum:
+    def test_lattice_rows_in_product_order(self):
+        for dim, radius in ((1, 1), (2, 3), (3, 2), (4, 1)):
+            rng = range(-radius, radius + 1)
+            expect = np.array(list(itertools.product(rng, repeat=dim)), dtype=float)
+            assert np.array_equal(rm._lattice(dim, radius), expect)
+
     def test_dim1_is_theta3(self, curve):
         om = np.array([[curve.tau]])
         for b in (0.3, 0.1 + 0.2j, -0.7):

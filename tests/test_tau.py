@@ -8,6 +8,7 @@ from scipy.signal import argrelextrema
 
 from cnoidal_kdv import elliptic as el
 from cnoidal_kdv import fd
+from cnoidal_kdv import riemann as rm
 from cnoidal_kdv import tau as tu
 from cnoidal_kdv.errors import (
     DuplicateSpectralPoint,
@@ -44,7 +45,7 @@ class TestSpectrum:
             chi = int(rng.integers(0, 2))
             pt = el.JacobianPoint(rng.uniform(0.05, 0.45) + chi * curve.tau / 2, chi)
             a = tu.quasi_momentum(pt, curve)
-            b = tu.quasi_momentum_zeta_form(pt, curve)
+            b = el._zeta_form(pt.beta, pt.chi, curve)[0]
             assert abs(a - b) < 1e-10
 
     def test_single_soliton_norming(self, curve, bright_point):
@@ -92,6 +93,16 @@ class TestGMatrix:
         assert np.all(g60 < g20)
         assert np.all(g60 < 1e-2)
 
+    def test_from_phases_matches_xt_matrix(self, ctx_dimbright):
+        # g_matrix_from_phases at the phases of (x, t) is G(x, t)
+        sp = ctx_dimbright.spectrum
+        x, t = 0.7, 0.3
+        expo = tu._phase_exponents(ctx_dimbright, np.array([x]), t)[0]
+        beta = float(tu._background_phase(ctx_dimbright, np.array([x]))[0])
+        g = tu.g_matrix_from_phases(sp, expo / (1j * np.pi), beta + sp.background_shift_A)
+        want = tu.g_matrix(ctx_dimbright, x, t)
+        assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_phase_overflow_guard(self, ctx_bright):
         with pytest.raises(PhaseOverflow):
             tu.g_matrix(ctx_bright, -1e4, 0.0)
@@ -129,6 +140,12 @@ class TestUField:
         # trace-formula range [e2/2, e1/2]
         assert abs(np.max(u) - curve.e1 / 2.0) < 1e-5
         assert abs(np.min(u) - curve.e2 / 2.0) < 1e-5
+
+    def test_background_is_cnoidal_reference(self, ctx_cnoidal, curve):
+        # the same cnoidal wave from tau (complex y) and riemann (real y)
+        xs = np.linspace(-10, 10, 301)
+        u_bg = tu.u_background(ctx_cnoidal, xs) + 4.0 * ctx_cnoidal.quad_const
+        assert np.max(np.abs(u_bg - rm.cnoidal_reference(curve, xs))) <= 1e-12
 
     def test_reality(self, ctx_dimbright):
         xs = np.linspace(-12, 12, 200)
