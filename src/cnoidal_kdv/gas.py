@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .elliptic import CurveParams, JacobianPoint, theta1, weierstrass
-from .elliptic import _log_theta1_ratio, _zeta_form
+from .elliptic import CurveParams, JacobianPoint, weierstrass, zeta_half_period
+from .elliptic import _log_theta1_ratio, _theta_grid, _zeta_form
 from .errors import (
     DiagonalSingularity,
     NegativeDensityWarning,
@@ -70,9 +70,11 @@ class GasModel:
     solved_v: np.ndarray | None = None
     carrier_k: float | None = None
     carrier_w: float | None = None
-    # kernel_matrix of these nodes, kept by ndr_solve for the equation of state;
-    # dataclasses.replace copies it, so reset it when replacing curve or nodes
+    # kernel_matrix and the _zeta_form terms (P, wp', V) of these nodes, kept by
+    # ndr_solve for the equation of state and the free speeds;
+    # dataclasses.replace copies them, so reset them when replacing curve or nodes
     kernel: np.ndarray | None = field(default=None, repr=False, compare=False)
+    node_terms: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def betas(self) -> np.ndarray:
@@ -155,9 +157,16 @@ def interaction_kernel(eta: JacobianPoint, beta: JacobianPoint, curve: CurvePara
                                    curve.tau))
 
 
+def _node_terms(model: GasModel):
+    """(P, wp', V) at the nodes: those ndr_solve kept, else one _zeta_form call."""
+    if model.node_terms is not None:
+        return model.node_terms
+    return _zeta_form(model.betas, model.nodes_chi, model.curve)
+
+
 def free_speeds(model: GasModel) -> np.ndarray:
     """Free tracer speed s0 = wp'/(2 P) at every node, the group velocity formula."""
-    return _zeta_form(model.betas, model.nodes_chi, model.curve)[2].real
+    return _node_terms(model)[2].real
 
 
 def _hat_log_integrals(nodes: np.ndarray, x0) -> np.ndarray:
@@ -181,30 +190,32 @@ def _hat_log_integrals(nodes: np.ndarray, x0) -> np.ndarray:
     return out
 
 
-def _theta1_prime0(curve: CurveParams) -> float:
-    return float(theta1(0.0, curve.tau, 1).real)
-
-
 def _kernel_rows(model: GasModel, eta: np.ndarray, eta_chi: np.ndarray) -> np.ndarray:
     """Quadrature rows at the points eta (segment flags eta_chi), one per point.
 
     On same-segment blocks the kernel is split as ln|r_eta - r| plus a smooth
     remainder; the logarithm is integrated exactly against the hat functions,
-    the remainder by the trapezoid weights.
+    the remainder by the trapezoid weights.  Both theta1 factors come from one
+    table grid (_theta_grid).  The value of theta1(z) loses digits as z -> 0,
+    so below delta the remainder takes the Taylor form
+    ln|theta1(z)/z| = ln theta1'(0) - 2 varpi3 zeta(varpi3) z^2 - g2 varpi3^4 z^4/15 + ...
+    without its z^4 term, which delta keeps below 2^-53.
     """
     curve = model.curve
-    tau_mod = curve.tau
     betas = model.betas
-    stars = 1.0 - betas + model.nodes_chi * tau_mod
-    num = np.abs(theta1(eta[:, None] - betas, tau_mod))
-    den = np.abs(theta1(eta[:, None] - stars, tau_mod))
+    n = betas.size
+    stars = 1.0 - betas + model.nodes_chi * curve.tau
+    grid = np.abs(_theta_grid(True, eta, np.concatenate([betas, stars]), curve.tau))
+    num, den = grid[:, :n], grid[:, n:]
     x0 = eta.real
     sep = x0[:, None] - model.nodes_r
     same = eta_chi[:, None] == model.nodes_chi
-    tiny = same & (np.abs(sep) < 1e-13)
-    ratio = np.where(tiny, _theta1_prime0(curve),
-                     num / np.where(same, np.abs(sep + tiny), 1.0))
-    rows = model.weights * (np.log(ratio) - np.log(den))
+    delta = (15.0 * 2.0 ** -53 / (curve.g2 * abs(curve.varpi3) ** 4)) ** 0.25
+    near = same & (np.abs(sep) < delta)
+    taylor = (np.log(curve._theta1_prime0.real)
+              + (-2.0 * curve.varpi3 * zeta_half_period(curve)).real * sep * sep)
+    ratio = num / np.where(same & ~near, np.abs(sep), 1.0)
+    rows = model.weights * (np.log(ratio, out=taylor, where=~near) - np.log(den))
     per = model.n_per_interval
     for bi, iv in enumerate(model.intervals):
         cols = slice(bi * per, (bi + 1) * per)
@@ -225,7 +236,7 @@ def kernel_matrix(model: GasModel) -> np.ndarray:
 
 def _rhs_vectors(model: GasModel) -> np.ndarray:
     """Real right-hand sides as columns (p/2 for u, (i/4) wp' for v), reality asserted."""
-    p, wpp, _ = _zeta_form(model.betas, model.nodes_chi, model.curve)
+    p, wpp, _ = _node_terms(model)
     vals = np.stack([-0.5j * p, 0.25j * wpp], axis=1)
     bad = np.abs(vals.imag) > 1e-10 * np.maximum(1.0, np.abs(vals))
     if bad.any():
@@ -236,13 +247,15 @@ def _rhs_vectors(model: GasModel) -> np.ndarray:
 def ndr_solve(model: GasModel) -> GasModel:
     """Solve the discretized NDR pair; returns a model with u, v filled in.
 
-    The kernel matrix is kept on the returned model for the equation of state.
+    The kernel matrix and the node terms are kept on the returned model for
+    the equation of state and the free speeds.
     """
     a = kernel_matrix(model)
     m = a + np.diag(model.sigma)
     cond = np.linalg.cond(m)
     if cond > _COND_LIMIT:
         raise SingularSystem(f"condition number {cond:.3e}")
+    model = replace(model, node_terms=_node_terms(model))
     rhs = _rhs_vectors(model)
     sol = np.linalg.solve(m, rhs)
     for x, b in zip(sol.T, rhs.T):
@@ -276,7 +289,7 @@ def equation_of_state_residual(model: GasModel) -> float:
     """
     s = model.speeds
     a = kernel_matrix(model) if model.kernel is None else model.kernel
-    p, _, s0 = _zeta_form(model.betas, model.nodes_chi, model.curve)
+    p, _, s0 = _node_terms(model)
     g = (s[:, None] - s) * model.solved_u
     integral = (2.0 / p.imag) * np.sum(a * g, axis=1)
     return float(np.max(np.abs(s - s0.real - integral)))

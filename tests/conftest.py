@@ -48,11 +48,10 @@ def ctx_dimbright(curve, dim_point, bright_point):
     return tu.build_context(curve, spectrum)
 
 
-@pytest.fixture
-def theta_calls(monkeypatch):
-    """Names of the theta1/theta3 calls made from any package module, in order."""
+def _count_calls(monkeypatch, names):
+    """Names of the calls to the elliptic functions `names` from any package module."""
     calls = []
-    for name in ("theta1", "theta3"):
+    for name in names:
         original = getattr(el, name)
 
         def counting(*args, _fn=original, _name=name, **kwargs):
@@ -63,3 +62,15 @@ def theta_calls(monkeypatch):
             if mod_name.startswith("cnoidal_kdv") and getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+@pytest.fixture
+def theta_calls(monkeypatch):
+    """Names of the theta1/theta3 calls made from any package module, in order."""
+    return _count_calls(monkeypatch, ("theta1", "theta3"))
+
+
+@pytest.fixture
+def weierstrass_calls(monkeypatch):
+    """One entry per weierstrass call made from any package module."""
+    return _count_calls(monkeypatch, ("weierstrass",))

@@ -151,6 +151,43 @@ class TestTheta:
                 assert fn(empty, curve.tau, order).shape == (0,)
 
 
+# the extreme curves half_periods accepts: e2 - e3 and e1 - e2 at 2e-12 of the scale
+EXTREME_CURVES = {"e2 near e3": (1.0, -0.5 + 1e-12, -0.5 - 1e-12),
+                  "e2 near e1": (0.5 + 1e-12, 0.5 - 1e-12, -1.0)}
+
+
+class TestThetaTables:
+    """The exponential-table theta grid against the adaptive series."""
+
+    @pytest.mark.parametrize("name", sorted(EXTREME_CURVES))
+    def test_extreme_curves_finite(self, name):
+        # gas-like grids: hot and cool points against themselves and their stars
+        c = el.half_periods(*EXTREME_CURVES[name])
+        r = np.linspace(0.05, 0.45, 40)
+        a = np.concatenate([r, r + c.tau / 2.0])
+        b = np.concatenate([a, 1.0 - a + np.repeat([0.0, c.tau], r.size)])
+        for half_index, series in ((True, el.theta1), (False, el.theta3)):
+            # an overflow in any table entry or in the product raises here
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                grid = el._theta_grid(half_index, a, b, c.tau)
+            assert np.all(np.isfinite(grid))
+            ref = series(a[:, None] - b, c.tau)
+            assert np.max(np.abs(grid - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_convergence_errors(self, curve):
+        a = np.array([0.1, 0.2 + 0.3j])
+        with pytest.raises(ThetaConvergenceError, match="Im"):
+            el._theta_grid(True, a, a, 0.5 + 0.01j)
+        # |Im(a - b)| = 1000 needs about 1500 terms, over the series' 512
+        with pytest.raises(ThetaConvergenceError, match="converge"):
+            el._theta_grid(False, a, np.array([-1000j]), curve.tau)
+
+    def test_empty_gives_empty(self, curve):
+        a = np.array([0.1, 0.2])
+        assert el._theta_grid(True, a, np.array([], complex), curve.tau).shape == (2, 0)
+        assert el._theta_grid(False, np.array([]), a, curve.tau).shape == (0, 2)
+
+
 class TestWeierstrass:
     def test_half_period_values(self, curve):
         for s, e in [(curve.varpi1, curve.e1),

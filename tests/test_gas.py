@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +13,7 @@ from cnoidal_kdv import elliptic as el
 from cnoidal_kdv import gas
 from cnoidal_kdv import tau as tu
 from cnoidal_kdv.errors import DiagonalSingularity, SingularSystem, ZeroDensityNode
-from oracles import hat_log_integrals_loop, kernel_row_loop
+from oracles import hat_log_integrals_loop, kernel_row_loop, mp_theta
 
 
 def hot_model(curve, sigma=1.0, nodes=64, lo=0.15, hi=0.40):
@@ -105,6 +106,46 @@ class TestKernelAssembly:
                     el.JacobianPoint(m.nodes_r[30] + 0.5 * h + curve.tau / 2.0, 1),
                     m.jacobian_point(30)):
             assert_close_rel(gas.kernel_row(m, eta), kernel_row_loop(m, eta))
+
+    @pytest.mark.parametrize("kind", ["hot", "cool", "hot+cool"])
+    def test_theta_grid_matches_series(self, curve, kind):
+        # the kernel's grid: nodes against nodes and stars; 1e-13 relative away
+        # from the zeros of theta1 (the diagonal)
+        m = kernel_models(curve)[kind]
+        a = m.betas
+        b = np.concatenate([a, 1.0 - a + m.nodes_chi * curve.tau])
+        ref = el.theta1(a[:, None] - b, curve.tau)
+        grid = el._theta_grid(True, a, b, curve.tau)
+        away = np.abs(ref) > 1e-3 * np.max(np.abs(ref))
+        assert np.all(np.abs(grid - ref)[away] <= 1e-13 * np.abs(ref)[away])
+        assert np.max(np.abs(grid - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_matrix_makes_no_theta_call(self, curve, theta_calls):
+        m = kernel_models(curve)["hot+cool"]
+        gas.kernel_matrix(m)    # the per-curve theta1'(0) and zeta(varpi3) are cached
+        theta_calls.clear()
+        gas.kernel_matrix(m)
+        assert theta_calls == []
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-9, 1e-6, 1e-4, "h/2"])
+    def test_row_near_node_matches_mpmath(self, curve, gap):
+        # the row's smooth part, ln|theta1(eta - beta)/(eta - beta)| on the
+        # segment minus ln|theta1(eta - beta*)|, at node k or just off it;
+        # on the node the first part is ln theta1'(0)
+        m = hot_model(curve)
+        k = 20
+        h = m.nodes_r[1] - m.nodes_r[0]
+        eta = el.JacobianPoint(m.nodes_r[k] + (0.5 * h if gap == "h/2" else gap) + 0j, 0)
+        row = gas.kernel_row(m, eta)
+        smooth = (row - gas._hat_log_integrals(m.nodes_r, eta.beta.real)[0]) / m.weights
+        z = eta.beta - m.betas
+        stars = 1.0 - m.betas
+        with mpmath.workdps(30):
+            ref = [np.log(abs(mp_theta(1, 1, 0.0, curve.tau)) if zj == 0
+                          else abs(mp_theta(1, 0, zj, curve.tau)) / abs(zj))
+                   - np.log(abs(mp_theta(1, 0, eta.beta - sj, curve.tau)))
+                   for zj, sj in zip(z, stars)]
+        np.testing.assert_allclose(smooth, ref, rtol=0.0, atol=2e-14)
 
     def test_hat_integrals(self):
         nodes = np.linspace(0.2, 0.3, 17)
@@ -245,6 +286,17 @@ class TestNdrSolve:
         hot_nodes = m.nodes_chi == 0
         assert np.all(m.speeds[hot_nodes] > 0)
         assert np.all(m.speeds[~hot_nodes] < 0)
+
+    def test_gas_op_makes_one_weierstrass_call(self, tmp_path, weierstrass_calls, capsys):
+        # the solve keeps the node terms for the free speeds and the equation of state
+        cfg = {"curve": {"e1": 2.0, "e2": 1.0, "e3": -3.0},
+               "gas": {"support": [{"kind": "hot", "lo": 0.15, "hi": 0.40}],
+                       "sigma": 1.0, "nodes": 32}}
+        path = tmp_path / "gas.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["gas", "--config", str(path)]) == 0
+        assert "eos_residual" in capsys.readouterr().out
+        assert len(weierstrass_calls) == 1
 
     def test_singular_system_rejected(self, curve):
         iv = gas.GasInterval(0, 0.2, 0.3)
