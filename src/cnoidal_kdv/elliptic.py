@@ -178,58 +178,59 @@ def _theta_sum(half_index: bool, beta, tau: complex, order: int):
     return total
 
 
-# relative size of the tail _theta_grid drops: below half an ulp
+# relative size of the tail _theta1_grid drops: below half an ulp
 _TABLE_TAIL = 2.0 ** -54
 
 
-def _table_terms(half_index: bool, tau: complex, y: float) -> np.ndarray:
-    """Series indices m that _theta_grid keeps for arguments with |Im| <= y.
+def _table_terms(tau: complex, y: float) -> np.ndarray:
+    """Half-integer indices m that _theta1_grid keeps for arguments with |Im| <= y.
 
     Each of the two exponentials of index m is bounded by
     t(m) = exp(-pi Im(tau) m^2 + 2 pi m y).  From the first dropped index on
     the ratio t(m+1)/t(m) = exp(-pi Im(tau) (2m + 1) + 2 pi y) is at most 1/2
     and falling, so the dropped tail of each is at most 2 t(first dropped),
-    which the count keeps below _TABLE_TAIL t(m0): m0 = 1/2 is the first
-    theta1 index, m0 = 0 the constant 1 of theta3.  The bound holds relative
-    to t(m0) at every argument, because tail/t(m0) grows with y.
+    which the count keeps below _TABLE_TAIL t(1/2).  The bound holds relative
+    to t(1/2) at every argument, because tail/t(1/2) grows with y.
     """
     s = tau.imag
     if s < MIN_IM_TAU:
         raise ThetaConvergenceError(f"Im(tau) = {s} < {MIN_IM_TAU}")
-    m0 = 0.5 if half_index else 0.0
     log_tail = -math.log(0.5 * _TABLE_TAIL)
-    tail_small = (y + math.sqrt((y - s * m0) ** 2 + s * log_tail / math.pi)) / s
+    tail_small = (y + math.sqrt((y - 0.5 * s) ** 2 + s * log_tail / math.pi)) / s
     ratio_small = y / s - 0.5 + math.log(2.0) / (2.0 * math.pi * s)
-    dropped = max(math.ceil(max(tail_small, ratio_small) - m0), 1)
-    if m0 + dropped - 1 > 512:
+    dropped = max(math.ceil(max(tail_small, ratio_small) - 0.5), 1)
+    if dropped - 0.5 > 512:
         raise ThetaConvergenceError("theta series failed to converge")
-    return m0 + np.arange(0 if half_index else 1, dropped)
+    return 0.5 + np.arange(dropped)
 
 
-def _theta_grid(half_index: bool, a, b, tau: complex) -> np.ndarray:
-    """theta1 (half_index) or theta3 at every a_i - b_j, shape (a.size, b.size).
+def _theta1_grid(a, b, tau: complex) -> np.ndarray:
+    """theta1 at every a_i - b_j, shape (a.size, b.size).
 
     A term q^{m^2} exp(+-2 pi i m (a - b - 1/2)) splits into
-    q^{m^2/2} exp(+-2 pi i m (a - 1/2)) times q^{m^2/2} exp(-+2 pi i m b)
-    (without the 1/2 for theta3), so the grid is one (na, 2M) x (2M, nb)
-    product of exponential tables, 2M (na + nb) exponentials for the M
-    indices of _table_terms.  With the weight split evenly no table entry
-    exceeds exp(2 pi Im(x)^2 / Im(tau)) at its argument x, whatever M is.
-    Raises ThetaConvergenceError where _theta_sum does; an empty a or b
-    gives an empty grid.
+    q^{m^2/2} exp(+-2 pi i m (a - 1/2)) times q^{m^2/2} exp(-+2 pi i m b),
+    so the grid is one (na, 2M) x (2M, nb) product of exponential tables,
+    2M (na + nb) exponentials for the M indices of _table_terms.  a and b
+    are first shifted by a common imaginary centre, which leaves every
+    a_i - b_j unchanged and puts each |Im a_i|, |Im b_j| below
+    y = max |Im(a_i - b_j)|; with the weight split evenly no table entry
+    then exceeds exp(2 pi y^2 / Im(tau)), whatever M is.  Raises
+    ThetaConvergenceError where _theta_sum does; an empty a or b gives an
+    empty grid.
     """
     a = np.ravel(np.asarray(a, dtype=np.complex128))
     b = np.ravel(np.asarray(b, dtype=np.complex128))
-    y = max(a.imag.max(initial=-np.inf) - b.imag.min(initial=np.inf),
-            b.imag.max(initial=-np.inf) - a.imag.min(initial=np.inf), 0.0)
-    m = _table_terms(half_index, tau, float(y))
+    if a.size == 0 or b.size == 0:
+        return np.zeros((a.size, b.size), dtype=np.complex128)
+    y = max(a.imag.max() - b.imag.min(), b.imag.max() - a.imag.min(), 0.0)
+    m = _table_terms(tau, float(y))
+    centre = 0.5j * (min(a.imag.min(), b.imag.min()) + max(a.imag.max(), b.imag.max()))
     root_w = np.tile(np.exp(0.5j * np.pi * tau * m * m), 2)
-    phase_a = 2j * np.pi * np.multiply.outer(a - 0.5 if half_index else a, m)
-    phase_b = 2j * np.pi * np.multiply.outer(m, b)
+    phase_a = 2j * np.pi * np.multiply.outer(a - centre - 0.5, m)
+    phase_b = 2j * np.pi * np.multiply.outer(m, b - centre)
     left = np.concatenate([np.exp(phase_a), np.exp(-phase_a)], axis=1) * root_w
     right = np.concatenate([np.exp(-phase_b), np.exp(phase_b)], axis=0) * root_w[:, None]
-    grid = left @ right
-    return grid if half_index else grid + 1.0
+    return left @ right
 
 
 def theta1(beta, tau: complex, order: int = 0):

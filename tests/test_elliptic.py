@@ -166,26 +166,34 @@ class TestThetaTables:
         r = np.linspace(0.05, 0.45, 40)
         a = np.concatenate([r, r + c.tau / 2.0])
         b = np.concatenate([a, 1.0 - a + np.repeat([0.0, c.tau], r.size)])
-        for half_index, series in ((True, el.theta1), (False, el.theta3)):
-            # an overflow in any table entry or in the product raises here
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                grid = el._theta_grid(half_index, a, b, c.tau)
-            assert np.all(np.isfinite(grid))
-            ref = series(a[:, None] - b, c.tau)
-            assert np.max(np.abs(grid - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # an overflow in any table entry or in the product raises here
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            grid = el._theta1_grid(a, b, c.tau)
+        assert np.all(np.isfinite(grid))
+        ref = el.theta1(a[:, None] - b, c.tau)
+        assert np.max(np.abs(grid - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_shared_imaginary_offset(self, curve):
+        # Im 50 on both sides: uncentred tables reach exp(2 pi m 50) and give inf * 0
+        a = 50j + np.array([0.1, 0.3, 0.2 + 0.05j])
+        b = 50j + np.array([0.25, 0.45 - 0.1j])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            grid = el._theta1_grid(a, b, curve.tau)
+        ref = el.theta1(a[:, None] - b, curve.tau)
+        assert np.max(np.abs(grid - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_convergence_errors(self, curve):
         a = np.array([0.1, 0.2 + 0.3j])
         with pytest.raises(ThetaConvergenceError, match="Im"):
-            el._theta_grid(True, a, a, 0.5 + 0.01j)
+            el._theta1_grid(a, a, 0.5 + 0.01j)
         # |Im(a - b)| = 1000 needs about 1500 terms, over the series' 512
         with pytest.raises(ThetaConvergenceError, match="converge"):
-            el._theta_grid(False, a, np.array([-1000j]), curve.tau)
+            el._theta1_grid(a, np.array([-1000j]), curve.tau)
 
     def test_empty_gives_empty(self, curve):
         a = np.array([0.1, 0.2])
-        assert el._theta_grid(True, a, np.array([], complex), curve.tau).shape == (2, 0)
-        assert el._theta_grid(False, np.array([]), a, curve.tau).shape == (0, 2)
+        assert el._theta1_grid(a, np.array([], complex), curve.tau).shape == (2, 0)
+        assert el._theta1_grid(np.array([]), a, curve.tau).shape == (0, 2)
 
 
 class TestWeierstrass:

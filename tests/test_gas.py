@@ -115,7 +115,7 @@ class TestKernelAssembly:
         a = m.betas
         b = np.concatenate([a, 1.0 - a + m.nodes_chi * curve.tau])
         ref = el.theta1(a[:, None] - b, curve.tau)
-        grid = el._theta_grid(True, a, b, curve.tau)
+        grid = el._theta1_grid(a, b, curve.tau)
         away = np.abs(ref) > 1e-3 * np.max(np.abs(ref))
         assert np.all(np.abs(grid - ref)[away] <= 1e-13 * np.abs(ref)[away])
         assert np.max(np.abs(grid - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -190,6 +190,17 @@ class TestSharedKernel:
         assert cli.main(["gas", "--config", str(path), "--double-nodes"]) == 0
         assert "eos_residual" in capsys.readouterr().out
         assert calls == [17, 33]
+
+    def test_resolve_after_replacing_curve(self, curve):
+        # a solved model copied onto another curve carries stale kernel and
+        # node terms; solving it again must rebuild both
+        other = el.half_periods(1.0, 0.2, -1.2)
+        moved = gas.ndr_solve(dataclasses.replace(gas.ndr_solve(hot_model(curve, nodes=24)),
+                                                  curve=other))
+        fresh = gas.ndr_solve(hot_model(other, nodes=24))
+        np.testing.assert_array_equal(moved.solved_u, fresh.solved_u)
+        np.testing.assert_array_equal(gas.free_speeds(moved), gas.free_speeds(fresh))
+        assert gas.equation_of_state_residual(moved) == gas.equation_of_state_residual(fresh)
 
     def test_eos_without_kept_kernel(self, curve):
         m = gas.ndr_solve(hot_model(curve, nodes=24))
