@@ -168,12 +168,9 @@ def _verify_degeneration(cfg, ctx, tol, rng, radius, rep):
     psis = 1j * rng.uniform(-0.5, 0.5, size=n)
     beta = rng.uniform(0.0, 1.0)
     x_phase = np.concatenate([psis, [beta]])
-    resids = []
-    for eps in eps_list:
-        spec = riemann.DegenerationSpec(epsilon=float(eps), spectrum=spectrum)
-        resids.append(riemann.degeneration_residual(x_phase, spec, radius))
-        rep.add("degeneration", f"epsilon={_fmt(float(eps))}", resids[-1], tol,
-                resids[-1] < tol)
+    resids = riemann.degeneration_residuals(x_phase, spectrum, eps_list, radius)
+    for eps, resid in zip(eps_list, resids):
+        rep.add("degeneration", f"epsilon={_fmt(float(eps))}", resid, tol, resid < tol)
     monotone = all(a > b for a, b in zip(resids, resids[1:]))
     rep.add("degeneration", "monotone-decreasing", float(not monotone), 0.5, monotone)
     return monotone and resids[-1] < tol
@@ -295,9 +292,8 @@ def cmd_gas(cfg: dict, args) -> tuple[Report, int]:
     speeds = model.speeds
     s0 = gas.free_speeds(model)
     rep = Report("gas", cfg, ["eta", "u", "v", "s", "s0"])
-    for i in range(model.nodes_r.size):
-        rep.add(model.jacobian_point(i).beta, model.solved_u[i], model.solved_v[i],
-                speeds[i], s0[i])
+    for i, beta in enumerate(model.betas):
+        rep.add(beta, model.solved_u[i], model.solved_v[i], speeds[i], s0[i])
     k_t, w_t = gas.carrier_quantities(model)
     rep.footer["k_tilde"] = k_t
     rep.footer["w_tilde"] = w_t

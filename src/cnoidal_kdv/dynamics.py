@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .elliptic import CurveParams, JacobianPoint, theta3
-from .elliptic import _cnoidal_wave, _log_theta1_ratio, _zeta_form
+from .elliptic import CurveParams, JacobianPoint
+from .elliptic import _cnoidal_wave, _log_theta1_ratio, _theta_grid, _zeta_form
 from .errors import (
     BracketFailure,
     BranchPointLimit,
@@ -77,10 +77,27 @@ def group_velocity(point: JacobianPoint, curve: CurveParams) -> float:
     return float(v.real)
 
 
+def _log_theta3_ratio(w, mu: float, tau: complex, derivative: bool = False):
+    """ln(theta3(w - mu/2) / theta3(w + mu/2)) at real w of any shape.
+
+    Both theta3 values, and with derivative their w-derivatives for the
+    pair (L, dL/dw), come from one theta table grid.
+    """
+    w = np.asarray(w, dtype=float)
+    grids = _theta_grid(False, w, np.array([0.5, -0.5]) * mu, tau, derivative)
+    th = grids[0] if derivative else grids
+    log_ratio = np.log((th[:, 0] / th[:, 1]).real).reshape(w.shape)
+    if not derivative:
+        return log_ratio
+    log_d = (grids[1] / th).real
+    return log_ratio, (log_d[:, 0] - log_d[:, 1]).reshape(w.shape)
+
+
 def _tracker_rhs(point: JacobianPoint, curve: CurveParams, norming: float):
     """R(Phi, t) of the equal-addenda equation, plus |P| and V.
 
-    R takes scalars or broadcastable arrays of Phi and t.
+    R takes scalars or broadcastable arrays of Phi and t; R(Phi, t, True)
+    returns the pair (R, dR/dPhi).
     """
     if not (np.isfinite(norming) and norming > 0.0):
         raise InvalidNorming(f"norming constant {norming} is not a finite positive number")
@@ -89,42 +106,71 @@ def _tracker_rhs(point: JacobianPoint, curve: CurveParams, norming: float):
     mu = point.mu()
     x_period = curve.period_x
 
-    def rhs(phi, t):
+    def rhs(phi, t, slope: bool = False):
         w = (v * t + phi) / x_period
-        ratio = (theta3(w - mu / 2.0, curve.tau) / theta3(w + mu / 2.0, curve.tau)).real
-        return -np.log(ratio) / p_abs + np.log(norming) / p_abs
+        if not slope:
+            return (np.log(norming) - _log_theta3_ratio(w, mu, curve.tau)) / p_abs
+        log_ratio, d_log = _log_theta3_ratio(w, mu, curve.tau, True)
+        return (np.log(norming) - log_ratio) / p_abs, -d_log / (p_abs * x_period)
 
     return rhs, p_abs, v
 
 
+# a Newton step or bracket below this, relative to max(1, |Phi|), ends a t
+_NEWTON_XTOL = 1e-13
+# bisection alone takes a bracket [-m, m] with m < 1e5 below the tolerance within it
+_NEWTON_CAP = 64
+
+
 def track_phase(point: JacobianPoint, curve: CurveParams, norming: float, t):
-    """Unique Phi(t) solving the equal-addenda condition, by bisection.
+    """Unique Phi(t) solving the equal-addenda condition, by safeguarded Newton.
 
     t is a scalar (a float is returned) or an array (an array of its shape
-    is returned); all t are bisected together, one theta3 array call per
-    numerator and denominator per step.  F(Phi) = Phi - R(Phi, t) is
-    strictly increasing (dR/dPhi <= 1 with equality at isolated points), so
-    bisection on a bracket wide enough to contain all values of R is robust
-    where fixed-point iteration may stall.
+    is returned); all t are solved together, with one theta table grid per
+    iteration for theta3(w -+ mu/2) and their derivatives at every t still
+    open.  F(Phi) = Phi - R(Phi, t) is strictly increasing (dR/dPhi <= 1
+    with equality at isolated points), so each t keeps a bracket on which F
+    changes sign, and a Newton step that leaves it, or a slope F' <= 0,
+    falls back to bisection.  Newton starts from the root of the 512-point
+    scan that sizes the bracket, interpolated linearly; a t stops once its
+    Newton step or its bracket falls below _NEWTON_XTOL, or F is exactly 0.
     """
-    rhs, p_abs, _ = _tracker_rhs(point, curve, norming)
+    rhs, p_abs, v = _tracker_rhs(point, curve, norming)
     ts = np.asarray(t, dtype=float).ravel()
-    ws = np.linspace(0.0, 1.0, 512, endpoint=False)
-    mu = point.mu()
-    log_ratio = np.log((theta3(ws - mu / 2.0, curve.tau)
-                        / theta3(ws + mu / 2.0, curve.tau)).real)
+    x_period = curve.period_x
+    ws = np.linspace(0.0, 1.0, 513)
+    log_ratio = _log_theta3_ratio(ws[:-1], point.mu(), curve.tau)
     m = (float(np.max(np.abs(log_ratio))) + abs(np.log(norming))) / p_abs + 1.0
     ends = np.array([[-m], [m]])
     f_lo, f_hi = ends - rhs(ends, ts)
     if not np.all((f_lo < 0.0) & (0.0 < f_hi)):
         raise BracketFailure("tracker bracket does not straddle a root")
+    # Phi = X w - V t where X w + ln ratio(w)/|P| = V t + ln(norming)/|P|;
+    # the left side increases with w and gains X per period
+    scan = x_period * ws + np.append(log_ratio, log_ratio[0]) / p_abs
+    target = v * ts + np.log(norming) / p_abs
+    turns = np.floor((target - scan[0]) / x_period)
+    w0 = turns + np.interp(target - turns * x_period, scan, ws)
+    phi = np.clip(x_period * w0 - v * ts, -m, m)
     lo, hi = np.full(ts.shape, -m), np.full(ts.shape, m)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = mid - rhs(mid, ts) < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    phi = 0.5 * (lo + hi)
+    open_ = np.arange(ts.size)
+    for _ in range(_NEWTON_CAP):
+        if not open_.size:
+            break
+        p = phi[open_]
+        r, dr = rhs(p, ts[open_], True)
+        f, slope = p - r, 1.0 - dr
+        below = f < 0.0
+        lo_o = lo[open_] = np.where(below, p, lo[open_])
+        hi_o = hi[open_] = np.where(below, hi[open_], p)
+        step = f / np.where(slope > 0.0, slope, 1.0)
+        new = p - step
+        # closed bracket: a converged step that lands on the end just set is kept
+        newton = (slope > 0.0) & (lo_o <= new) & (new <= hi_o)
+        phi[open_] = np.where(newton | (f == 0.0), new, 0.5 * (lo_o + hi_o))
+        xtol = _NEWTON_XTOL * np.maximum(1.0, np.abs(p))
+        done = (f == 0.0) | (newton & (np.abs(step) <= xtol)) | (hi_o - lo_o <= xtol)
+        open_ = open_[~done]
     resid = float(np.max(np.abs(phi - rhs(phi, ts)), initial=0.0))
     if not resid <= 1e-10:
         raise BracketFailure(f"tracker residual {resid}")

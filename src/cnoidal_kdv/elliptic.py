@@ -138,99 +138,125 @@ def half_periods(e1: float, e2: float, e3: float) -> CurveParams:
     )
 
 
-def _theta_sum(half_index: bool, beta, tau: complex, order: int):
+def _theta_sum(half_index: bool, beta, tau: complex, order):
     """Adaptive q-series for theta1 (half_index) or theta3 and beta-derivatives.
 
-    Terms are accumulated symmetrically in +-m until three consecutive
-    increments fall below 1e-16 of the running maximum.  An empty beta array
-    gives an empty result.
+    order is one derivative order or a tuple of them; a tuple gives a tuple
+    of results from one pass that shares q^{m^2} and exp(+-2 pi i m z) per
+    term.  Each order keeps its own running maximum and stops once three of
+    its consecutive increments fall below 1e-16 of it, so every order equals
+    its own single-order sum bit for bit.  An empty beta array gives an
+    empty result.
     """
     if tau.imag < MIN_IM_TAU:
         raise ThetaConvergenceError(f"Im(tau) = {tau.imag} < {MIN_IM_TAU}")
+    single = np.ndim(order) == 0
+    orders = (order,) if single else tuple(order)
     b = np.asarray(beta, dtype=np.complex128)
     if b.size == 0:
-        return b.copy()
+        return b.copy() if single else tuple(b.copy() for _ in orders)
     z = b - 0.5 if half_index else b
-    total = np.zeros_like(b)
-    if not half_index and order == 0:
-        total += 1.0
-    running_max = float(np.abs(total).max())
+    totals = [np.zeros_like(b) for _ in orders]
+    running_max = []
+    for k, total in zip(orders, totals):
+        if not half_index and k == 0:
+            total += 1.0
+        running_max.append(float(np.abs(total).max()))
+    quiet = [0] * len(orders)
     m = 0.5 if half_index else 1.0
-    quiet = 0
     while True:
         w = 2j * np.pi * m
         qm = np.exp(1j * np.pi * tau * m * m)
-        term = qm * (w ** order * np.exp(w * z) + (-w) ** order * np.exp(-w * z))
-        total = total + term
-        peak = float(np.abs(term).max())
-        running_max = max(running_max, peak)
-        if peak == 0.0 or (running_max > 0.0 and peak < 1e-16 * running_max):
-            quiet += 1
-            if quiet == 3:
-                break
-        else:
-            quiet = 0
+        e_plus, e_minus = np.exp(w * z), np.exp(-w * z)
+        for j, k in enumerate(orders):
+            if quiet[j] == 3:
+                continue
+            term = qm * (w ** k * e_plus + (-w) ** k * e_minus)
+            totals[j] = totals[j] + term
+            peak = float(np.abs(term).max())
+            running_max[j] = max(running_max[j], peak)
+            if peak == 0.0 or (running_max[j] > 0.0 and peak < 1e-16 * running_max[j]):
+                quiet[j] += 1
+            else:
+                quiet[j] = 0
+        if min(quiet) == 3:
+            break
         m += 1.0
         if m > 512:
             raise ThetaConvergenceError("theta series failed to converge")
     if np.ndim(beta) == 0:
-        return complex(total)
-    return total
+        totals = [complex(total) for total in totals]
+    return totals[0] if single else tuple(totals)
 
 
-# relative size of the tail _theta1_grid drops: below half an ulp
+# relative size of the tail _theta_grid drops: below half an ulp
 _TABLE_TAIL = 2.0 ** -54
 
 
-def _table_terms(tau: complex, y: float) -> np.ndarray:
-    """Half-integer indices m that _theta1_grid keeps for arguments with |Im| <= y.
+def _table_terms(tau: complex, y: float, m0: float) -> np.ndarray:
+    """Indices m0, m0 + 1, ... that _theta_grid keeps for arguments with |Im| <= y.
 
-    Each of the two exponentials of index m is bounded by
-    t(m) = exp(-pi Im(tau) m^2 + 2 pi m y).  From the first dropped index on
-    the ratio t(m+1)/t(m) = exp(-pi Im(tau) (2m + 1) + 2 pi y) is at most 1/2
-    and falling, so the dropped tail of each is at most 2 t(first dropped),
-    which the count keeps below _TABLE_TAIL t(1/2).  The bound holds relative
-    to t(1/2) at every argument, because tail/t(1/2) grows with y.
+    m0 is 1/2 for theta1 and 0 for theta3.  Each of the two exponentials of
+    index m is bounded by t(m) = exp(-pi Im(tau) m^2 + 2 pi m y).  From the
+    first dropped index on the ratio t(m+1)/t(m) = exp(-pi Im(tau) (2m + 1)
+    + 2 pi y) is at most 1/2 and falling, so the dropped tail of each is at
+    most 2 t(first dropped), which the count keeps below _TABLE_TAIL t(m0).
+    The bound holds relative to t(m0) at every argument, because
+    tail/t(m0) grows with y.
     """
     s = tau.imag
     if s < MIN_IM_TAU:
         raise ThetaConvergenceError(f"Im(tau) = {s} < {MIN_IM_TAU}")
     log_tail = -math.log(0.5 * _TABLE_TAIL)
-    tail_small = (y + math.sqrt((y - 0.5 * s) ** 2 + s * log_tail / math.pi)) / s
+    tail_small = (y + math.sqrt((y - m0 * s) ** 2 + s * log_tail / math.pi)) / s
     ratio_small = y / s - 0.5 + math.log(2.0) / (2.0 * math.pi * s)
-    dropped = max(math.ceil(max(tail_small, ratio_small) - 0.5), 1)
-    if dropped - 0.5 > 512:
+    kept = max(math.ceil(max(tail_small, ratio_small) - m0), 1)
+    if m0 + kept - 1 > 512:
         raise ThetaConvergenceError("theta series failed to converge")
-    return 0.5 + np.arange(dropped)
+    return m0 + np.arange(kept)
 
 
-def _theta1_grid(a, b, tau: complex) -> np.ndarray:
-    """theta1 at every a_i - b_j, shape (a.size, b.size).
+def _theta_grid(half_index: bool, a, b, tau: complex, derivative: bool = False):
+    """theta1 (half_index) or theta3 at every a_i - b_j, shape (a.size, b.size).
 
-    A term q^{m^2} exp(+-2 pi i m (a - b - 1/2)) splits into
-    q^{m^2/2} exp(+-2 pi i m (a - 1/2)) times q^{m^2/2} exp(-+2 pi i m b),
-    so the grid is one (na, 2M) x (2M, nb) product of exponential tables,
-    2M (na + nb) exponentials for the M indices of _table_terms.  a and b
-    are first shifted by a common imaginary centre, which leaves every
-    a_i - b_j unchanged and puts each |Im a_i|, |Im b_j| below
-    y = max |Im(a_i - b_j)|; with the weight split evenly no table entry
-    then exceeds exp(2 pi y^2 / Im(tau)), whatever M is.  Raises
-    ThetaConvergenceError where _theta_sum does; an empty a or b gives an
-    empty grid.
+    A term q^{m^2} exp(+-2 pi i m (a - b - s)), s = 1/2 for theta1 and 0
+    for theta3, splits into q^{m^2/2} exp(+-2 pi i m (a - s)) times
+    q^{m^2/2} exp(-+2 pi i m b), so the grid is one (na, K) x (K, nb)
+    product of exponential tables, K = 2M for the M half-integer indices of
+    _table_terms (theta1) or 2M - 1 for the integer ones, whose m = 0 term
+    is a column of ones (theta3).  a and b are first shifted by a common
+    imaginary centre, which leaves every a_i - b_j unchanged and puts each
+    |Im a_i|, |Im b_j| below y = max |Im(a_i - b_j)|; with the weight split
+    evenly no table entry then exceeds exp(2 pi y^2 / Im(tau)), whatever M
+    is.  With derivative, the pair (grid, d grid / da) is returned, the
+    derivative from the same left table against the right one scaled by
+    2 pi i m, in the same product.  Raises ThetaConvergenceError where
+    _theta_sum does; an empty a or b gives an empty grid.
     """
     a = np.ravel(np.asarray(a, dtype=np.complex128))
     b = np.ravel(np.asarray(b, dtype=np.complex128))
     if a.size == 0 or b.size == 0:
-        return np.zeros((a.size, b.size), dtype=np.complex128)
+        empty = np.zeros((a.size, b.size), dtype=np.complex128)
+        return (empty, empty.copy()) if derivative else empty
+    half = 0.5 if half_index else 0.0      # first index, and the shift s
     y = max(a.imag.max() - b.imag.min(), b.imag.max() - a.imag.min(), 0.0)
-    m = _table_terms(tau, float(y))
+    m = _table_terms(tau, float(y), half)
+    if not half_index:
+        m = m[1:]           # the m = 0 term is the column of ones below
     centre = 0.5j * (min(a.imag.min(), b.imag.min()) + max(a.imag.max(), b.imag.max()))
     root_w = np.tile(np.exp(0.5j * np.pi * tau * m * m), 2)
-    phase_a = 2j * np.pi * np.multiply.outer(a - centre - 0.5, m)
+    phase_a = 2j * np.pi * np.multiply.outer(a - centre - half, m)
     phase_b = 2j * np.pi * np.multiply.outer(m, b - centre)
     left = np.concatenate([np.exp(phase_a), np.exp(-phase_a)], axis=1) * root_w
     right = np.concatenate([np.exp(-phase_b), np.exp(phase_b)], axis=0) * root_w[:, None]
-    return left @ right
+    if not half_index:
+        left = np.concatenate([np.ones((a.size, 1)), left], axis=1)
+        right = np.concatenate([np.ones((1, b.size)), right], axis=0)
+    if not derivative:
+        return left @ right
+    index = np.concatenate([m, -m]) if half_index else np.concatenate([[0.0], m, -m])
+    both = left @ np.concatenate([right, 2j * np.pi * index[:, None] * right], axis=1)
+    return both[:, :b.size], both[:, b.size:]
 
 
 def theta1(beta, tau: complex, order: int = 0):
@@ -242,11 +268,8 @@ def theta3(beta, tau: complex, order: int = 0):
 
 
 def log_theta1_derivatives(beta, tau: complex):
-    """(d ln th1, d^2 ln th1, d^3 ln th1) with respect to beta."""
-    t0 = theta1(beta, tau, 0)
-    t1 = theta1(beta, tau, 1)
-    t2 = theta1(beta, tau, 2)
-    t3 = theta1(beta, tau, 3)
+    """(d ln th1, d^2 ln th1, d^3 ln th1) with respect to beta, from one series pass."""
+    t0, t1, t2, t3 = _theta_sum(True, beta, tau, (0, 1, 2, 3))
     d1 = t1 / t0
     d2 = t2 / t0 - d1 * d1
     d3 = t3 / t0 - 3.0 * (t2 / t0) * d1 + 2.0 * d1 ** 3
@@ -311,9 +334,7 @@ def _log_theta1_ratio(a, b, tau: complex):
 
 def _cnoidal_wave(y, curve: CurveParams):
     """Cnoidal wave 2 d^2/dx^2 ln theta3(y) at real theta arguments y = x / (4 |varpi3|) + c."""
-    t0 = theta3(y, curve.tau)
-    t1 = theta3(y, curve.tau, 1)
-    t2 = theta3(y, curve.tau, 2)
+    t0, t1, t2 = _theta_sum(False, y, curve.tau, (0, 1, 2))
     w3_abs = abs(curve.varpi3)
     return (t2 / t0 - (t1 / t0) ** 2).real / (8.0 * w3_abs * w3_abs)
 

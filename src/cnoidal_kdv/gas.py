@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .elliptic import CurveParams, JacobianPoint, weierstrass, zeta_half_period
-from .elliptic import _log_theta1_ratio, _theta1_grid, _zeta_form
+from .elliptic import _log_theta1_ratio, _theta_grid, _zeta_form
 from .errors import (
     DiagonalSingularity,
     NegativeDensityWarning,
@@ -196,7 +196,7 @@ def _kernel_rows(model: GasModel, eta: np.ndarray, eta_chi: np.ndarray) -> np.nd
     On same-segment blocks the kernel is split as ln|r_eta - r| plus a smooth
     remainder; the logarithm is integrated exactly against the hat functions,
     the remainder by the trapezoid weights.  Both theta1 factors come from one
-    table grid (_theta1_grid).  The value of theta1(z) loses digits as z -> 0,
+    table grid (_theta_grid).  The value of theta1(z) loses digits as z -> 0,
     so below delta the remainder takes the Taylor form
     ln|theta1(z)/z| = ln theta1'(0) - 2 varpi3 zeta(varpi3) z^2 - g2 varpi3^4 z^4/15 + ...
     without its z^4 term, which delta keeps below 2^-53.
@@ -205,7 +205,7 @@ def _kernel_rows(model: GasModel, eta: np.ndarray, eta_chi: np.ndarray) -> np.nd
     betas = model.betas
     n = betas.size
     stars = 1.0 - betas + model.nodes_chi * curve.tau
-    grid = np.abs(_theta1_grid(eta, np.concatenate([betas, stars]), curve.tau))
+    grid = np.abs(_theta_grid(True, eta, np.concatenate([betas, stars]), curve.tau))
     num, den = grid[:, :n], grid[:, n:]
     x0 = eta.real
     sep = x0[:, None] - model.nodes_r

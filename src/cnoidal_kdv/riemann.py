@@ -81,13 +81,13 @@ class DegenerationSpec:
         return float(np.log(1.0 / self.epsilon))
 
 
-def degenerate_period_matrix(spec: DegenerationSpec) -> PeriodMatrix:
-    sp = spec.spectrum
+def _pinched_blocks(sp: SolitonSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """(B with a zero diagonal, mu): the epsilon-independent blocks of the period matrix."""
     curve = sp.curve
     n = len(sp)
     betas = np.array([e.beta for e in sp.entries], dtype=complex)
     stars = np.array([e.beta_star for e in sp.entries], dtype=complex)
-    b = np.diag(np.full(n, 1j * spec.lam))
+    b = np.zeros((n, n), dtype=complex)
     low, high = np.triu_indices(n, 1)           # pairs l < j, row by row
     close = np.abs(betas[high] - betas[low]) < 1e-10
     if np.any(close):
@@ -96,14 +96,29 @@ def degenerate_period_matrix(spec: DegenerationSpec) -> PeriodMatrix:
     b[low, high] = b[high, low] = _log_theta1_ratio(
         betas[high] - betas[low], betas[high] - stars[low], curve.tau) / (1j * np.pi)
     mu = np.array([e.point.mu() for e in sp.entries], dtype=float)
+    return b, mu
+
+
+def _pinched_period_matrix(blocks: tuple[np.ndarray, np.ndarray], lam: float,
+                           tau: complex) -> PeriodMatrix:
+    """The validated period matrix with diagonal i*lam from the _pinched_blocks pair."""
+    off_diagonal, mu = blocks
+    n = mu.size
+    b = off_diagonal.copy()
+    b[np.arange(n), np.arange(n)] = 1j * lam
     omega = np.zeros((n + 1, n + 1), dtype=complex)
     omega[:n, :n] = b
     omega[:n, n] = mu
     omega[n, :n] = mu
-    omega[n, n] = curve.tau
-    pm = PeriodMatrix(omega=omega, block_b=b, block_mu=mu, corner=curve.tau)
+    omega[n, n] = tau
+    pm = PeriodMatrix(omega=omega, block_b=b, block_mu=mu, corner=tau)
     pm.validate()
     return pm
+
+
+def degenerate_period_matrix(spec: DegenerationSpec) -> PeriodMatrix:
+    sp = spec.spectrum
+    return _pinched_period_matrix(_pinched_blocks(sp), spec.lam, sp.curve.tau)
 
 
 def _lattice(dim: int, radius: int) -> np.ndarray:
@@ -154,31 +169,69 @@ def theta_lattice_sum(x, omega: PeriodMatrix | np.ndarray, radius: int,
     return value, tail
 
 
+def _split_lattice(dim: int, n_solitons: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """(restricted, complement) rows of the box: soliton indices all in {0,1}, or not."""
+    nu = _lattice(dim, radius)
+    soliton_part = nu[:, :n_solitons]
+    restricted = np.all((soliton_part == 0.0) | (soliton_part == 1.0), axis=1)
+    return nu[restricted], nu[~restricted]
+
+
 def _half_period_split_sums(x: np.ndarray, omega: np.ndarray, n_solitons: int,
-                            radius: int) -> tuple[complex, complex]:
+                            boxes: tuple[np.ndarray, np.ndarray]) -> tuple[complex, complex]:
     """(restricted, complement) parts of Theta(X - Omega u / 2; Omega), u = (1..1,0).
 
     The restricted part runs over soliton indices n in {0,1}^N, where the
     diverging diagonal cancels identically; it is evaluated with the diagonal
     dropped so the cancellation is exact in floating point as well.  The
-    complement is everything else in the box.
+    complement is everything else in the box; boxes is the pair of row sets
+    from _split_lattice.
     """
     dim = omega.shape[0]
     n = n_solitons
     u = np.zeros(dim)
     u[:n] = 1.0
-    nu = _lattice(dim, radius)
-    soliton_part = nu[:, :n]
-    restricted_mask = np.all((soliton_part == 0.0) | (soliton_part == 1.0), axis=1)
+    restricted_nu, complement_nu = boxes
 
     # complement: plain summand at X - Omega u / 2
-    complement = _box_sum(nu[~restricted_mask], omega, x - 0.5 * omega @ u)
+    complement = _box_sum(complement_nu, omega, x - 0.5 * omega @ u)
     # restricted: same summand with the soliton diagonal removed analytically
     om0 = omega.copy()
     idx = np.arange(n)
     om0[idx, idx] = 0.0
-    restricted = _box_sum(nu[restricted_mask], om0, x - 0.5 * om0 @ u)
+    restricted = _box_sum(restricted_nu, om0, x - 0.5 * om0 @ u)
     return restricted, complement
+
+
+def degeneration_residuals(x_phase, spectrum: SolitonSpectrum, epsilons,
+                           radius: int) -> list[float]:
+    """degeneration_residual at each epsilon, in order.
+
+    The off-diagonal period-matrix blocks, the split lattice box and
+    det(1+G) theta3(beta - A) do not depend on epsilon and are built once,
+    each where the first epsilon needs it, so errors arise in the order of
+    one epsilon at a time.
+    """
+    n = len(spectrum)
+    x_phase = np.asarray(x_phase, dtype=complex)
+    if x_phase.shape != (n + 1,):
+        raise ValueError("x_phase must have length N + 1")
+    blocks = boxes = det_side = None
+    resids = []
+    for eps in epsilons:
+        spec = DegenerationSpec(epsilon=float(eps), spectrum=spectrum)
+        blocks = blocks or _pinched_blocks(spectrum)
+        pm = _pinched_period_matrix(blocks, spec.lam, spectrum.curve.tau)
+        boxes = boxes or _split_lattice(n + 1, n, radius)
+        restricted, complement = _half_period_split_sums(x_phase, pm.omega, n, boxes)
+        if det_side is None:
+            det_side = fredholm_factor(spectrum, x_phase[:n], float(x_phase[n].real))
+        scale = 1.0 + abs(det_side)
+        if abs(restricted - det_side) > _IDENTITY_GATE * scale:
+            raise FactorizationMismatch(
+                f"restricted sum {restricted} vs determinant side {det_side}")
+        resids.append(abs(complement))
+    return resids
 
 
 def degeneration_residual(x_phase, spec: DegenerationSpec, radius: int) -> float:
@@ -188,19 +241,7 @@ def degeneration_residual(x_phase, spec: DegenerationSpec, radius: int) -> float
     against the restricted sum to 1e-9 on every call; the returned residual
     is the complementary tail, which decays like eps^(2 pi).
     """
-    sp = spec.spectrum
-    n = len(sp)
-    x_phase = np.asarray(x_phase, dtype=complex)
-    if x_phase.shape != (n + 1,):
-        raise ValueError("x_phase must have length N + 1")
-    pm = degenerate_period_matrix(spec)
-    restricted, complement = _half_period_split_sums(x_phase, pm.omega, n, radius)
-    det_side = fredholm_factor(sp, x_phase[:n], float(x_phase[n].real))
-    scale = 1.0 + abs(det_side)
-    if abs(restricted - det_side) > _IDENTITY_GATE * scale:
-        raise FactorizationMismatch(
-            f"restricted sum {restricted} vs determinant side {det_side}")
-    return abs(complement)
+    return degeneration_residuals(x_phase, spec.spectrum, [spec.epsilon], radius)[0]
 
 
 def fay_residual(n: int, xs, xhats, e_point: complex, curve) -> float:

@@ -71,6 +71,12 @@ def theta_calls(monkeypatch):
 
 
 @pytest.fixture
+def grid_calls(monkeypatch):
+    """One entry per theta table grid (_theta_grid) call made from any package module."""
+    return _count_calls(monkeypatch, ("_theta_grid",))
+
+
+@pytest.fixture
 def weierstrass_calls(monkeypatch):
     """One entry per weierstrass call made from any package module."""
     return _count_calls(monkeypatch, ("weierstrass",))

@@ -219,3 +219,35 @@ def finite_gap_solution_loop(spec, phi, xs, ts, radius: int) -> np.ndarray:
         vals = finite_gap_theta_loop(spec, phi, x_st, t, radius)
         out[i] = 2.0 * fd.second_derivative(np.log(vals.real).reshape(xs.size, -1), h)
     return out
+
+
+def track_phase_bisection(point, curve, norming: float, ts) -> np.ndarray:
+    """Phi(t) of the equal-addenda condition by 60 bisection steps on all t at once.
+
+    The series theta3 gives R(Phi, t); the bracket [-m, m] holds every value
+    of R, with m from a 512-point scan of the theta3 log-ratio over a period.
+    """
+    from cnoidal_kdv.dynamics import group_velocity
+    from cnoidal_kdv.elliptic import theta3
+    from cnoidal_kdv.tau import quasi_momentum
+
+    p_abs = quasi_momentum(point, curve).imag
+    v = group_velocity(point, curve)
+    mu = point.mu()
+
+    def log_ratio(w):
+        return np.log((theta3(w - mu / 2.0, curve.tau) / theta3(w + mu / 2.0, curve.tau)).real)
+
+    def rhs(phi, t):
+        return (np.log(norming) - log_ratio((v * t + phi) / curve.period_x)) / p_abs
+
+    ts = np.asarray(ts, dtype=float)
+    ws = np.linspace(0.0, 1.0, 512, endpoint=False)
+    m = (float(np.max(np.abs(log_ratio(ws)))) + abs(np.log(norming))) / p_abs + 1.0
+    lo, hi = np.full(ts.shape, -m), np.full(ts.shape, m)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = mid - rhs(mid, ts) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)

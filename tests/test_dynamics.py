@@ -13,6 +13,7 @@ from cnoidal_kdv.errors import (
     InvalidNorming,
     UnorderedVelocities,
 )
+from oracles import track_phase_bisection
 
 
 class TestGroupVelocity:
@@ -105,6 +106,56 @@ class TestTrackPhaseArray:
         with pytest.raises(InvalidNorming):
             dy.track_phase(bright_point, curve, norming, np.linspace(0.0, 1.0, 4))
         assert theta_calls == []
+
+
+def _newton_points(curve):
+    return [el.JacobianPoint(0.02 + 0j, 0), el.JacobianPoint(0.3 + 0j, 0),
+            el.JacobianPoint(0.24 + curve.tau / 2, 1), el.JacobianPoint(0.49 + curve.tau / 2, 1)]
+
+
+def _period_midpoints(point, curve, n=64):
+    return (np.arange(n) + 0.5) * abs(dy.tracking_period(point, curve)) / n
+
+
+class TestTrackPhaseNewton:
+    @pytest.mark.parametrize("norming", [0.4, 1.0, 1.7, 2.5])
+    def test_matches_bisection_oracle(self, curve, norming):
+        for point in _newton_points(curve):
+            ts = _period_midpoints(point, curve)
+            phis = dy.track_phase(point, curve, norming, ts)
+            ref = track_phase_bisection(point, curve, norming, ts)
+            assert np.max(np.abs(phis - ref)) <= 1e-12
+
+    def test_no_series_theta3(self, curve, dim_point, theta_calls, grid_calls):
+        theta_calls.clear()
+        dy.track_phase(dim_point, curve, 1.7, np.linspace(0.0, 1.0, 16))
+        assert theta_calls.count("theta3") == 0
+        assert grid_calls
+
+    def test_table_evaluations_bounded(self, curve, grid_calls):
+        # bracket scan, straddle check, Newton iterations and residual gate together
+        for point in _newton_points(curve):
+            for norming in (0.4, 2.5):
+                grid_calls.clear()
+                dy.track_phase(point, curve, norming, _period_midpoints(point, curve))
+                assert len(grid_calls) <= 20
+
+    def test_root_where_slope_vanishes_is_kept(self, curve, grid_calls):
+        # with unit norming Phi(0) = 0, where F' = 0 for a cool point: the
+        # first evaluation finds F = 0 and must not bisect away from it
+        point = el.JacobianPoint(0.24 + curve.tau / 2, 1)
+        rhs, _, _ = dy._tracker_rhs(point, curve, 1.0)
+        assert abs(1.0 - rhs(0.0, 0.0, True)[1]) < 1e-12
+        grid_calls.clear()
+        assert abs(dy.track_phase(point, curve, 1.0, 0.0)) <= 1e-12
+        assert len(grid_calls) <= 4
+
+    def test_slope_matches_finite_difference(self, curve, dim_point):
+        rhs, _, _ = dy._tracker_rhs(dim_point, curve, 1.7)
+        phi, ts, h = np.linspace(-2.0, 2.0, 9), np.linspace(0.0, 1.0, 9), 1e-5
+        _, slope = rhs(phi, ts, True)
+        fd = (rhs(phi + h, ts) - rhs(phi - h, ts)) / (2.0 * h)
+        assert np.max(np.abs(slope - fd)) <= 1e-8
 
 
 class TestPairShifts:

@@ -150,6 +150,24 @@ class TestTheta:
             for order in (0, 1):
                 assert fn(empty, curve.tau, order).shape == (0,)
 
+    @pytest.mark.parametrize("half_index", [True, False])
+    def test_order_tuple_bit_identical(self, curve, half_index):
+        # one pass for several orders; each order stops at its own term count
+        fn = el.theta1 if half_index else el.theta3
+        arr = np.linspace(0.05, 0.95, 9) + np.linspace(-0.6, 0.6, 9) * 1j
+        for beta in (arr, complex(arr[3]), np.array([], complex)):
+            together = el._theta_sum(half_index, beta, curve.tau, (0, 1, 2, 3))
+            for order, value in zip((0, 1, 2, 3), together):
+                alone = fn(beta, curve.tau, order)
+                assert type(value) is type(alone)
+                assert np.array_equal(value, alone)
+
+    def test_order_tuple_convergence_error(self, curve):
+        # Im = -400 needs some 300 terms before the peak, where exp overflows
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ThetaConvergenceError, match="converge"):
+            el._theta_sum(True, np.array([0.1, -400j]), curve.tau, (0, 1))
+
 
 # the extreme curves half_periods accepts: e2 - e3 and e1 - e2 at 2e-12 of the scale
 EXTREME_CURVES = {"e2 near e3": (1.0, -0.5 + 1e-12, -0.5 - 1e-12),
@@ -168,32 +186,53 @@ class TestThetaTables:
         b = np.concatenate([a, 1.0 - a + np.repeat([0.0, c.tau], r.size)])
         # an overflow in any table entry or in the product raises here
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            grid = el._theta1_grid(a, b, c.tau)
+            grid = el._theta_grid(True, a, b, c.tau)
         assert np.all(np.isfinite(grid))
         ref = el.theta1(a[:, None] - b, c.tau)
         assert np.max(np.abs(grid - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", sorted(EXTREME_CURVES))
+    def test_theta3_and_derivative_at_real_arguments(self, name):
+        # the tracker's grids: real w against -+mu/2
+        c = el.half_periods(*EXTREME_CURVES[name])
+        w = np.linspace(-1.5, 2.5, 97)
+        b = np.array([0.31, -0.31, 0.0, 0.5])
+        grid, d_grid = el._theta_grid(False, w, b, c.tau, derivative=True)
+        for order, got in ((0, grid), (1, d_grid)):
+            ref = el.theta3(w[:, None] - b, c.tau, order)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_theta1_derivative(self, curve):
+        a = np.array([0.1, 0.3 + 0.2j, 0.45 + curve.tau / 2])
+        b = np.array([0.05, 0.2 - 0.1j])
+        grid, d_grid = el._theta_grid(True, a, b, curve.tau, derivative=True)
+        for order, got in ((0, grid), (1, d_grid)):
+            ref = el.theta1(a[:, None] - b, curve.tau, order)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_shared_imaginary_offset(self, curve):
         # Im 50 on both sides: uncentred tables reach exp(2 pi m 50) and give inf * 0
         a = 50j + np.array([0.1, 0.3, 0.2 + 0.05j])
         b = 50j + np.array([0.25, 0.45 - 0.1j])
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            grid = el._theta1_grid(a, b, curve.tau)
+            grid = el._theta_grid(True, a, b, curve.tau)
         ref = el.theta1(a[:, None] - b, curve.tau)
         assert np.max(np.abs(grid - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_convergence_errors(self, curve):
         a = np.array([0.1, 0.2 + 0.3j])
         with pytest.raises(ThetaConvergenceError, match="Im"):
-            el._theta1_grid(a, a, 0.5 + 0.01j)
+            el._theta_grid(True, a, a, 0.5 + 0.01j)
         # |Im(a - b)| = 1000 needs about 1500 terms, over the series' 512
         with pytest.raises(ThetaConvergenceError, match="converge"):
-            el._theta1_grid(a, np.array([-1000j]), curve.tau)
+            el._theta_grid(True, a, np.array([-1000j]), curve.tau)
 
     def test_empty_gives_empty(self, curve):
         a = np.array([0.1, 0.2])
-        assert el._theta1_grid(a, np.array([], complex), curve.tau).shape == (2, 0)
-        assert el._theta1_grid(np.array([]), a, curve.tau).shape == (0, 2)
+        assert el._theta_grid(True, a, np.array([], complex), curve.tau).shape == (2, 0)
+        assert el._theta_grid(True, np.array([]), a, curve.tau).shape == (0, 2)
+        grid, d_grid = el._theta_grid(False, np.array([]), a, curve.tau, derivative=True)
+        assert grid.shape == d_grid.shape == (0, 2)
 
 
 class TestWeierstrass:

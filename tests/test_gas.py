@@ -115,7 +115,7 @@ class TestKernelAssembly:
         a = m.betas
         b = np.concatenate([a, 1.0 - a + m.nodes_chi * curve.tau])
         ref = el.theta1(a[:, None] - b, curve.tau)
-        grid = el._theta1_grid(a, b, curve.tau)
+        grid = el._theta_grid(True, a, b, curve.tau)
         away = np.abs(ref) > 1e-3 * np.max(np.abs(ref))
         assert np.all(np.abs(grid - ref)[away] <= 1e-13 * np.abs(ref)[away])
         assert np.max(np.abs(grid - ref)) <= 1e-14 * np.max(np.abs(ref))

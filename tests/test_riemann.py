@@ -133,7 +133,8 @@ class TestDegeneration:
             psis = 1j * rng.uniform(-0.5, 0.5, n)
             beta = rng.uniform(0, 1)
             x = np.concatenate([psis, [beta]])
-            restricted, _ = rm._half_period_split_sums(x, pm.omega, n, 6)
+            restricted, _ = rm._half_period_split_sums(x, pm.omega, n,
+                                                       rm._split_lattice(n + 1, n, 6))
             det_side = tu.fredholm_factor(sp, psis, beta)
             assert abs(restricted - det_side) <= 1e-11 * (1 + abs(det_side))
 
@@ -159,6 +160,18 @@ class TestDegeneration:
                           1j * rng.uniform(-0.5, 0.5),
                           rng.uniform(0, 1)])
             assert rm.degeneration_residual(x, spec, radius=6) < 1e-5
+
+    def test_residuals_match_one_epsilon_at_a_time(self, spectrum2):
+        x = np.array([0.13j, -0.27j, 0.61])
+        epsilons = [1e-2, 1e-4, 1e-6]
+        together = rm.degeneration_residuals(x, spectrum2, epsilons, radius=6)
+        alone = [rm.degeneration_residual(x, rm.DegenerationSpec(eps, spectrum2), radius=6)
+                 for eps in epsilons]
+        assert together == alone
+
+    def test_residuals_reject_bad_epsilon(self, spectrum2):
+        with pytest.raises(ValueError, match="epsilon"):
+            rm.degeneration_residuals(np.array([0.1j, 0.2j, 0.3]), spectrum2, [1e-2, 2.0], 6)
 
     def test_relabeling_invariance(self, curve, dim_point, bright_point):
         sp_a = tu.spectrum_from_points(curve, [(bright_point, 0.0), (dim_point, 0.0)])

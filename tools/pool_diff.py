@@ -1,6 +1,7 @@
 """Compare two checkouts' CLI outputs on every pool member of the benchmark.
 
     python3 tools/pool_diff.py --parent DIR [--workload W ...]
+                               [--require-identical W [W ...]]
 
 DIR is another checkout of the repository, e.g. the parent commit made with
 `git archive <rev> | tar -x -C DIR`.  Every member of
@@ -15,8 +16,10 @@ against a recorded output, the worst margin of `perfbench/checks.py`'s
 `check_reference` on this checkout's outputs: the largest |value - recorded|
 over the tolerance that check allows, so a margin below 1 passes.  Members
 that differ or fail the check are listed.  The exit code is 1 if any member
-fails `check_reference`, else 0.  Only imports the benchmark's modules; the
-work files go to `.perfbench/pool_diff/`.
+fails `check_reference`, or if a member of a workload named by
+`--require-identical` differs from the parent in any byte (those workloads
+are run even when `--workload` leaves them out), else 0.  Only imports the
+benchmark's modules; the work files go to `.perfbench/pool_diff/`.
 """
 
 from __future__ import annotations
@@ -91,8 +94,8 @@ def reference_margin(op, code, out: str) -> tuple[float, str]:
     return max(cells, default=(0.0, "-"), key=lambda c: c[0])
 
 
-def compare(name: str, mine: dict, theirs: dict) -> tuple[str, list[str], int]:
-    """(summary line, per-member notes, number of check failures) of one workload."""
+def compare(name: str, mine: dict, theirs: dict) -> tuple[str, list[str], int, bool]:
+    """(summary line, per-member notes, number of check failures, all identical) of one workload."""
     ops = pool_ops(name)
     identical = sum(mine[op.label] == theirs[op.label] for op in ops)
     notes, failures = [], 0
@@ -113,18 +116,23 @@ def compare(name: str, mine: dict, theirs: dict) -> tuple[str, list[str], int]:
             worst, worst_where = margin, f"{op.label}: {cell}"
     line = (f"{name:<11} {len(ops):>7} {identical:>9} {checked:>7} {failures:>8} "
             f"{worst:>12.3g} ({worst_where})")
-    return line, notes, failures
+    return line, notes, failures, identical == len(ops)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, help="the checkout to compare against")
     parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS)
+    parser.add_argument("--require-identical", nargs="+", default=[], metavar="W",
+                        choices=workloads.WORKLOADS,
+                        help="exit 1 unless every member of these workloads is "
+                             "byte-identical to the parent")
     parser.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--configs", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--out", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     names = args.workload or list(workloads.WORKLOADS)
+    names += [n for n in args.require_identical if n not in names]
     if args.dump:
         dump(args.dump, args.configs, names, args.out)
         return 0
@@ -146,15 +154,19 @@ def main(argv=None) -> int:
 
     print(f"{'workload':<11} {'members':>7} {'identical':>9} {'checked':>7} {'failures':>8} "
           f"{'worst_margin':>12} (member: cell)")
-    all_notes, total_failures = [], 0
+    all_notes, total_failures, moved = [], 0, []
     for name in names:
-        line, notes, failures = compare(name, outputs[0][name], outputs[1][name])
+        line, notes, failures, identical = compare(name, outputs[0][name], outputs[1][name])
         print(line)
         all_notes += notes
         total_failures += failures
+        if name in args.require_identical and not identical:
+            moved.append(name)
     for note in all_notes:
         print(note)
-    return 1 if total_failures else 0
+    if moved:
+        print(f"not byte-identical to the parent: {', '.join(moved)}")
+    return 1 if total_failures or moved else 0
 
 
 if __name__ == "__main__":
