@@ -39,7 +39,6 @@ from .riemann import (
     PeriodMatrix,
     degenerate_period_matrix,
     degeneration_residual,
-    degeneration_residuals,
     fay_residual,
     random_phase_mc,
     random_phase_trial,
@@ -74,11 +73,11 @@ __all__ = [
     "TauContext", "build_context", "build_spectrum", "g_matrix", "kdv_residual",
     "logdet_x_analytic", "spectrum_from_points", "tau_eval", "tau_grid", "u_eval",
     "u_field", "u_grid", "DegenerationSpec", "PeriodMatrix",
-    "degenerate_period_matrix", "degeneration_residual", "degeneration_residuals",
-    "fay_residual", "random_phase_mc", "random_phase_trial", "theta_lattice_sum",
-    "TrackedSoliton", "background_shift_probe", "group_velocity", "mean_track_phase",
-    "pair_shifts", "total_shift_schedule", "track_phase", "track_soliton",
-    "GasInterval", "GasModel", "build_model", "carrier_quantities",
-    "equation_of_state_residual", "free_speeds", "interaction_kernel",
-    "interval_from_physical", "ndr_solve", "tracer_shift",
+    "degenerate_period_matrix", "degeneration_residual", "fay_residual",
+    "random_phase_mc", "random_phase_trial", "theta_lattice_sum", "TrackedSoliton",
+    "background_shift_probe", "group_velocity", "mean_track_phase", "pair_shifts",
+    "total_shift_schedule", "track_phase", "track_soliton", "GasInterval",
+    "GasModel", "build_model", "carrier_quantities", "equation_of_state_residual",
+    "free_speeds", "interaction_kernel", "interval_from_physical", "ndr_solve",
+    "tracer_shift",
 ]

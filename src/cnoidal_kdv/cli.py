@@ -168,7 +168,7 @@ def _verify_degeneration(cfg, ctx, tol, rng, radius, rep):
     psis = 1j * rng.uniform(-0.5, 0.5, size=n)
     beta = rng.uniform(0.0, 1.0)
     x_phase = np.concatenate([psis, [beta]])
-    resids = riemann.degeneration_residuals(x_phase, spectrum, eps_list, radius)
+    resids = riemann._degeneration_residuals(x_phase, spectrum, eps_list, radius)
     for eps, resid in zip(eps_list, resids):
         rep.add("degeneration", f"epsilon={_fmt(float(eps))}", resid, tol, resid < tol)
     monotone = all(a > b for a, b in zip(resids, resids[1:]))

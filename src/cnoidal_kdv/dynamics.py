@@ -77,27 +77,22 @@ def group_velocity(point: JacobianPoint, curve: CurveParams) -> float:
     return float(v.real)
 
 
-def _log_theta3_ratio(w, mu: float, tau: complex, derivative: bool = False):
-    """ln(theta3(w - mu/2) / theta3(w + mu/2)) at real w of any shape.
+def _log_theta3_ratio(w, mu: float, tau: complex):
+    """(L, dL/dw), L = ln(theta3(w - mu/2) / theta3(w + mu/2)), at real w of any shape.
 
-    Both theta3 values, and with derivative their w-derivatives for the
-    pair (L, dL/dw), come from one theta table grid.
+    Both theta3 values and their w-derivatives come from one theta table grid.
     """
     w = np.asarray(w, dtype=float)
-    grids = _theta_grid(False, w, np.array([0.5, -0.5]) * mu, tau, derivative)
-    th = grids[0] if derivative else grids
-    log_ratio = np.log((th[:, 0] / th[:, 1]).real).reshape(w.shape)
-    if not derivative:
-        return log_ratio
-    log_d = (grids[1] / th).real
-    return log_ratio, (log_d[:, 0] - log_d[:, 1]).reshape(w.shape)
+    th, d_th = _theta_grid(False, w, np.array([0.5, -0.5]) * mu, tau, True)
+    log_d = (d_th / th).real
+    return (np.log((th[:, 0] / th[:, 1]).real).reshape(w.shape),
+            (log_d[:, 0] - log_d[:, 1]).reshape(w.shape))
 
 
 def _tracker_rhs(point: JacobianPoint, curve: CurveParams, norming: float):
-    """R(Phi, t) of the equal-addenda equation, plus |P| and V.
+    """(R, dR/dPhi) of the equal-addenda equation Phi = R(Phi, t), plus |P| and V.
 
-    R takes scalars or broadcastable arrays of Phi and t; R(Phi, t, True)
-    returns the pair (R, dR/dPhi).
+    The returned function takes scalars or broadcastable arrays of Phi and t.
     """
     if not (np.isfinite(norming) and norming > 0.0):
         raise InvalidNorming(f"norming constant {norming} is not a finite positive number")
@@ -106,11 +101,8 @@ def _tracker_rhs(point: JacobianPoint, curve: CurveParams, norming: float):
     mu = point.mu()
     x_period = curve.period_x
 
-    def rhs(phi, t, slope: bool = False):
-        w = (v * t + phi) / x_period
-        if not slope:
-            return (np.log(norming) - _log_theta3_ratio(w, mu, curve.tau)) / p_abs
-        log_ratio, d_log = _log_theta3_ratio(w, mu, curve.tau, True)
+    def rhs(phi, t):
+        log_ratio, d_log = _log_theta3_ratio((v * t + phi) / x_period, mu, curve.tau)
         return (np.log(norming) - log_ratio) / p_abs, -d_log / (p_abs * x_period)
 
     return rhs, p_abs, v
@@ -139,10 +131,10 @@ def track_phase(point: JacobianPoint, curve: CurveParams, norming: float, t):
     ts = np.asarray(t, dtype=float).ravel()
     x_period = curve.period_x
     ws = np.linspace(0.0, 1.0, 513)
-    log_ratio = _log_theta3_ratio(ws[:-1], point.mu(), curve.tau)
+    log_ratio, _ = _log_theta3_ratio(ws[:-1], point.mu(), curve.tau)
     m = (float(np.max(np.abs(log_ratio))) + abs(np.log(norming))) / p_abs + 1.0
     ends = np.array([[-m], [m]])
-    f_lo, f_hi = ends - rhs(ends, ts)
+    f_lo, f_hi = ends - rhs(ends, ts)[0]
     if not np.all((f_lo < 0.0) & (0.0 < f_hi)):
         raise BracketFailure("tracker bracket does not straddle a root")
     # Phi = X w - V t where X w + ln ratio(w)/|P| = V t + ln(norming)/|P|;
@@ -158,7 +150,7 @@ def track_phase(point: JacobianPoint, curve: CurveParams, norming: float, t):
         if not open_.size:
             break
         p = phi[open_]
-        r, dr = rhs(p, ts[open_], True)
+        r, dr = rhs(p, ts[open_])
         f, slope = p - r, 1.0 - dr
         below = f < 0.0
         lo_o = lo[open_] = np.where(below, p, lo[open_])
@@ -171,7 +163,7 @@ def track_phase(point: JacobianPoint, curve: CurveParams, norming: float, t):
         xtol = _NEWTON_XTOL * np.maximum(1.0, np.abs(p))
         done = (f == 0.0) | (newton & (np.abs(step) <= xtol)) | (hi_o - lo_o <= xtol)
         open_ = open_[~done]
-    resid = float(np.max(np.abs(phi - rhs(phi, ts)), initial=0.0))
+    resid = float(np.max(np.abs(phi - rhs(phi, ts)[0]), initial=0.0))
     if not resid <= 1e-10:
         raise BracketFailure(f"tracker residual {resid}")
     return float(phi[0]) if np.ndim(t) == 0 else phi.reshape(np.shape(t))

@@ -203,30 +203,28 @@ def _half_period_split_sums(x: np.ndarray, omega: np.ndarray, n_solitons: int,
     return restricted, complement
 
 
-def degeneration_residuals(x_phase, spectrum: SolitonSpectrum, epsilons,
-                           radius: int) -> list[float]:
+def _degeneration_residuals(x_phase, spectrum: SolitonSpectrum, epsilons,
+                            radius: int) -> list[float]:
     """degeneration_residual at each epsilon, in order.
 
-    The off-diagonal period-matrix blocks, the split lattice box and
-    det(1+G) theta3(beta - A) do not depend on epsilon and are built once,
-    each where the first epsilon needs it, so errors arise in the order of
-    one epsilon at a time.
+    The epsilons are validated first; the off-diagonal period-matrix
+    blocks, the split lattice box and det(1+G) theta3(beta - A) do not
+    depend on epsilon and are built once.
     """
     n = len(spectrum)
     x_phase = np.asarray(x_phase, dtype=complex)
     if x_phase.shape != (n + 1,):
         raise ValueError("x_phase must have length N + 1")
-    blocks = boxes = det_side = None
+    specs = [DegenerationSpec(epsilon=float(eps), spectrum=spectrum) for eps in epsilons]
+    blocks = _pinched_blocks(spectrum)
+    omegas = [_pinched_period_matrix(blocks, spec.lam, spectrum.curve.tau).omega
+              for spec in specs]
+    boxes = _split_lattice(n + 1, n, radius)
+    det_side = fredholm_factor(spectrum, x_phase[:n], float(x_phase[n].real))
+    scale = 1.0 + abs(det_side)
     resids = []
-    for eps in epsilons:
-        spec = DegenerationSpec(epsilon=float(eps), spectrum=spectrum)
-        blocks = blocks or _pinched_blocks(spectrum)
-        pm = _pinched_period_matrix(blocks, spec.lam, spectrum.curve.tau)
-        boxes = boxes or _split_lattice(n + 1, n, radius)
-        restricted, complement = _half_period_split_sums(x_phase, pm.omega, n, boxes)
-        if det_side is None:
-            det_side = fredholm_factor(spectrum, x_phase[:n], float(x_phase[n].real))
-        scale = 1.0 + abs(det_side)
+    for omega in omegas:
+        restricted, complement = _half_period_split_sums(x_phase, omega, n, boxes)
         if abs(restricted - det_side) > _IDENTITY_GATE * scale:
             raise FactorizationMismatch(
                 f"restricted sum {restricted} vs determinant side {det_side}")
@@ -241,7 +239,7 @@ def degeneration_residual(x_phase, spec: DegenerationSpec, radius: int) -> float
     against the restricted sum to 1e-9 on every call; the returned residual
     is the complementary tail, which decays like eps^(2 pi).
     """
-    return degeneration_residuals(x_phase, spec.spectrum, [spec.epsilon], radius)[0]
+    return _degeneration_residuals(x_phase, spec.spectrum, [spec.epsilon], radius)[0]
 
 
 def fay_residual(n: int, xs, xhats, e_point: complex, curve) -> float:

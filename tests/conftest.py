@@ -71,6 +71,12 @@ def theta_calls(monkeypatch):
 
 
 @pytest.fixture
+def series_calls(monkeypatch):
+    """One entry per theta series pass (_theta_sum), behind theta1/theta3 or not."""
+    return _count_calls(monkeypatch, ("_theta_sum",))
+
+
+@pytest.fixture
 def grid_calls(monkeypatch):
     """One entry per theta table grid (_theta_grid) call made from any package module."""
     return _count_calls(monkeypatch, ("_theta_grid",))

@@ -72,7 +72,7 @@ class TestTrackPhase:
         rng = np.random.default_rng(1)
         for t in rng.uniform(-5, 5, 100):
             phi = dy.track_phase(dim_point, curve, 1.7, float(t))
-            assert abs(phi - rhs(phi, float(t))) <= 1e-10
+            assert abs(phi - rhs(phi, float(t))[0]) <= 1e-10
 
     def test_mean_is_log_norming(self, curve, bright_point):
         p_abs = tu.quasi_momentum(bright_point, curve).imag
@@ -94,7 +94,7 @@ class TestTrackPhaseArray:
         rhs, _, _ = dy._tracker_rhs(dim_point, curve, 1.7)
         ts = np.random.default_rng(1).uniform(-5, 5, 100)
         phis = dy.track_phase(dim_point, curve, 1.7, ts)
-        assert np.max(np.abs(phis - rhs(phis, ts))) <= 1e-10
+        assert np.max(np.abs(phis - rhs(phis, ts)[0])) <= 1e-10
 
     def test_scalar_t_returns_float(self, curve, bright_point):
         for t in (0.3, np.float64(0.3), np.array(0.3)):
@@ -102,10 +102,11 @@ class TestTrackPhaseArray:
 
     @pytest.mark.parametrize("norming", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_norming_rejected_before_theta(self, curve, bright_point, norming,
-                                               theta_calls):
+                                               theta_calls, series_calls, grid_calls):
         with pytest.raises(InvalidNorming):
             dy.track_phase(bright_point, curve, norming, np.linspace(0.0, 1.0, 4))
         assert theta_calls == []
+        assert series_calls == [] and grid_calls == []
 
 
 def _newton_points(curve):
@@ -145,7 +146,7 @@ class TestTrackPhaseNewton:
         # first evaluation finds F = 0 and must not bisect away from it
         point = el.JacobianPoint(0.24 + curve.tau / 2, 1)
         rhs, _, _ = dy._tracker_rhs(point, curve, 1.0)
-        assert abs(1.0 - rhs(0.0, 0.0, True)[1]) < 1e-12
+        assert abs(1.0 - rhs(0.0, 0.0)[1]) < 1e-12
         grid_calls.clear()
         assert abs(dy.track_phase(point, curve, 1.0, 0.0)) <= 1e-12
         assert len(grid_calls) <= 4
@@ -153,8 +154,8 @@ class TestTrackPhaseNewton:
     def test_slope_matches_finite_difference(self, curve, dim_point):
         rhs, _, _ = dy._tracker_rhs(dim_point, curve, 1.7)
         phi, ts, h = np.linspace(-2.0, 2.0, 9), np.linspace(0.0, 1.0, 9), 1e-5
-        _, slope = rhs(phi, ts, True)
-        fd = (rhs(phi + h, ts) - rhs(phi - h, ts)) / (2.0 * h)
+        _, slope = rhs(phi, ts)
+        fd = (rhs(phi + h, ts)[0] - rhs(phi - h, ts)[0]) / (2.0 * h)
         assert np.max(np.abs(slope - fd)) <= 1e-8
 
 

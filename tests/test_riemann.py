@@ -164,14 +164,14 @@ class TestDegeneration:
     def test_residuals_match_one_epsilon_at_a_time(self, spectrum2):
         x = np.array([0.13j, -0.27j, 0.61])
         epsilons = [1e-2, 1e-4, 1e-6]
-        together = rm.degeneration_residuals(x, spectrum2, epsilons, radius=6)
+        together = rm._degeneration_residuals(x, spectrum2, epsilons, radius=6)
         alone = [rm.degeneration_residual(x, rm.DegenerationSpec(eps, spectrum2), radius=6)
                  for eps in epsilons]
         assert together == alone
 
     def test_residuals_reject_bad_epsilon(self, spectrum2):
         with pytest.raises(ValueError, match="epsilon"):
-            rm.degeneration_residuals(np.array([0.1j, 0.2j, 0.3]), spectrum2, [1e-2, 2.0], 6)
+            rm._degeneration_residuals(np.array([0.1j, 0.2j, 0.3]), spectrum2, [1e-2, 2.0], 6)
 
     def test_relabeling_invariance(self, curve, dim_point, bright_point):
         sp_a = tu.spectrum_from_points(curve, [(bright_point, 0.0), (dim_point, 0.0)])
