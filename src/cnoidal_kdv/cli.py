@@ -40,6 +40,16 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _row_format(types: tuple) -> tuple[str, bool]:
+    """A CSV row's % format for these cell types, and whether every cell is a float.
+
+    "%.17g" renders a float (numpy float64 included) as _fmt does; every
+    other cell goes through _fmt into a "%s" slot.
+    """
+    floats = [issubclass(t, float) for t in types]
+    return ",".join("%.17g" if f else "%s" for f in floats), all(floats)
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -59,17 +69,24 @@ def _build_curve(cfg: dict):
         raise ConfigError(f"curve entry missing {exc}") from exc
 
 
+def _finite(value, name: str) -> float:
+    v = float(value)
+    if not np.isfinite(v):
+        raise ConfigError(f"{name} = {v} is not finite")
+    return v
+
+
 def _build_spectrum(cfg: dict, curve):
     points = []
     for sol in cfg.get("solitons", []):
-        x_shift = float(sol.get("x_shift", 0.0))
+        x_shift = _finite(sol.get("x_shift", 0.0), "soliton x_shift")
         if "b" in sol:
-            points.append((invert_wp(float(sol["b"]), curve), x_shift))
+            points.append((invert_wp(_finite(sol["b"], "soliton b"), curve), x_shift))
         elif "beta" in sol:
             kind = sol.get("kind", "hot")
             if kind not in ("hot", "cool"):
                 raise ConfigError(f"unknown soliton kind {kind!r}")
-            r = float(sol["beta"])
+            r = _finite(sol["beta"], "soliton beta")
             if not 0.0 < r < 0.5:
                 raise ConfigError(f"soliton beta = {r} outside (0, 1/2)")
             chi = 1 if kind == "cool" else 0
@@ -77,7 +94,7 @@ def _build_spectrum(cfg: dict, curve):
             points.append((JacobianPoint(beta=beta, chi=chi), x_shift))
         else:
             raise ConfigError("each soliton needs 'b' or 'beta'+'kind'")
-    x0 = float(cfg.get("x0", 0.0))
+    x0 = _finite(cfg.get("x0", 0.0), "x0")
     return tau.spectrum_from_points(curve, points, x0=x0)
 
 
@@ -130,8 +147,14 @@ class Report:
             f"# config: {json.dumps(self.cfg, sort_keys=True)}",
         ]
         lines.append(",".join(self.columns))
+        formats = {}
         for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            types = tuple(map(type, row))
+            if types not in formats:
+                formats[types] = _row_format(types)
+            fmt, all_float = formats[types]
+            cells = row if all_float else [v if isinstance(v, float) else _fmt(v) for v in row]
+            lines.append(fmt % tuple(cells))
         for k, v in self.footer.items():
             lines.append(f"# {k} = {_fmt(v)}")
         return "\n".join(lines) + "\n"
@@ -143,9 +166,7 @@ def cmd_eval(cfg: dict, args) -> tuple[Report, int]:
     ctx = tau.build_context(curve, spectrum)
     xs, ts = _grid(cfg)
     rep = Report("eval", cfg, ["x", "t", "u", "tau", "detG"])
-    for t in ts:
-        u_row = tau.u_grid(ctx, xs, float(t))
-        tau_row, det_row = tau.tau_grid(ctx, xs, float(t))
+    for t, (u_row, tau_row, det_row) in zip(ts, tau._eval_rows(ctx, xs, ts)):
         for x, u, tv, dv in zip(xs, u_row, tau_row, det_row):
             rep.add(x, float(t), u, tv, dv)
     return rep, 0

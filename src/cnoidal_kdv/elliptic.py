@@ -138,15 +138,18 @@ def half_periods(e1: float, e2: float, e3: float) -> CurveParams:
     )
 
 
-def _theta_sum(half_index: bool, beta, tau: complex, order):
+def _theta_sum(half_index: bool, beta, tau: complex, order, rows: bool = False):
     """Adaptive q-series for theta1 (half_index) or theta3 and beta-derivatives.
 
     order is one derivative order or a tuple of them; a tuple gives a tuple
     of results from one pass that shares q^{m^2} and exp(+-2 pi i m z) per
     term.  Each order keeps its own running maximum and stops once three of
     its consecutive increments fall below 1e-16 of it, so every order equals
-    its own single-order sum bit for bit.  An empty beta array gives an
-    empty result.
+    its own single-order sum bit for bit.  With rows, axis 0 of beta indexes
+    independent series: each row keeps its own running maximum and quiet
+    count per order and takes no term once it stops, so a batch returns
+    what one call per row returns.  An empty beta array gives an empty
+    result.
     """
     if tau.imag < MIN_IM_TAU:
         raise ThetaConvergenceError(f"Im(tau) = {tau.imag} < {MIN_IM_TAU}")
@@ -156,30 +159,43 @@ def _theta_sum(half_index: bool, beta, tau: complex, order):
     if b.size == 0:
         return b.copy() if single else tuple(b.copy() for _ in orders)
     z = b - 0.5 if half_index else b
+    n_rows = b.shape[0] if rows else 1
     totals = [np.zeros_like(b) for _ in orders]
     running_max = []
     for k, total in zip(orders, totals):
-        if not half_index and k == 0:
-            total += 1.0
-        running_max.append(float(np.abs(total).max()))
-    quiet = [0] * len(orders)
+        start = 1.0 if not half_index and k == 0 else 0.0
+        if start:
+            total += start
+        running_max.append([start] * n_rows)
+    quiet = [[0] * n_rows for _ in orders]
     m = 0.5 if half_index else 1.0
     while True:
         w = 2j * np.pi * m
         qm = np.exp(1j * np.pi * tau * m * m)
         e_plus, e_minus = np.exp(w * z), np.exp(-w * z)
         for j, k in enumerate(orders):
-            if quiet[j] == 3:
+            counts, tops = quiet[j], running_max[j]
+            if min(counts) == 3:
                 continue
             term = qm * (w ** k * e_plus + (-w) ** k * e_minus)
-            totals[j] = totals[j] + term
-            peak = float(np.abs(term).max())
-            running_max[j] = max(running_max[j], peak)
-            if peak == 0.0 or (running_max[j] > 0.0 and peak < 1e-16 * running_max[j]):
-                quiet[j] += 1
+            if max(counts) < 3:
+                totals[j] = totals[j] + term
             else:
-                quiet[j] = 0
-        if min(quiet) == 3:
+                live = np.reshape([c < 3 for c in counts], (n_rows,) + (1,) * (b.ndim - 1))
+                totals[j] = np.where(live, totals[j] + term, totals[j])
+            if rows:
+                peaks = np.abs(term).reshape(n_rows, -1).max(axis=1).tolist()
+            else:
+                peaks = [float(np.abs(term).max())]
+            for r, peak in enumerate(peaks):
+                if counts[r] == 3:
+                    continue
+                tops[r] = top = max(tops[r], peak)
+                if peak == 0.0 or (top > 0.0 and peak < 1e-16 * top):
+                    counts[r] += 1
+                else:
+                    counts[r] = 0
+        if min(map(min, quiet)) == 3:
             break
         m += 1.0
         if m > 512:
@@ -267,13 +283,25 @@ def theta3(beta, tau: complex, order: int = 0):
     return _theta_sum(False, beta, tau, order)
 
 
+def _log_theta1_derivatives(beta, tau: complex, count: int) -> list:
+    """The first count (1 to 3) of d ln th1, d^2 ln th1, d^3 ln th1, from one pass over orders 0..count.
+
+    Each series order is its own sum bit for bit, so a lower count leaves the
+    derivatives it returns unchanged.
+    """
+    t = _theta_sum(True, beta, tau, tuple(range(count + 1)))
+    d1 = t[1] / t[0]
+    out = [d1]
+    if count >= 2:
+        out.append(t[2] / t[0] - d1 * d1)
+    if count >= 3:
+        out.append(t[3] / t[0] - 3.0 * (t[2] / t[0]) * d1 + 2.0 * d1 ** 3)
+    return out
+
+
 def log_theta1_derivatives(beta, tau: complex):
     """(d ln th1, d^2 ln th1, d^3 ln th1) with respect to beta, from one series pass."""
-    t0, t1, t2, t3 = _theta_sum(True, beta, tau, (0, 1, 2, 3))
-    d1 = t1 / t0
-    d2 = t2 / t0 - d1 * d1
-    d3 = t3 / t0 - 3.0 * (t2 / t0) * d1 + 2.0 * d1 ** 3
-    return d1, d2, d3
+    return tuple(_log_theta1_derivatives(beta, tau, 3))
 
 
 def zeta_half_period(curve: CurveParams) -> complex:
@@ -290,6 +318,25 @@ def _lattice_distance(s, curve: CurveParams):
     return np.abs(da * 2.0 * w1 + db * 2.0 * w3)
 
 
+def _weierstrass(s, curve: CurveParams, count: int) -> list:
+    """The first count (1 to 3) of zeta, wp, wp' at s, from the first count theta1 log-derivatives."""
+    s = complex(s) if np.ndim(s) == 0 else np.asarray(s, dtype=np.complex128)
+    near = _lattice_distance(s, curve) < 1e-10
+    if np.any(near):
+        bad = s if np.ndim(s) == 0 else complex(s[near][0])
+        raise LatticePoint(f"s = {bad} within 1e-10 of the period lattice")
+    w3 = curve.varpi3
+    beta = s / (2.0 * w3)
+    d = _log_theta1_derivatives(beta, curve.tau, count)
+    z3 = zeta_half_period(curve)
+    out = [(d[0] + 4.0 * w3 * z3 * beta) / (2.0 * w3)]
+    if count >= 2:
+        out.append(-(d[1] + 4.0 * w3 * z3) / (4.0 * w3 * w3))
+    if count >= 3:
+        out.append(-d[2] / (8.0 * w3 ** 3))
+    return out
+
+
 def weierstrass(s, curve: CurveParams):
     """(wp, wp', zeta) at the unnormalized argument s, a scalar or an array.
 
@@ -299,18 +346,7 @@ def weierstrass(s, curve: CurveParams):
     values can differ from per-element calls in the last bits.
     LatticePoint names the first offending element.
     """
-    s = complex(s) if np.ndim(s) == 0 else np.asarray(s, dtype=np.complex128)
-    near = _lattice_distance(s, curve) < 1e-10
-    if np.any(near):
-        bad = s if np.ndim(s) == 0 else complex(s[near][0])
-        raise LatticePoint(f"s = {bad} within 1e-10 of the period lattice")
-    w3 = curve.varpi3
-    beta = s / (2.0 * w3)
-    d1, d2, d3 = log_theta1_derivatives(beta, curve.tau)
-    z3 = zeta_half_period(curve)
-    zeta_w = (d1 + 4.0 * w3 * z3 * beta) / (2.0 * w3)
-    wp = -(d2 + 4.0 * w3 * z3) / (4.0 * w3 * w3)
-    wp_prime = -d3 / (8.0 * w3 ** 3)
+    zeta_w, wp, wp_prime = _weierstrass(s, curve, 3)
     return wp, wp_prime, zeta_w
 
 
@@ -342,7 +378,7 @@ def _cnoidal_wave(y, curve: CurveParams):
 def wp_on_segment(point: JacobianPoint | complex, curve: CurveParams) -> float:
     """Real value of wp(2 varpi3 beta) for beta on a hot or cool segment."""
     beta = point.beta if isinstance(point, JacobianPoint) else complex(point)
-    wp, _, _ = weierstrass(2.0 * curve.varpi3 * beta, curve)
+    _, wp = _weierstrass(2.0 * curve.varpi3 * beta, curve, 2)
     return float(wp.real)
 
 

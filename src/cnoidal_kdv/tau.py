@@ -37,9 +37,9 @@ from .elliptic import (
     CurveParams,
     JacobianPoint,
     _cnoidal_wave,
+    _log_theta1_derivatives,
+    _theta_sum,
     invert_wp,
-    log_theta1_derivatives,
-    theta1,
     theta3,
     weierstrass,
     wp_on_segment,
@@ -107,7 +107,7 @@ class TauContext:
 
 def quasi_momentum(point: JacobianPoint, curve: CurveParams) -> complex:
     """P(beta) = theta1'(beta)/theta1(beta)/(2 varpi3) + chi i pi/(2 varpi3)."""
-    d1, _, _ = log_theta1_derivatives(point.beta, curve.tau)
+    (d1,) = _log_theta1_derivatives(point.beta, curve.tau, 1)
     return d1 / (2.0 * curve.varpi3) + point.chi * 1j * np.pi / (2.0 * curve.varpi3)
 
 
@@ -118,16 +118,24 @@ def quasi_energy(point: JacobianPoint, curve: CurveParams) -> complex:
 
 
 def norming_constants(points: list[JacobianPoint], curve: CurveParams) -> np.ndarray:
-    tau_mod = curve.tau
-    betas = [p.beta for p in points]
-    stars = [p.star(tau_mod) for p in points]
-    out = np.empty(len(points))
-    for l in range(len(points)):
-        c = abs(theta1(betas[l] - stars[l], tau_mod))
-        for k in range(len(points)):
+    n = len(points)
+    betas = np.array([p.beta for p in points], dtype=complex)
+    stars = np.array([p.star(curve.tau) for p in points], dtype=complex)
+    # theta1(beta_k - beta_l*) for all k, l and theta1(beta_k - beta_l) for k != l, one
+    # series each in one pass; the products below run on Python complex scalars
+    args = np.concatenate([np.subtract.outer(betas, stars).ravel(),
+                           np.subtract.outer(betas, betas)[~np.eye(n, dtype=bool)]])
+    vals = _theta_sum(True, args, curve.tau, 0, rows=True).tolist()
+    th_star = [vals[k * n:(k + 1) * n] for k in range(n)]
+    off = iter(vals[n * n:])
+    th_diff = [[None if k == l else next(off) for l in range(n)] for k in range(n)]
+    out = np.empty(n)
+    for l in range(n):
+        c = abs(th_star[l][l])
+        for k in range(n):
             if k == l:
                 continue
-            c *= abs(theta1(betas[k] - stars[l], tau_mod) / theta1(betas[k] - betas[l], tau_mod))
+            c *= abs(th_star[k][l] / th_diff[k][l])
         out[l] = c
     return out
 
@@ -207,12 +215,16 @@ def _a_tensor(spectrum: SolitonSpectrum, ybg: np.ndarray) -> np.ndarray:
     th_bg = theta3(ybg, tau_mod)
     if np.min(np.abs(th_bg)) < 1e-13:
         raise BackgroundThetaZero("theta3 of the background phase vanished")
+    betas = np.array([e.beta for e in spectrum.entries], dtype=complex)
+    stars = np.array([e.beta_star for e in spectrum.entries], dtype=complex)
+    # theta1(beta_m* - beta_l): one series per (l, m) in one pass
+    den = _theta_sum(True, (stars[None, :] - betas[:, None]).ravel(), tau_mod, 0,
+                     rows=True).reshape(n, n)
     a = np.empty((ybg.size, n, n), dtype=complex)
     for l, el in enumerate(spectrum.entries):
         for m, em in enumerate(spectrum.entries):
             num = theta3(el.beta - em.beta_star + ybg, tau_mod)
-            den = theta1(em.beta_star - el.beta, tau_mod)
-            a[:, l, m] = num / (den * th_bg)
+            a[:, l, m] = num / (den[l, m] * th_bg)
     return a
 
 
@@ -223,7 +235,7 @@ def _phase_exponents(ctx: TauContext, xs: np.ndarray, t: float) -> np.ndarray:
     ei = np.array([e.E.imag for e in sp.entries])
     xsh = np.array([e.x_shift for e in sp.entries])
     expo = -0.5 * (np.subtract.outer(np.asarray(xs, dtype=float), xsh) * p + t * ei)
-    if expo.size and float(np.max(np.abs(expo))) > _EXP_GUARD:
+    if expo.size and not float(np.max(np.abs(expo))) <= _EXP_GUARD:
         raise PhaseOverflow("soliton phase exponent exceeds double-precision range")
     return expo
 
@@ -303,15 +315,20 @@ def _logdet_one_plus_g(ctx: TauContext, xs: np.ndarray, t: float,
     return logabs
 
 
+def _tau_values(ctx: TauContext, xs: np.ndarray, det: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Real tau from det(1+G) and theta3 of the background phase at xs."""
+    vals = np.exp(-ctx.quad_const * xs * xs) * det * th
+    if float(np.max(np.abs(vals.imag) / (np.abs(vals) + 1e-300))) > _REALITY_TOL:
+        raise NonRealTau("tau has a non-negligible imaginary part")
+    return vals.real
+
+
 def tau_grid(ctx: TauContext, xs, t: float) -> tuple[np.ndarray, np.ndarray]:
     """(tau, det(1+G)) on an array of x values at fixed t; both real arrays."""
     xs = np.asarray(xs, dtype=float)
     det = _det_one_plus_g(ctx, xs, t)
     th = theta3(_background_phase(ctx, xs), ctx.curve.tau)
-    vals = np.exp(-ctx.quad_const * xs * xs) * det * th
-    if float(np.max(np.abs(vals.imag) / (np.abs(vals) + 1e-300))) > _REALITY_TOL:
-        raise NonRealTau("tau has a non-negligible imaginary part")
-    return vals.real, det
+    return _tau_values(ctx, xs, det, th), det
 
 
 def tau_eval(ctx: TauContext, x: float, t: float) -> float:
@@ -384,22 +401,57 @@ def logdet_x_analytic(ctx: TauContext, x: float, t: float) -> float:
     return float(val.real)
 
 
+def _stencil_tensor(ctx: TauContext, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The D2-stencil grid around xs (five points per x) and the A tensor on it."""
+    grid = (xs[:, None] + ctx.fd_step * fd.D2_OFFSETS[None, :]).ravel()
+    return grid, _a_tensor(ctx.spectrum, _background_phase(ctx, grid))
+
+
+def _u_row(ctx: TauContext, xs: np.ndarray, ubg: np.ndarray, grid: np.ndarray,
+           a: np.ndarray, t: float) -> np.ndarray:
+    """u at xs and time t from the stencil A tensor, ubg the cnoidal part."""
+    ld = _logdet_one_plus_g(ctx, grid, t, a=a).reshape(xs.size, 5)
+    return ubg + 2.0 * fd.second_derivative(ld, ctx.fd_step)
+
+
+def _eval_rows(ctx: TauContext, xs, ts):
+    """Yield (u, tau, det(1+G)) per t, as u_grid and tau_grid give them, from one A tensor.
+
+    tau and det(1+G) read the stencil tensor's offset-0 slice, and theta3 of
+    the background phase at xs is evaluated once for all t.  The slice holds
+    tau_grid's bits while each adaptive theta series stops at the same term
+    on the stencil grid as on xs alone; the grid's larger term peaks could
+    only delay that by a term.
+    """
+    xs = np.asarray(xs, dtype=float)
+    n = len(ctx.spectrum)
+    ubg = u_background(ctx, xs)
+    th = theta3(_background_phase(ctx, xs), ctx.curve.tau)
+    if n == 0:
+        det = np.ones(xs.size)
+        for _ in ts:
+            yield ubg, _tau_values(ctx, xs, det, th), det
+        return
+    grid, a = _stencil_tensor(ctx, xs)
+    centre = a.reshape(xs.size, 5, n, n)[:, 2]      # offset 0 is the middle of D2_OFFSETS
+    for t in map(float, ts):
+        u = _u_row(ctx, xs, ubg, grid, a, t)
+        det = _det_one_plus_g(ctx, xs, t, centre)
+        yield u, _tau_values(ctx, xs, det, th), det
+
+
 def u_field(ctx: TauContext, xs, ts) -> np.ndarray:
     """u sampled on a (t, x) grid; shape (nt, nx)."""
     xs = np.asarray(xs, dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     out = np.empty((ts.size, xs.size))
-    n = len(ctx.spectrum)
     ubg = u_background(ctx, xs)
-    if n == 0:
+    if len(ctx.spectrum) == 0:
         out[:] = ubg[None, :]
         return out
-    h = ctx.fd_step
-    grid = (xs[:, None] + h * fd.D2_OFFSETS[None, :]).ravel()
-    a = _a_tensor(ctx.spectrum, _background_phase(ctx, grid))
+    grid, a = _stencil_tensor(ctx, xs)
     for i, t in enumerate(ts):
-        ld = _logdet_one_plus_g(ctx, grid, float(t), a=a).reshape(xs.size, 5)
-        out[i] = ubg + 2.0 * fd.second_derivative(ld, h)
+        out[i] = _u_row(ctx, xs, ubg, grid, a, float(t))
     return out
 
 

@@ -48,14 +48,17 @@ def ctx_dimbright(curve, dim_point, bright_point):
     return tu.build_context(curve, spectrum)
 
 
-def _count_calls(monkeypatch, names):
-    """Names of the calls to the elliptic functions `names` from any package module."""
+def _count_calls(monkeypatch, names, entry=None):
+    """One entry per call to the elliptic functions `names` from any package module.
+
+    The entry is the function's name, or entry(name, args, kwargs).
+    """
     calls = []
     for name in names:
         original = getattr(el, name)
 
         def counting(*args, _fn=original, _name=name, **kwargs):
-            calls.append(_name)
+            calls.append(_name if entry is None else entry(_name, args, kwargs))
             return _fn(*args, **kwargs)
 
         for mod_name, mod in list(sys.modules.items()):
@@ -74,6 +77,13 @@ def theta_calls(monkeypatch):
 def series_calls(monkeypatch):
     """One entry per theta series pass (_theta_sum), behind theta1/theta3 or not."""
     return _count_calls(monkeypatch, ("_theta_sum",))
+
+
+@pytest.fixture
+def series_orders(monkeypatch):
+    """The order argument of each theta series pass (_theta_sum), a tuple of orders or one order."""
+    return _count_calls(monkeypatch, ("_theta_sum",),
+                        lambda name, args, kwargs: args[3] if len(args) > 3 else kwargs["order"])
 
 
 @pytest.fixture

@@ -251,3 +251,37 @@ def track_phase_bisection(point, curve, norming: float, ts) -> np.ndarray:
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def norming_constants_loop(points, curve) -> np.ndarray:
+    """C_l = |th1(b_l - b_l*)| prod_{k != l} |th1(b_k - b_l*) / th1(b_k - b_l)|, one scalar theta1 call per value."""
+    from cnoidal_kdv.elliptic import theta1
+
+    tau_mod = curve.tau
+    betas = [p.beta for p in points]
+    stars = [p.star(tau_mod) for p in points]
+    out = np.empty(len(points))
+    for l in range(len(points)):
+        c = abs(theta1(betas[l] - stars[l], tau_mod))
+        for k in range(len(points)):
+            if k == l:
+                continue
+            c *= abs(theta1(betas[k] - stars[l], tau_mod) / theta1(betas[k] - betas[l], tau_mod))
+        out[l] = c
+    return out
+
+
+def a_tensor_loop(spectrum, ybg) -> np.ndarray:
+    """A_lm = th3(b_l - b_m* + ybg) / (th1(b_m* - b_l) th3(ybg)), one scalar theta1 call per denominator."""
+    from cnoidal_kdv.elliptic import theta1, theta3
+
+    tau_mod = spectrum.curve.tau
+    n = len(spectrum)
+    th_bg = theta3(ybg, tau_mod)
+    a = np.empty((ybg.size, n, n), dtype=complex)
+    for l, el in enumerate(spectrum.entries):
+        for m, em in enumerate(spectrum.entries):
+            num = theta3(el.beta - em.beta_star + ybg, tau_mod)
+            den = theta1(em.beta_star - el.beta, tau_mod)
+            a[:, l, m] = num / (den * th_bg)
+    return a

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cnoidal_kdv import cli
+from cnoidal_kdv import tau as tu
 
 BASE_CURVE = {"e1": 2.0, "e2": 1.0, "e3": -3.0}
 
@@ -124,6 +125,70 @@ class TestEval:
         res = run_cli(tmp_path, cfg, "eval", "--out", str(out))
         assert res.returncode == 0 and res.stdout == ""
         assert out.read_text().startswith("# cnoidal-kdv")
+
+
+def three_soliton_cfg(nt=2):
+    return {"curve": BASE_CURVE,
+            "solitons": [{"beta": 0.30, "kind": "hot", "x_shift": -1.5},
+                         {"beta": 0.24, "kind": "cool"},
+                         {"b": -4.0, "x_shift": 2.0}],
+            "grid": {"xmin": -8.0, "xmax": 8.0, "nx": 41, "tmin": -0.5, "tmax": 0.5, "nt": nt}}
+
+
+class TestEvalPath:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_rows_match_u_grid_and_tau_grid(self, tmp_path, capsys, n):
+        # one A tensor per op gives the bytes of per-t u_grid and tau_grid
+        cfg = three_soliton_cfg()
+        cfg["solitons"] = cfg["solitons"][:n]
+        path = tmp_path / "eval.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["eval", "--config", str(path)]) == 0
+        rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+        curve = cli._build_curve(cfg)
+        ctx = tu.build_context(curve, cli._build_spectrum(cfg, curve))
+        xs, ts = cli._grid(cfg)
+        want = []
+        for t in ts:
+            u_row = tu.u_grid(ctx, xs, float(t))
+            tau_row, det_row = tu.tau_grid(ctx, xs, float(t))
+            want += [",".join(cli._fmt(v) for v in (x, float(t), u, tv, dv))
+                     for x, u, tv, dv in zip(xs, u_row, tau_row, det_row)]
+        assert rows[1:] == want
+
+    def test_one_a_tensor_per_op(self, tmp_path, capsys, monkeypatch, series_calls, theta_calls):
+        cfg = three_soliton_cfg(nt=2)
+        path = tmp_path / "eval.json"
+        path.write_text(json.dumps(cfg))
+        builds = []
+        original = tu._a_tensor
+
+        def counting(spectrum, ybg):
+            before = (len(series_calls), len(theta_calls))
+            a = original(spectrum, ybg)
+            builds.append((len(series_calls) - before[0], theta_calls[before[1]:]))
+            return a
+
+        monkeypatch.setattr(tu, "_a_tensor", counting)
+        assert cli.main(["eval", "--config", str(path)]) == 0
+        capsys.readouterr()
+        n = 3
+        # N^2 numerator theta3 passes, one batched denominator pass and one
+        # background theta3 pass, for both t
+        assert builds == [(n * n + 2, ["theta3"] * (n * n + 1))]
+
+    def test_csv_rows_match_cellwise_fmt(self):
+        rep = cli.Report("eval", {"k": 1}, ["a", "b", "c", "d", "e"])
+        for v in (np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e-310,
+                  2.2250738585072014e-308, 0.1, -1.5e300, 1.0 / 3.0):
+            rep.add(v, np.float64(v), np.float64(-v), 0.5, 2.0)
+        rep.add(np.float32(1.5), 1 + 2j, np.complex128(1 - 1j), True, None)
+        rep.add("pde", "nx=4;nt=2%s", np.float64(3.0), np.int64(7), False)
+        rep.footer["k_tilde"] = np.float64(0.25)
+        lines = rep.render("csv").splitlines()
+        assert lines[3:3 + len(rep.rows)] == [",".join(cli._fmt(v) for v in row)
+                                              for row in rep.rows]
+        assert lines[-1] == "# k_tilde = 0.25"
 
 
 class TestVerify:
@@ -297,6 +362,19 @@ class TestExitCodes:
         res = run_cli(tmp_path, cfg, "eval")
         assert res.returncode == 3
         assert "SpectrumInGap" in res.stderr
+
+    @pytest.mark.parametrize("key", ["b", "beta", "x_shift", "x0"])
+    def test_non_finite_spectrum_value(self, tmp_path, capsys, key):
+        cfg = cnoidal_cfg(nx=8)
+        cfg["solitons"] = [{"beta": 0.30, "kind": "hot"}]
+        if key == "x0":
+            cfg["x0"] = float("nan")
+        else:
+            cfg["solitons"][0][key] = float("nan")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["eval", "--config", str(path)]) == 2
+        assert "is not finite" in capsys.readouterr().err
 
     def test_track_mode_needs_one_soliton(self, tmp_path):
         cfg = {"curve": BASE_CURVE,

@@ -169,6 +169,51 @@ class TestTheta:
             el._theta_sum(True, np.array([0.1, -400j]), curve.tau, (0, 1))
 
 
+# Im(tau) = 1.36 and 0.66: on the second curve the real (hot) arguments of
+# mixed_rows stop at m = 6.5 (theta1) and the ones at |Im| = Im(tau)/2 at 7.5
+ROW_CURVES = [(2.0, 1.0, -3.0), (1.0, -0.4, -0.6)]
+
+
+class TestSeriesRows:
+    """A rows batch of _theta_sum returns what one call per row returns, bit for bit."""
+
+    @staticmethod
+    def mixed_rows(curve):
+        # real and complex arguments up to |Im| = Im(tau)/2 need different term
+        # counts, so each row must stop on its own
+        half_im = curve.tau.imag / 2.0
+        im = np.array([0.0, 0.01, -0.05, half_im, -half_im, 0.3 * half_im] * 2)
+        return np.linspace(-0.95, 0.95, im.size) + 1j * im
+
+    @pytest.mark.parametrize("branch_points", ROW_CURVES)
+    @pytest.mark.parametrize("half_index", [True, False])
+    @pytest.mark.parametrize("order", [0, 2, (0, 1, 2, 3)])
+    def test_one_point_per_row(self, branch_points, half_index, order):
+        curve = el.half_periods(*branch_points)
+        rows = self.mixed_rows(curve)
+        batch = el._theta_sum(half_index, rows, curve.tau, order, rows=True)
+        alone = [el._theta_sum(half_index, complex(b), curve.tau, order) for b in rows]
+        if np.ndim(order) == 0:
+            batch, alone = (batch,), [(v,) for v in alone]
+        for j, values in enumerate(batch):
+            assert values.tobytes() == np.array([v[j] for v in alone]).tobytes()
+
+    @pytest.mark.parametrize("branch_points", ROW_CURVES)
+    @pytest.mark.parametrize("half_index", [True, False])
+    def test_several_points_per_row(self, branch_points, half_index):
+        curve = el.half_periods(*branch_points)
+        rows = self.mixed_rows(curve)[:, None] + np.linspace(0.0, 0.4, 5)[None, :]
+        batch = el._theta_sum(half_index, rows, curve.tau, (0, 1, 2), rows=True)
+        for i, row in enumerate(rows):
+            for together, alone in zip(batch, el._theta_sum(half_index, row, curve.tau, (0, 1, 2))):
+                assert together[i].tobytes() == alone.tobytes()
+
+    def test_convergence_error(self, curve):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ThetaConvergenceError, match="converge"):
+            el._theta_sum(True, np.array([0.1, -400j]), curve.tau, 0, rows=True)
+
+
 # the extreme curves half_periods accepts: e2 - e3 and e1 - e2 at 2e-12 of the scale
 EXTREME_CURVES = {"e2 near e3": (1.0, -0.5 + 1e-12, -0.5 - 1e-12),
                   "e2 near e1": (0.5 + 1e-12, 0.5 - 1e-12, -1.0)}
@@ -314,6 +359,35 @@ class TestWeierstrass:
 
 
 class TestInvertWp:
+    @staticmethod
+    def wp_through_weierstrass(point, curve):
+        beta = point.beta if isinstance(point, el.JacobianPoint) else complex(point)
+        return float(el.weierstrass(2.0 * curve.varpi3 * beta, curve)[0].real)
+
+    def test_wp_on_segment_keeps_the_bits_of_weierstrass(self, curve, dim_point, bright_point):
+        # wp_on_segment sums orders (0, 1, 2) only; each order is its own sum
+        rs = np.linspace(0.01, 0.49, 25)
+        for beta in [dim_point, bright_point, *rs, *(rs + curve.tau / 2.0)]:
+            want = self.wp_through_weierstrass(beta, curve)
+            assert np.float64(el.wp_on_segment(beta, curve)).tobytes() == np.float64(want).tobytes()
+
+    def test_inversion_keeps_its_bits(self, curve, monkeypatch):
+        bs = [-100.0, -40.0, -7.7, -5.3595, -3.2, 1.05, 1.3, 1.50356, 1.95]
+        now = [el.invert_wp(b, curve).beta for b in bs]
+        monkeypatch.setattr(el, "wp_on_segment", self.wp_through_weierstrass)
+        before = [el.invert_wp(b, curve).beta for b in bs]
+        assert np.array(now).tobytes() == np.array(before).tobytes()
+
+    @pytest.mark.parametrize("b, bracket", [(-5.3595, 1), (-40.0, 3), (1.5, 2)])
+    def test_no_four_order_pass_before_newton(self, curve, series_orders, b, bracket):
+        el.zeta_half_period(curve)
+        series_orders.clear()
+        el.invert_wp(b, curve)
+        # bracket and 52 bisection steps read wp only; the two Newton steps
+        # read wp' too; the residual reads wp
+        steps = bracket + 52
+        assert series_orders == [(0, 1, 2)] * steps + [(0, 1, 2, 3)] * 2 + [(0, 1, 2)]
+
     def test_paper_figure_points(self, curve):
         # beta = 0.24 + tau/2 <-> c ~ 1.50356; beta = 0.30 <-> b ~ -5.3595
         assert abs(el.wp_on_segment(0.24 + curve.tau / 2.0, curve) - 1.50356) < 1e-3

@@ -15,7 +15,7 @@ from cnoidal_kdv.errors import (
     GridTooCoarse,
     PhaseOverflow,
 )
-from oracles import single_soliton_two_term
+from oracles import a_tensor_loop, norming_constants_loop, single_soliton_two_term
 
 
 class TestSpectrum:
@@ -106,6 +106,12 @@ class TestGMatrix:
     def test_phase_overflow_guard(self, ctx_bright):
         with pytest.raises(PhaseOverflow):
             tu.g_matrix(ctx_bright, -1e4, 0.0)
+
+    def test_phase_overflow_guard_rejects_nan(self, curve, bright_point):
+        # a NaN exponent fails every comparison; it must not pass the guard
+        sp = tu.spectrum_from_points(curve, [(bright_point, float("nan"))])
+        with pytest.raises(PhaseOverflow):
+            tu.u_grid(tu.build_context(curve, sp), np.linspace(-1.0, 1.0, 5), 0.0)
 
 
 class TestTau:
@@ -250,6 +256,46 @@ class TestUField:
         u_xxx = fd.third_derivative_axis(u, dx, axis=1)[2:-2]
         resid = u_t[:, 3:-3] + u_xxx + 6.0 * u[2:-2, 3:-3] * u_x[:, 1:-1]
         assert np.max(np.abs(resid)) < 1e-3
+
+
+def mixed_points(curve, n):
+    """n Jacobian points, hot and cool alternating, at distinct real parts."""
+    rs = np.linspace(0.08, 0.44, n)
+    return [el.JacobianPoint(r + (k % 2) * curve.tau / 2.0, k % 2) for k, r in enumerate(rs)]
+
+
+class TestBatchedThetaKeepsBits:
+    """The batched theta1 passes give what one scalar call per value gave."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_norming_constants(self, curve, dim_point, bright_point, n):
+        for points in (mixed_points(curve, n), [dim_point, bright_point][:n]):
+            got = tu.norming_constants(points, curve)
+            assert got.tobytes() == norming_constants_loop(points, curve).tobytes()
+
+    def test_quasi_momentum(self, curve, dim_point, bright_point):
+        # orders (0, 1) only; the previous form read d1 of the four-order pass
+        for pt in [dim_point, bright_point, *mixed_points(curve, 8)]:
+            d1, _, _ = el.log_theta1_derivatives(pt.beta, curve.tau)
+            before = d1 / (2.0 * curve.varpi3) + pt.chi * 1j * np.pi / (2.0 * curve.varpi3)
+            assert tu.quasi_momentum(pt, curve) == before
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_a_tensor(self, curve, n):
+        sp = tu.spectrum_from_points(curve, [(p, 0.0) for p in mixed_points(curve, n)])
+        ybg = np.linspace(-1.3, 1.3, 37)
+        assert tu._a_tensor(sp, ybg).tobytes() == a_tensor_loop(sp, ybg).tobytes()
+
+    def test_spectrum_makes_one_norming_pass(self, curve, series_orders, theta_calls):
+        points = mixed_points(curve, 3)
+        el.zeta_half_period(curve)          # cached on the curve
+        series_orders.clear()
+        theta_calls.clear()
+        tu.spectrum_from_points(curve, [(p, 0.0) for p in points])
+        # one order-0 pass over all N(2N - 1) norming theta1 values, then per
+        # point quasi_momentum (0, 1), quasi_energy (0..3) and wp_on_segment (0, 1, 2)
+        assert series_orders == [0] + [(0, 1), (0, 1, 2, 3), (0, 1, 2)] * 3
+        assert theta_calls == []
 
 
 @pytest.fixture(scope="module")
