@@ -168,34 +168,37 @@ def _theta_sum(half_index: bool, beta, tau: complex, order, rows: bool = False):
             total += start
         running_max.append([start] * n_rows)
     quiet = [[0] * n_rows for _ in orders]
+    live = [n_rows] * len(orders)       # rows of each order still taking terms
     m = 0.5 if half_index else 1.0
     while True:
         w = 2j * np.pi * m
         qm = np.exp(1j * np.pi * tau * m * m)
         e_plus, e_minus = np.exp(w * z), np.exp(-w * z)
         for j, k in enumerate(orders):
-            counts, tops = quiet[j], running_max[j]
-            if min(counts) == 3:
+            if not live[j]:
                 continue
+            counts, tops = quiet[j], running_max[j]
             term = qm * (w ** k * e_plus + (-w) ** k * e_minus)
-            if max(counts) < 3:
+            if live[j] == n_rows:
                 totals[j] = totals[j] + term
             else:
-                live = np.reshape([c < 3 for c in counts], (n_rows,) + (1,) * (b.ndim - 1))
-                totals[j] = np.where(live, totals[j] + term, totals[j])
+                keep = np.reshape([c < 3 for c in counts], (n_rows,) + (1,) * (b.ndim - 1))
+                totals[j] = np.where(keep, totals[j] + term, totals[j])
             if rows:
                 peaks = np.abs(term).reshape(n_rows, -1).max(axis=1).tolist()
             else:
-                peaks = [float(np.abs(term).max())]
+                peaks = (float(np.abs(term).max()),)
             for r, peak in enumerate(peaks):
                 if counts[r] == 3:
                     continue
                 tops[r] = top = max(tops[r], peak)
                 if peak == 0.0 or (top > 0.0 and peak < 1e-16 * top):
                     counts[r] += 1
+                    if counts[r] == 3:
+                        live[j] -= 1
                 else:
                     counts[r] = 0
-        if min(map(min, quiet)) == 3:
+        if not any(live):
             break
         m += 1.0
         if m > 512:
