@@ -42,7 +42,6 @@ from .elliptic import (
     invert_wp,
     theta3,
     weierstrass,
-    wp_on_segment,
     zeta_half_period,
 )
 from .errors import (
@@ -111,10 +110,15 @@ def quasi_momentum(point: JacobianPoint, curve: CurveParams) -> complex:
     return d1 / (2.0 * curve.varpi3) + point.chi * 1j * np.pi / (2.0 * curve.varpi3)
 
 
+def _wp_and_energy(point: JacobianPoint, curve: CurveParams) -> tuple[complex, complex]:
+    """(wp, E) at 2 varpi3 beta from one weierstrass call, E(beta) = -wp'(2 varpi3 beta) / 2."""
+    wp, wpp, _ = weierstrass(2.0 * curve.varpi3 * point.beta, curve)
+    return wp, -0.5 * wpp
+
+
 def quasi_energy(point: JacobianPoint, curve: CurveParams) -> complex:
     """E(beta) = -wp'(2 varpi3 beta) / 2."""
-    _, wpp, _ = weierstrass(2.0 * curve.varpi3 * point.beta, curve)
-    return -0.5 * wpp
+    return _wp_and_energy(point, curve)[1]
 
 
 def norming_constants(points: list[JacobianPoint], curve: CurveParams) -> np.ndarray:
@@ -160,9 +164,9 @@ def spectrum_from_points(curve: CurveParams, points: list[tuple[JacobianPoint, f
         P = quasi_momentum(pt, curve)
         if abs(P.real) > 1e-12 * abs(P) or P.imag <= 0.0:
             raise NonRealTau(f"quasi-momentum {P} not in i*R_+")
-        E = quasi_energy(pt, curve)
+        wp, E = _wp_and_energy(pt, curve)
         entries.append(SpectralEntry(
-            b=wp_on_segment(pt, curve),
+            b=float(wp.real),
             point=pt,
             beta=pt.beta,
             beta_star=pt.star(curve.tau),
@@ -220,11 +224,19 @@ def _a_tensor(spectrum: SolitonSpectrum, ybg: np.ndarray) -> np.ndarray:
     # theta1(beta_m* - beta_l): one series per (l, m) in one pass
     den = _theta_sum(True, (stars[None, :] - betas[:, None]).ravel(), tau_mod, 0,
                      rows=True).reshape(n, n)
+    # two solitons of the same kind often give bit-equal c_lm and c_ml, whose
+    # numerators are then one theta3 pass
+    c = [[el.beta - em.beta_star for em in spectrum.entries] for el in spectrum.entries]
     a = np.empty((ybg.size, n, n), dtype=complex)
-    for l, el in enumerate(spectrum.entries):
-        for m, em in enumerate(spectrum.entries):
-            num = theta3(el.beta - em.beta_star + ybg, tau_mod)
+    for l in range(n):
+        for m in range(l, n):
+            num = theta3(c[l][m] + ybg, tau_mod)
             a[:, l, m] = num / (den[l, m] * th_bg)
+            if m == l:
+                continue
+            if c[m][l] != c[l][m]:
+                num = theta3(c[m][l] + ybg, tau_mod)
+            a[:, m, l] = num / (den[m, l] * th_bg)
     return a
 
 

@@ -285,3 +285,68 @@ def a_tensor_loop(spectrum, ybg) -> np.ndarray:
             den = theta1(em.beta_star - el.beta, tau_mod)
             a[:, l, m] = num / (den * th_bg)
     return a
+
+
+def invert_wp_bisection(b: float, curve):
+    """Jacobian coordinate of a spectral point b by bisection, evaluating wp at every step.
+
+    wp(2 varpi3 beta) increases from -inf to e3 along beta in (0, 1/2) and
+    decreases from e1 to e2 along tau/2 + (0, 1/2); the segment is picked
+    from the location of b, then bisection plus a Newton polish solves
+    wp(2 varpi3 beta) = b.
+    """
+    from cnoidal_kdv.elliptic import _BRANCH_TOL, JacobianPoint, weierstrass, wp_on_segment
+    from cnoidal_kdv.errors import SpectrumInGap, TooCloseToBranchPoint
+
+    e1, e2, e3 = curve.e1, curve.e2, curve.e3
+    scale = max(abs(e1), abs(e2), abs(e3))
+    guard = _BRANCH_TOL * max(scale, 1.0)
+    if min(abs(b - e1), abs(b - e2), abs(b - e3)) < guard:
+        raise TooCloseToBranchPoint(f"b = {b} within {guard} of a branch point")
+    if b < e3:
+        chi = 0
+    elif e2 < b < e1:
+        chi = 1
+    else:
+        raise SpectrumInGap(f"b = {b} lies in a spectral band")
+
+    if chi == 0:
+        def f(r):
+            return wp_on_segment(r, curve) - b
+        lo, hi = 0.25, 0.5          # f(0.5) = e3 - b > 0
+        tries = 0
+        while f(lo) >= 0.0:
+            lo *= 0.5
+            tries += 1
+            if tries > 60:
+                raise TooCloseToBranchPoint(f"cannot bracket b = {b}")
+    else:
+        def f(r):
+            return b - wp_on_segment(r + curve.tau / 2.0, curve)
+        lo, hi = 1e-8, 0.5 - 1e-8   # f increasing: f(lo) ~ b - e1 < 0, f(hi) ~ b - e2 > 0
+        while f(lo) >= 0.0:
+            lo *= 0.5
+        while f(hi) <= 0.0:
+            hi = 0.5 - 0.5 * (0.5 - hi)
+
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    r = 0.5 * (lo + hi)
+
+    # Newton polish: d/dbeta wp(2 varpi3 beta) = 2 varpi3 wp'
+    shift = curve.tau / 2.0 if chi else 0.0
+    for _ in range(2):
+        wp, wpp, _ = weierstrass(2.0 * curve.varpi3 * (r + shift), curve)
+        step = (wp.real - b) / (2.0 * curve.varpi3 * wpp).real
+        r_new = r - step
+        if 0.0 < r_new < 0.5:
+            r = r_new
+    beta = r + shift
+    resid = abs(wp_on_segment(beta, curve) - b)
+    if resid > 1e-11 * max(1.0, abs(b)):
+        raise TooCloseToBranchPoint(f"inversion residual {resid} for b = {b}")
+    return JacobianPoint(beta=complex(beta), chi=chi)

@@ -173,9 +173,10 @@ class TestEvalPath:
         assert cli.main(["eval", "--config", str(path)]) == 0
         capsys.readouterr()
         n = 3
-        # N^2 numerator theta3 passes, one batched denominator pass and one
-        # background theta3 pass, for both t
-        assert builds == [(n * n + 2, ["theta3"] * (n * n + 1))]
+        # N^2 - 1 numerator theta3 passes (the two hot solitons' arguments
+        # beta_1 - beta_3* and beta_3 - beta_1* are bit-equal and share one),
+        # one batched denominator pass and one background theta3 pass, for both t
+        assert builds == [(n * n + 1, ["theta3"] * n * n)]
 
     def test_csv_rows_match_cellwise_fmt(self):
         rep = cli.Report("eval", {"k": 1}, ["a", "b", "c", "d", "e"])

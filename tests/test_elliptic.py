@@ -1,7 +1,12 @@
 """Theta functions, Weierstrass functions, half periods, wp inversion."""
 
+import json
+import math
+import statistics
 import time
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +14,7 @@ from hypothesis import strategies as st
 
 from cnoidal_kdv import elliptic as el
 from cnoidal_kdv.errors import (
+    CnoidalKdvError,
     LatticePoint,
     NonDistinctBranchPoints,
     SpectrumInGap,
@@ -18,6 +24,7 @@ from cnoidal_kdv.errors import (
 )
 from oracles import (
     fd_derivative,
+    invert_wp_bisection,
     lattice_zeta,
     legendre_combination,
     mp_theta,
@@ -378,14 +385,15 @@ class TestInvertWp:
         before = [el.invert_wp(b, curve).beta for b in bs]
         assert np.array(now).tobytes() == np.array(before).tobytes()
 
-    @pytest.mark.parametrize("b, bracket", [(-5.3595, 1), (-40.0, 3), (1.5, 2)])
-    def test_no_four_order_pass_before_newton(self, curve, series_orders, b, bracket):
+    @pytest.mark.parametrize("b, inside", [(-5.3595, 10), (-40.0, 9), (1.5, 9)])
+    def test_no_four_order_pass_before_newton(self, curve, series_orders, b, inside):
         el.zeta_half_period(curve)
         series_orders.clear()
         el.invert_wp(b, curve)
-        # bracket and 52 bisection steps read wp only; the two Newton steps
-        # read wp' too; the residual reads wp
-        steps = bracket + 52
+        # two wp passes certify the band around the R_F root, the bracket and
+        # the bisection steps inside the band read wp only; the two Newton
+        # steps read wp' too; the residual reads wp
+        steps = 2 + inside
         assert series_orders == [(0, 1, 2)] * steps + [(0, 1, 2, 3)] * 2 + [(0, 1, 2)]
 
     def test_paper_figure_points(self, curve):
@@ -431,3 +439,96 @@ class TestInvertWp:
             el.invert_wp(5.0, curve)       # beyond e1
         with pytest.raises(TooCloseToBranchPoint):
             el.invert_wp(-3.0 - 1e-12, curve)
+
+
+POOLS = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+def pool_spectral_points():
+    """Every (curve, b) a soliton of the field_tau and tracker benchmark pools gives by b."""
+    points = set()
+    for name in ("field_tau", "tracker"):
+        for members in json.loads((POOLS / f"{name}.json").read_text())["classes"].values():
+            for member in members:
+                e = member["cfg"]["curve"]
+                for soliton in member["cfg"].get("solitons", []):
+                    if "b" in soliton:
+                        points.add((e["e1"], e["e2"], e["e3"], soliton["b"]))
+    return sorted(points)
+
+
+def segment_values(e1, e2, e3):
+    """About 20 b per spectral gap, down to 1e-8 from each branch point, plus b outside both."""
+    scale = max(abs(e1), abs(e2), abs(e3))
+    hot = list(e3 - scale * np.geomspace(1e-8, 1e2, 18)) + [e3 - 1e-8, e3 - 1e3]
+    u = np.concatenate([np.geomspace(1e-8, 0.3, 9), np.linspace(0.4, 0.6, 2)])
+    cool = list(e2 + (e1 - e2) * u) + list(e1 - (e1 - e2) * u[:9]) + [e1 - 1e-8, e2 + 1e-8]
+    rejected = [e3 - 0.5e-9 * scale, e1 - 0.5e-9 * scale, 0.5 * (e2 + e3), e1 + 1.0]
+    return [float(b) for b in hot + cool + rejected]
+
+
+class TestInvertWpKeepsTheBisectionBits:
+    """invert_wp gives the plain bisection's beta bit for bit, or raises its exception."""
+
+    @staticmethod
+    def outcome(invert, b, curve):
+        try:
+            pt = invert(b, curve)
+        except CnoidalKdvError as exc:
+            return type(exc), str(exc)
+        return np.complex128(pt.beta).tobytes(), pt.chi
+
+    @pytest.fixture
+    def wp_evaluations(self, monkeypatch):
+        """One entry per wp_on_segment or weierstrass call looked up on the elliptic module."""
+        calls = []
+        for name in ("wp_on_segment", "weierstrass"):
+            def counting(*args, _fn=getattr(el, name), **kwargs):
+                calls.append(1)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(el, name, counting)
+        return calls
+
+    def test_pool_values(self, wp_evaluations):
+        counts = []
+        for e1, e2, e3, b in pool_spectral_points():
+            curve = el.half_periods(e1, e2, e3)
+            wp_evaluations.clear()
+            got = self.outcome(el.invert_wp, b, curve)
+            counts.append(len(wp_evaluations))
+            assert got == self.outcome(invert_wp_bisection, b, curve), b
+        # the bisection evaluates wp 57 times on the median pool value
+        assert len(counts) == 46 and statistics.median(counts) <= 16
+
+    @pytest.mark.parametrize("e", [(2.0, 1.0, -3.0), (1.0, 0.2, -1.2), (5.0, -1.0, -4.0)])
+    def test_segments(self, e):
+        curve = el.half_periods(*e)
+        for b in segment_values(*e):
+            assert self.outcome(el.invert_wp, b, curve) == self.outcome(invert_wp_bisection, b, curve), b
+
+    @pytest.mark.parametrize("b", [-5.3595, 1.5])
+    def test_root_off_by_1e_3_evaluates_every_sign(self, curve, monkeypatch, wp_evaluations, b):
+        rf = el._carlson_rf
+        monkeypatch.setattr(el, "_carlson_rf",
+                            lambda x, y, z: rf(x, y, z) + 2e-3 * abs(curve.varpi3))
+        got = self.outcome(el.invert_wp, b, curve)
+        steered = len(wp_evaluations)
+        wp_evaluations.clear()
+        assert got == self.outcome(invert_wp_bisection, b, curve)
+        # no band certifies: the five widths each fail their first check, then
+        # the bracket and bisection evaluate as the plain bisection does
+        assert steered == len(wp_evaluations) + 5
+
+
+class TestCarlsonRF:
+    def test_against_mpmath(self):
+        rng = np.random.default_rng(11)
+        args = [tuple(v) for v in 10.0 ** rng.uniform(-6, 6, (60, 3))]
+        args += [(0.0, 1.0, 2.0), (3.0, 0.0, 1e-3), (1.0, 1.0, 1e-12), (5.0, 4.0, 1.0), (1e8, 2.0, 1.0)]
+        for x, y, z in args:
+            want = float(mpmath.elliprf(x, y, z))
+            assert abs(el._carlson_rf(x, y, z) - want) <= 1e-15 * want, (x, y, z)
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-8, 0.37, 1.0, 2.0, 7.5e5, 1e300])
+    def test_equal_arguments(self, x):
+        assert abs(el._carlson_rf(x, x, x) * math.sqrt(x) - 1.0) <= 2.0 ** -52

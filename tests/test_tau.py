@@ -286,6 +286,14 @@ class TestBatchedThetaKeepsBits:
         ybg = np.linspace(-1.3, 1.3, 37)
         assert tu._a_tensor(sp, ybg).tobytes() == a_tensor_loop(sp, ybg).tobytes()
 
+    def test_spectrum_b_and_e_keep_their_bits(self, curve):
+        # b and E share one weierstrass pass; b was wp_on_segment's, E quasi_energy's
+        for pt in mixed_points(curve, 6):
+            entry = tu.spectrum_from_points(curve, [(pt, 0.0)]).entries[0]
+            assert np.float64(entry.b).tobytes() == np.float64(el.wp_on_segment(pt, curve)).tobytes()
+            wpp = el.weierstrass(2.0 * curve.varpi3 * pt.beta, curve)[1]
+            assert np.complex128(entry.E).tobytes() == np.complex128(complex(0.0, (-0.5 * wpp).imag)).tobytes()
+
     def test_spectrum_makes_one_norming_pass(self, curve, series_orders, theta_calls):
         points = mixed_points(curve, 3)
         el.zeta_half_period(curve)          # cached on the curve
@@ -293,8 +301,8 @@ class TestBatchedThetaKeepsBits:
         theta_calls.clear()
         tu.spectrum_from_points(curve, [(p, 0.0) for p in points])
         # one order-0 pass over all N(2N - 1) norming theta1 values, then per
-        # point quasi_momentum (0, 1), quasi_energy (0..3) and wp_on_segment (0, 1, 2)
-        assert series_orders == [0] + [(0, 1), (0, 1, 2, 3), (0, 1, 2)] * 3
+        # point quasi_momentum (0, 1) and one weierstrass pass (0..3) for b and E
+        assert series_orders == [0] + [(0, 1), (0, 1, 2, 3)] * 3
         assert theta_calls == []
 
 
