@@ -96,3 +96,9 @@ def grid_calls(monkeypatch):
 def weierstrass_calls(monkeypatch):
     """One entry per weierstrass call made from any package module."""
     return _count_calls(monkeypatch, ("weierstrass",))
+
+
+@pytest.fixture
+def wp_calls(monkeypatch):
+    """One entry per wp_on_segment or weierstrass call made from any package module."""
+    return _count_calls(monkeypatch, ("wp_on_segment", "weierstrass"))
