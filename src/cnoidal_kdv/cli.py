@@ -13,6 +13,7 @@ and the header block echoes the resolved configuration and tool version.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -147,14 +148,14 @@ class Report:
             f"# config: {json.dumps(self.cfg, sort_keys=True)}",
         ]
         lines.append(",".join(self.columns))
-        formats = {}
-        for row in self.rows:
-            types = tuple(map(type, row))
-            if types not in formats:
-                formats[types] = _row_format(types)
-            fmt, all_float = formats[types]
-            cells = row if all_float else [v if isinstance(v, float) else _fmt(v) for v in row]
-            lines.append(fmt % tuple(cells))
+        # one % per run of rows whose cells have the same types
+        for types, run in itertools.groupby(self.rows, key=lambda row: tuple(map(type, row))):
+            run = list(run)
+            fmt, all_float = _row_format(types)
+            cells = [v for row in run for v in row]
+            if not all_float:
+                cells = [v if isinstance(v, float) else _fmt(v) for v in cells]
+            lines.append("\n".join([fmt] * len(run)) % tuple(cells))
         for k, v in self.footer.items():
             lines.append(f"# {k} = {_fmt(v)}")
         return "\n".join(lines) + "\n"
@@ -166,9 +167,10 @@ def cmd_eval(cfg: dict, args) -> tuple[Report, int]:
     ctx = tau.build_context(curve, spectrum)
     xs, ts = _grid(cfg)
     rep = Report("eval", cfg, ["x", "t", "u", "tau", "detG"])
-    for t, (u_row, tau_row, det_row) in zip(ts, tau._eval_rows(ctx, xs, ts)):
-        for x, u, tv, dv in zip(xs, u_row, tau_row, det_row):
-            rep.add(x, float(t), u, tv, dv)
+    x_cells = xs.tolist()
+    for t, (u_row, tau_row, det_row) in zip(ts.tolist(), tau._eval_rows(ctx, xs, ts)):
+        rep.rows += map(list, zip(x_cells, itertools.repeat(t), u_row.tolist(),
+                                  tau_row.tolist(), det_row.tolist()))
     return rep, 0
 
 

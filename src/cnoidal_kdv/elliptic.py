@@ -45,6 +45,10 @@ MIN_IM_TAU = 0.05
 
 _BRANCH_TOL = 1e-9
 
+# ln(DBL_MAX)/2: exp of anything up to it can be squared, or multiplied by
+# another such value, without overflow
+_HALF_LOG_MAX = 0.5 * float(np.log(np.finfo(float).max))
+
 # invert_wp: bound on twice the rounding error of the computed wp(2 varpi3 beta)
 # relative to max(1, |wp|, max |e_i|), and the half widths of the band it
 # certifies.  Against a 34-digit theta series at the same tau, varpi3 and
@@ -164,6 +168,17 @@ def _theta_sum(half_index: bool, beta, tau: complex, order, rows: bool = False):
     count per order and takes no term once it stops, so a batch returns
     what one call per row returns.  An empty beta array gives an empty
     result.
+
+    Each term needs exp(+-w z), w = 2 pi i m.  When every z of an array call
+    (not rows) has one imaginary part s, both have the real part +-x,
+    x = -2 pi m s, at every point, so one complex exponential serves: with
+    unit = exp(w z - x), whose real part is exactly 0, they are exp(x) unit
+    and exp(-x) conj(unit), and for x = 0 exp(w z) and its conjugate.
+    numpy's complex exp forms exp(Re) (cos Im + i sin Im) from the same
+    scalar exp as math.exp and an odd sine, so this equals the two
+    exponentials bit for bit (tests/oracles.py keeps the two-exponential
+    sum to check it).  Rows, 0-d arguments, arguments whose imaginary parts
+    differ and |x| > _HALF_LOG_MAX take both exponentials.
     """
     if tau.imag < MIN_IM_TAU:
         raise ThetaConvergenceError(f"Im(tau) = {tau.imag} < {MIN_IM_TAU}")
@@ -183,11 +198,22 @@ def _theta_sum(half_index: bool, beta, tau: complex, order, rows: bool = False):
         running_max.append([start] * n_rows)
     quiet = [[0] * n_rows for _ in orders]
     live = [n_rows] * len(orders)       # rows of each order still taking terms
+    # one imaginary part s shared by every z lets exp(-w z) come from exp(w z)
+    shared = not rows and b.ndim > 0 and bool(np.all(z.imag == z.imag.flat[0]))
+    s = float(z.imag.flat[0]) if shared else 0.0
     m = 0.5 if half_index else 1.0
     while True:
         w = 2j * np.pi * m
         qm = np.exp(1j * np.pi * tau * m * m)
-        e_plus, e_minus = np.exp(w * z), np.exp(-w * z)
+        x = -(w.imag * s)           # Re(w z) at every point when shared
+        if not shared or abs(x) > _HALF_LOG_MAX:
+            e_plus, e_minus = np.exp(w * z), np.exp(-w * z)
+        elif x == 0.0:
+            e_plus = np.exp(w * z)
+            e_minus = np.conj(e_plus)
+        else:
+            unit = np.exp(w * z - x)
+            e_plus, e_minus = math.exp(x) * unit, math.exp(-x) * np.conj(unit)
         for j, k in enumerate(orders):
             if not live[j]:
                 continue

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
-from .elliptic import _cnoidal_wave, _log_theta1_ratio, theta1, theta3
+from .elliptic import _HALF_LOG_MAX, _cnoidal_wave, _log_theta1_ratio, theta1, theta3
 from .errors import (
     CoincidentSolitons,
     FactorizationMismatch,
@@ -36,10 +36,6 @@ from .errors import (
 from .tau import SolitonSpectrum, fredholm_factor
 
 _IDENTITY_GATE = 1e-9
-# Largest |exponent| of the x-only factor E of a lattice term.  E never
-# overflows, and a term whose per-draw factor C underflows lies below
-# exp(-_E_EXPONENT_BOUND) of the nu = 0 term, which is 1.
-_E_EXPONENT_BOUND = 0.5 * float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -296,7 +292,9 @@ def _finite_gap_theta(spec: DegenerationSpec, draws: np.ndarray, xs: np.ndarray,
     from the half-period shift must not be exponentiated separately (their
     product is finite where the factors overflow).  The soliton slopes are
     imaginary, so E is a real exponential; the blocks keep its exponent
-    within _E_EXPONENT_BOUND.
+    within _HALF_LOG_MAX.  E then never overflows, and a term whose per-draw
+    factor C underflows lies below exp(-_HALF_LOG_MAX) of the nu = 0 term,
+    which is 1.
     """
     sp = spec.spectrum
     curve = sp.curve
@@ -315,7 +313,7 @@ def _finite_gap_theta(spec: DegenerationSpec, draws: np.ndarray, xs: np.ndarray,
     w3 = 4.0 * abs(curve.varpi3)
     slope = np.append(p / (2.0 * np.pi), 1.0 / w3)
     growth = radius * float(np.sum(np.abs(p.imag)))      # max |Re log E| per unit |x - x_c|
-    reach = (_E_EXPONENT_BOUND / growth if growth > 0.0 else np.inf) - 2.0 * h
+    reach = (_HALF_LOG_MAX / growth if growth > 0.0 else np.inf) - 2.0 * h
     m = np.arange(-radius, radius + 1, dtype=float)
 
     vals = np.empty((draws.shape[0], ts.size, xs.size, fd.D2_OFFSETS.size), dtype=complex)

@@ -36,6 +36,7 @@ from . import fd
 from .elliptic import (
     CurveParams,
     JacobianPoint,
+    _HALF_LOG_MAX,
     _cnoidal_wave,
     _log_theta1_derivatives,
     _theta_sum,
@@ -52,7 +53,9 @@ from .errors import (
     PhaseOverflow,
 )
 
-_EXP_GUARD = 600.0
+# G_ll carries exp(2 expo_l) and G_lm exp(expo_l + expo_m), so each phase
+# exponent stays within ln(DBL_MAX)/2
+_EXP_GUARD = _HALF_LOG_MAX
 _REALITY_TOL = 1e-9
 
 
@@ -361,10 +364,6 @@ def _logdet_stencil(ctx: TauContext, xs: np.ndarray, t: float,
     xs = np.asarray(xs, dtype=float)
     grid = (xs[:, None] + h * fd.D2_OFFSETS[None, :]).ravel()
     return _logdet_one_plus_g(ctx, grid, t).reshape(xs.size, 5)
-
-
-def u_eval(ctx: TauContext, x: float, t: float) -> float:
-    return float(u_grid(ctx, np.array([x]), t)[0])
 
 
 def u_grid(ctx: TauContext, xs, t: float, richardson: bool = False) -> np.ndarray:

@@ -350,3 +350,71 @@ def invert_wp_bisection(b: float, curve):
     if resid > 1e-11 * max(1.0, abs(b)):
         raise TooCloseToBranchPoint(f"inversion residual {resid} for b = {b}")
     return JacobianPoint(beta=complex(beta), chi=chi)
+
+
+def theta_sum_two_exp(half_index: bool, beta, tau: complex, order, rows: bool = False):
+    """_theta_sum as it was before one exponential served both e^{+wz} and e^{-wz}.
+
+    Every term takes both complex exponentials exp(w z) and exp(-w z) over
+    the whole array; otherwise (orders, running maxima, rows, stopping rule,
+    512-term cap, errors) the package's series is unchanged, so the two must
+    agree bit for bit.
+    """
+    from cnoidal_kdv.elliptic import MIN_IM_TAU
+    from cnoidal_kdv.errors import ThetaConvergenceError
+
+    if tau.imag < MIN_IM_TAU:
+        raise ThetaConvergenceError(f"Im(tau) = {tau.imag} < {MIN_IM_TAU}")
+    single = np.ndim(order) == 0
+    orders = (order,) if single else tuple(order)
+    b = np.asarray(beta, dtype=np.complex128)
+    if b.size == 0:
+        return b.copy() if single else tuple(b.copy() for _ in orders)
+    z = b - 0.5 if half_index else b
+    n_rows = b.shape[0] if rows else 1
+    totals = [np.zeros_like(b) for _ in orders]
+    running_max = []
+    for k, total in zip(orders, totals):
+        start = 1.0 if not half_index and k == 0 else 0.0
+        if start:
+            total += start
+        running_max.append([start] * n_rows)
+    quiet = [[0] * n_rows for _ in orders]
+    live = [n_rows] * len(orders)       # rows of each order still taking terms
+    m = 0.5 if half_index else 1.0
+    while True:
+        w = 2j * np.pi * m
+        qm = np.exp(1j * np.pi * tau * m * m)
+        e_plus, e_minus = np.exp(w * z), np.exp(-w * z)
+        for j, k in enumerate(orders):
+            if not live[j]:
+                continue
+            counts, tops = quiet[j], running_max[j]
+            term = qm * (w ** k * e_plus + (-w) ** k * e_minus)
+            if live[j] == n_rows:
+                totals[j] = totals[j] + term
+            else:
+                keep = np.reshape([c < 3 for c in counts], (n_rows,) + (1,) * (b.ndim - 1))
+                totals[j] = np.where(keep, totals[j] + term, totals[j])
+            if rows:
+                peaks = np.abs(term).reshape(n_rows, -1).max(axis=1).tolist()
+            else:
+                peaks = (float(np.abs(term).max()),)
+            for r, peak in enumerate(peaks):
+                if counts[r] == 3:
+                    continue
+                tops[r] = top = max(tops[r], peak)
+                if peak == 0.0 or (top > 0.0 and peak < 1e-16 * top):
+                    counts[r] += 1
+                    if counts[r] == 3:
+                        live[j] -= 1
+                else:
+                    counts[r] = 0
+        if not any(live):
+            break
+        m += 1.0
+        if m > 512:
+            raise ThetaConvergenceError("theta series failed to converge")
+    if np.ndim(beta) == 0:
+        totals = [complex(total) for total in totals]
+    return totals[0] if single else tuple(totals)

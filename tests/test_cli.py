@@ -377,6 +377,21 @@ class TestExitCodes:
         assert cli.main(["eval", "--config", str(path)]) == 2
         assert "is not finite" in capsys.readouterr().err
 
+    def test_pair_overflow_is_phase_overflow(self, tmp_path, capsys):
+        # at t = 0.5 the largest phase exponent is 507: finite, but G_ll carries
+        # exp(2 * 507), and det(1 + G) used to print 391 nan rows with exit 0
+        cfg = {"curve": BASE_CURVE,
+               "solitons": [{"b": -3.592068, "x_shift": 3.84852},
+                            {"beta": 0.056844, "kind": "hot", "x_shift": -4.43772}],
+               "grid": {"xmin": -20.0, "xmax": 20.0, "nx": 600,
+                        "tmin": 0.0, "tmax": 0.5, "nt": 2}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["eval", "--config", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("PhaseOverflow")
+
     def test_track_mode_needs_one_soliton(self, tmp_path):
         cfg = {"curve": BASE_CURVE,
                "solitons": [{"beta": 0.25, "kind": "cool"}, {"beta": 0.36, "kind": "cool"}],

@@ -30,6 +30,7 @@ from oracles import (
     mp_theta,
     quad_half_periods,
     theta_eval,
+    theta_sum_two_exp,
 )
 
 
@@ -219,6 +220,113 @@ class TestSeriesRows:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ThetaConvergenceError, match="converge"):
             el._theta_sum(True, np.array([0.1, -400j]), curve.tau, 0, rows=True)
+
+
+FIVE_CURVES = [(2.0, 1.0, -3.0), (1.0, 0.2, -1.2), (5.0, -1.0, -4.0),
+               (0.5, 0.49, -0.99), (30.0, -10.0, -20.0)]
+
+
+def _series_outcome(fn, *args, **kwargs):
+    """The bytes of each order's values, or the raised exception's type and message."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [np.asarray(v).tobytes() for v in (values if isinstance(values, tuple) else (values,))]
+
+
+class TestOneExponentialPerTerm:
+    """One complex exponential per term where every argument shares its imaginary part.
+
+    The series must keep the bits (or the exception) of the two-exponential
+    sum in tests/oracles.py for every argument shape it may take.
+    """
+
+    @staticmethod
+    def arguments(curve, rng):
+        half_im = curve.tau.imag / 2.0
+        re = rng.uniform(-2.0, 2.0, 300)
+        shared = rng.uniform(-1.5, 1.5) * curve.tau.imag
+        args = [re + 0j, re.reshape(20, 15) + 0j, re]
+        args += [re + 1j * s for s in (half_im, -half_im, shared)]
+        args += [(re + 1j * s).reshape(15, 20) for s in (half_im, -half_im, shared)]
+        signed_zeros = np.array([0.0, -0.0, 0.5, -0.5, 1.0, 0.25, -1e-300])
+        args += [signed_zeros + 0j, signed_zeros - 1j * half_im,
+                 np.array([complex(0.0, -0.0), complex(-0.0, -0.0), complex(0.5, -0.0)])]
+        args += [re + 1j * rng.uniform(-half_im, half_im, re.size),    # Im varies
+                 np.array([0.3, 0.3 + 1e-300j]),                       # by one subnormal
+                 re[:1] - 0.0j, complex(re[0]), complex(re[1], -half_im), re[2]]
+        return args
+
+    @pytest.mark.parametrize("branch_points", FIVE_CURVES)
+    @pytest.mark.parametrize("half_index", [True, False])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, (0, 1, 2, 3)])
+    def test_same_bits_as_two_exponentials(self, branch_points, half_index, order):
+        curve = el.half_periods(*branch_points)
+        for beta in self.arguments(curve, np.random.default_rng(11)):
+            assert (_series_outcome(el._theta_sum, half_index, beta, curve.tau, order)
+                    == _series_outcome(theta_sum_two_exp, half_index, beta, curve.tau, order))
+
+    @pytest.mark.parametrize("branch_points", FIVE_CURVES)
+    @pytest.mark.parametrize("half_index", [True, False])
+    def test_rows_same_bits_as_two_exponentials(self, branch_points, half_index):
+        curve = el.half_periods(*branch_points)
+        rows = TestSeriesRows.mixed_rows(curve)
+        for beta in (rows, rows[:, None] + np.linspace(0.0, 0.4, 5)[None, :], rows.real + 0j):
+            for order in (0, (0, 1, 2, 3)):
+                assert (_series_outcome(el._theta_sum, half_index, beta, curve.tau, order, rows=True)
+                        == _series_outcome(theta_sum_two_exp, half_index, beta, curve.tau, order,
+                                           rows=True))
+
+    @pytest.mark.parametrize("im", [8.0, -8.0, 20.0])
+    @pytest.mark.parametrize("half_index", [True, False])
+    def test_beyond_the_exponent_bound(self, curve, im, half_index):
+        # 2 pi m |Im z| passes ln(DBL_MAX)/2 from m = 7.5 on at |Im| = 8, where
+        # the series still converges, and from m = 3 on at |Im| = 20, where exp
+        # overflows and both sums raise ThetaConvergenceError
+        beta = np.linspace(-0.5, 0.5, 50) + 1j * im
+        assert 2.0 * np.pi * 7.5 * abs(im) > el._HALF_LOG_MAX
+        ours = _series_outcome(el._theta_sum, half_index, beta, curve.tau, (0, 1))
+        assert ours == _series_outcome(theta_sum_two_exp, half_index, beta, curve.tau, (0, 1))
+        if abs(im) == 20.0:
+            assert ours[0] is ThetaConvergenceError
+
+    def test_converges_beyond_the_exponent_bound(self, curve):
+        values = el.theta3(np.linspace(-0.5, 0.5, 50) + 8j, curve.tau)
+        assert np.all(np.isfinite(values))
+
+
+class _ExpCountingNumpy:
+    """numpy with its exp calls counted: complex arrays of one size, and scalars."""
+
+    def __init__(self, size):
+        self.size = size
+        self.array_exps = 0
+        self.scalar_exps = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        if np.ndim(x) == 0:
+            self.scalar_exps += 1
+        elif np.size(x) == self.size and np.iscomplexobj(x):
+            self.array_exps += 1
+        return np.exp(x, *args, **kwargs)
+
+
+@pytest.mark.parametrize("im_in_half_tau", [0.0, -1.0])
+def test_one_array_exponential_per_term(curve, monkeypatch, im_in_half_tau):
+    # a numerator of the A tensor: 2,000 arguments with Im 0 (hot-hot pairs)
+    # or -Im(tau)/2 (hot-cool); each term takes one q^{m^2} scalar exp and
+    # must take one array exp, not two
+    beta = np.linspace(-3.0, 3.0, 2000) + 0.5j * im_in_half_tau * curve.tau.imag
+    counting = _ExpCountingNumpy(beta.size)
+    monkeypatch.setattr(el, "np", counting)
+    el.theta3(beta, curve.tau)
+    assert counting.scalar_exps >= 4
+    assert counting.array_exps == counting.scalar_exps
 
 
 # the extreme curves half_periods accepts: e2 - e3 and e1 - e2 at 2e-12 of the scale
