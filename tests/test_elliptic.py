@@ -291,10 +291,8 @@ class TestOneExponentialPerTerm:
         assert ours == _series_outcome(theta_sum_two_exp, half_index, beta, curve.tau, (0, 1))
         if abs(im) == 20.0:
             assert ours[0] is ThetaConvergenceError
-
-    def test_converges_beyond_the_exponent_bound(self, curve):
-        values = el.theta3(np.linspace(-0.5, 0.5, 50) + 8j, curve.tau)
-        assert np.all(np.isfinite(values))
+        else:
+            assert np.all(np.isfinite(el._theta_sum(half_index, beta, curve.tau, 0)))
 
 
 class _ExpCountingNumpy:
