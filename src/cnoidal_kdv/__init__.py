@@ -28,7 +28,6 @@ from .tau import (
     kdv_residual,
     logdet_x_analytic,
     spectrum_from_points,
-    tau_eval,
     tau_grid,
     u_field,
     u_grid,
@@ -70,7 +69,7 @@ __all__ = [
     "CurveParams", "JacobianPoint", "half_periods", "invert_wp", "theta1", "theta3",
     "weierstrass", "wp_on_segment", "zeta_half_period", "SolitonSpectrum",
     "TauContext", "build_context", "build_spectrum", "g_matrix", "kdv_residual",
-    "logdet_x_analytic", "spectrum_from_points", "tau_eval", "tau_grid",
+    "logdet_x_analytic", "spectrum_from_points", "tau_grid",
     "u_field", "u_grid", "DegenerationSpec", "PeriodMatrix",
     "degenerate_period_matrix", "degeneration_residual", "fay_residual",
     "random_phase_mc", "random_phase_trial", "theta_lattice_sum", "TrackedSoliton",

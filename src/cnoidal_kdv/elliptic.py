@@ -60,6 +60,24 @@ _BAND_START = 1e-14
 _BAND_WIDEN = 256.0
 _BAND_TRIES = 5
 
+# _theta_sum's shared-imaginary-part terms: B = |q^{m^2}| |w^k| 2 e^{|x|}
+# bounds the term of index m and order k at every point; this factor covers
+# the rounding of the computed term and of B itself (a few dozen ulps)
+_TERM_ROUNDING = 2.0 * (1.0 + 2.0 ** -40)
+# a term below _INERT |Re T| and _INERT |Im T| leaves the partial sum T's
+# bytes unchanged: it stays below ulp(T)/2, and below ulp(T)/4 when |T| is a
+# power of two, the spacing under T
+_INERT = 2.0 ** -54
+# below this many points numpy's fixed cost per call outweighs its cost per
+# point: a quiet term that is not inert everywhere costs less at every point
+# than at the few that need it, and two exponentials cost less than one and
+# the four operations that split it (both cross over at 64 to 128 points)
+_SMALL_ARRAY = 128
+
+# terms (index and order) of the shared-imaginary-part theta series: evaluated
+# at every point, at some points, or certified not to change a bit and skipped
+_SERIES_TERMS = {"full": 0, "subset": 0, "certified": 0}
+
 # Carlson's stopping factor (3 u)^(-1/8) for R_F, u = 2^-53
 _RF_STOP = (3.0 * 2.0 ** -53) ** -0.125
 
@@ -167,18 +185,8 @@ def _theta_sum(half_index: bool, beta, tau: complex, order, rows: bool = False):
     independent series: each row keeps its own running maximum and quiet
     count per order and takes no term once it stops, so a batch returns
     what one call per row returns.  An empty beta array gives an empty
-    result.
-
-    Each term needs exp(+-w z), w = 2 pi i m.  When every z of an array call
-    (not rows) has one imaginary part s, both have the real part +-x,
-    x = -2 pi m s, at every point, so one complex exponential serves: with
-    unit = exp(w z - x), whose real part is exactly 0, they are exp(x) unit
-    and exp(-x) conj(unit), and for x = 0 exp(w z) and its conjugate.
-    numpy's complex exp forms exp(Re) (cos Im + i sin Im) from the same
-    scalar exp as math.exp and an odd sine, so this equals the two
-    exponentials bit for bit (tests/oracles.py keeps the two-exponential
-    sum to check it).  Rows, 0-d arguments, arguments whose imaginary parts
-    differ and |x| > _HALF_LOG_MAX take both exponentials.
+    result.  An array (not rows) whose z all share one imaginary part goes
+    to _shared_im_series, which skips the work that cannot move a bit.
     """
     if tau.imag < MIN_IM_TAU:
         raise ThetaConvergenceError(f"Im(tau) = {tau.imag} < {MIN_IM_TAU}")
@@ -188,32 +196,24 @@ def _theta_sum(half_index: bool, beta, tau: complex, order, rows: bool = False):
     if b.size == 0:
         return b.copy() if single else tuple(b.copy() for _ in orders)
     z = b - 0.5 if half_index else b
+    m = 0.5 if half_index else 1.0
+    starts = [1.0 if not half_index and k == 0 else 0.0 for k in orders]
+    if not rows and b.ndim > 0 and bool(np.all(z.imag == z.imag.flat[0])):
+        totals = _shared_im_series(z.ravel(), float(z.imag.flat[0]), tau, orders, starts, m)
+        totals = [total.reshape(b.shape) for total in totals]
+        return totals[0] if single else tuple(totals)
     n_rows = b.shape[0] if rows else 1
     totals = [np.zeros_like(b) for _ in orders]
-    running_max = []
-    for k, total in zip(orders, totals):
-        start = 1.0 if not half_index and k == 0 else 0.0
+    for total, start in zip(totals, starts):
         if start:
             total += start
-        running_max.append([start] * n_rows)
+    running_max = [[start] * n_rows for start in starts]
     quiet = [[0] * n_rows for _ in orders]
     live = [n_rows] * len(orders)       # rows of each order still taking terms
-    # one imaginary part s shared by every z lets exp(-w z) come from exp(w z)
-    shared = not rows and b.ndim > 0 and bool(np.all(z.imag == z.imag.flat[0]))
-    s = float(z.imag.flat[0]) if shared else 0.0
-    m = 0.5 if half_index else 1.0
     while True:
         w = 2j * np.pi * m
         qm = np.exp(1j * np.pi * tau * m * m)
-        x = -(w.imag * s)           # Re(w z) at every point when shared
-        if not shared or abs(x) > _HALF_LOG_MAX:
-            e_plus, e_minus = np.exp(w * z), np.exp(-w * z)
-        elif x == 0.0:
-            e_plus = np.exp(w * z)
-            e_minus = np.conj(e_plus)
-        else:
-            unit = np.exp(w * z - x)
-            e_plus, e_minus = math.exp(x) * unit, math.exp(-x) * np.conj(unit)
+        e_plus, e_minus = np.exp(w * z), np.exp(-w * z)
         for j, k in enumerate(orders):
             if not live[j]:
                 continue
@@ -246,6 +246,135 @@ def _theta_sum(half_index: bool, beta, tau: complex, order, rows: bool = False):
     if np.ndim(beta) == 0:
         totals = [complex(total) for total in totals]
     return totals[0] if single else tuple(totals)
+
+
+def _exp_pair(w: complex, z, x: float):
+    """(exp(w z), exp(-w z)) for z whose imaginary parts all give Re(w z) = x; see _shared_im_series."""
+    if abs(x) > _HALF_LOG_MAX or x != 0.0 and z.size < _SMALL_ARRAY:
+        return np.exp(w * z), np.exp(-w * z)
+    if x == 0.0:
+        e_plus = np.exp(w * z)
+        return e_plus, np.conj(e_plus)
+    unit = np.exp(w * z - x)
+    return math.exp(x) * unit, math.exp(-x) * np.conj(unit)
+
+
+def _shared_im_series(z, s: float, tau: complex, orders, starts, m: float) -> list:
+    """_theta_sum's totals, one per order, at a flat array z whose imaginary parts all equal s.
+
+    Each term needs exp(+-w z), w = 2 pi i m, whose real parts are +-x,
+    x = -2 pi m s, at every point, so one complex exponential serves: with
+    unit = exp(w z - x), whose real part is exactly 0, they are exp(x) unit
+    and exp(-x) conj(unit), and for x = 0 exp(w z) and its conjugate.
+    numpy's complex exp forms exp(Re) (cos Im + i sin Im) from the same
+    scalar exp as math.exp and an odd sine, so this equals the two
+    exponentials bit for bit (tests/oracles.py keeps the two-exponential
+    sum to check it).  _exp_pair takes both beyond |x| = _HALF_LOG_MAX, and
+    for x != 0 below _SMALL_ARRAY points, where they cost less.
+
+    Up to that |x| the term of order k is at most B = |q^{m^2}| |w^k| 2 e^{|x|},
+    times _TERM_ROUNDING, at every point, which is known before any
+    exponential.  If B < 1e-16 of the order's running maximum, the term is
+    quiet and leaves that maximum as it is, whatever its values.  Where
+    B < _INERT |Re T| and B < _INERT |Im T| of the partial sum T, adding the
+    term cannot change T's bytes.  For x = 0 and a real q^{m^2} every term's
+    imaginary part is exactly +0, as is T's, so only Re T is compared.  A
+    quiet term is therefore evaluated, by the same elementwise formulas,
+    only at the points that fail that test (at every point below
+    _SMALL_ARRAY points), and not at all if none does.  min |Re T|, |Im T|
+    is measured once per change of T; a term added since moves it by at
+    most its bound, which often decides the next test without measuring.
+    The bound needs every w z finite, which a finite sum of (Re z)^2
+    ensures; other arrays evaluate every term at every point.
+    """
+    n_full = n_subset = n_certified = 0
+    real_terms = s == 0.0 and tau.real == 0.0
+    totals = [np.zeros(z.shape, np.complex128) for _ in starts]
+    for total, start in zip(totals, starts):
+        if start:
+            total.fill(start)
+    tops = list(starts)
+    quiet = [0] * len(orders)
+    # per order: |Re T| (and |Im T|) at every point while T keeps its values,
+    # a lower bound of their minimum, and an estimate of it from above
+    mags = [None] * len(orders)
+    floor = [-math.inf] * len(orders)
+    ceil = [math.inf] * len(orders)
+    tame = None                     # sum of (Re z)^2 finite, checked at the first quiet bound
+    while True:
+        w = 2j * np.pi * m
+        qm = np.exp(1j * np.pi * tau * m * m)
+        x = -(w.imag * s)
+        bound = math.inf if abs(x) > _HALF_LOG_MAX else abs(qm) * math.exp(abs(x)) * _TERM_ROUNDING
+        plan = []                   # (j, w^k, (-w)^k, bound if quiet else None, points or None)
+        everywhere = False
+        for j, k in enumerate(orders):
+            if quiet[j] == 3:
+                continue
+            wk = w ** k
+            b = bound * abs(wk)
+            quiet_bound = b < 1e-16 * tops[j]
+            if quiet_bound and tame is None:
+                tame = math.isfinite(float(np.dot(z.real, z.real)))
+            if not (quiet_bound and tame):
+                plan.append((j, wk, (-w) ** k, None, None))
+                everywhere = True
+                continue
+            quiet[j] += 1
+            limit = b / _INERT
+            # measure T unless the bounds decide, or the failing points are needed
+            if limit >= floor[j] and mags[j] is None and (limit < ceil[j] or z.size >= _SMALL_ARRAY):
+                t = totals[j]
+                mags[j] = np.abs(t.real if real_terms else t.view(np.float64))
+                floor[j] = ceil[j] = float(mags[j].min())
+            if limit < floor[j]:
+                n_certified += 1
+            elif z.size < _SMALL_ARRAY:
+                plan.append((j, wk, (-w) ** k, b, None))
+                everywhere = True
+            else:
+                inert = mags[j] > limit
+                if not real_terms:
+                    inert = inert.reshape(-1, 2).all(axis=1)
+                plan.append((j, wk, (-w) ** k, b, np.flatnonzero(~inert)))
+        if plan:
+            if everywhere:
+                at = None
+            elif len(plan) == 1:
+                at = plan[0][4]
+            else:
+                at = np.unique(np.concatenate([entry[4] for entry in plan]))
+            e_plus, e_minus = _exp_pair(w, z if at is None else z[at], x)
+            for j, wk, wk_minus, b, _ in plan:
+                term = qm * (wk * e_plus + wk_minus * e_minus)
+                if at is None:
+                    totals[j] += term
+                    n_full += 1
+                else:
+                    totals[j][at] += term
+                    n_subset += 1
+                mags[j] = None
+                if b is not None:
+                    # each |Re T|, |Im T| moved by at most b, then rounded
+                    floor[j] = (floor[j] - b) * (1.0 - 2.0 ** -50)
+                    ceil[j] += b
+                    continue
+                floor[j], ceil[j] = -math.inf, math.inf
+                peak = float(np.abs(term).max())
+                tops[j] = top = max(tops[j], peak)
+                if peak == 0.0 or (top > 0.0 and peak < 1e-16 * top):
+                    quiet[j] += 1
+                else:
+                    quiet[j] = 0
+        if min(quiet) == 3 or m + 1.0 > 512:
+            break
+        m += 1.0
+    _SERIES_TERMS["full"] += n_full
+    _SERIES_TERMS["subset"] += n_subset
+    _SERIES_TERMS["certified"] += n_certified
+    if min(quiet) < 3:
+        raise ThetaConvergenceError("theta series failed to converge")
+    return totals
 
 
 # relative size of the tail _theta_grid drops: below half an ulp

@@ -346,11 +346,6 @@ def tau_grid(ctx: TauContext, xs, t: float) -> tuple[np.ndarray, np.ndarray]:
     return _tau_values(ctx, xs, det, th), det
 
 
-def tau_eval(ctx: TauContext, x: float, t: float) -> float:
-    """tau(x, t), real by construction (imaginary part asserted small)."""
-    return float(tau_grid(ctx, np.array([x]), t)[0][0])
-
-
 def u_background(ctx: TauContext, xs) -> np.ndarray:
     """Cnoidal part 2 d^2/dx^2 ln theta3(y - A) - zeta(varpi3)/(2 varpi3)."""
     return _cnoidal_wave(_background_phase(ctx, xs), ctx.curve) - 4.0 * ctx.quad_const

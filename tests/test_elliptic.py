@@ -314,17 +314,162 @@ class _ExpCountingNumpy:
         return np.exp(x, *args, **kwargs)
 
 
-@pytest.mark.parametrize("im_in_half_tau", [0.0, -1.0])
-def test_one_array_exponential_per_term(curve, monkeypatch, im_in_half_tau):
+def _term_counts(fn, *args):
+    """fn(*args) and the change it made to el._SERIES_TERMS."""
+    before = dict(el._SERIES_TERMS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = fn(*args)
+    return value, {key: el._SERIES_TERMS[key] - before[key] for key in before}
+
+
+@pytest.mark.parametrize("im_in_half_tau, array_exps, counts", [
+    (0.0, 2, {"full": 2, "subset": 0, "certified": 3}),
+    (-1.0, 3, {"full": 3, "subset": 1, "certified": 2}),
+])
+def test_one_array_exponential_per_term(curve, monkeypatch, im_in_half_tau, array_exps, counts):
     # a numerator of the A tensor: 2,000 arguments with Im 0 (hot-hot pairs)
-    # or -Im(tau)/2 (hot-cool); each term takes one q^{m^2} scalar exp and
-    # must take one array exp, not two
+    # or -Im(tau)/2 (hot-cool).  Each term takes one q^{m^2} scalar exp; a
+    # term evaluated at every point takes one array exp, not two, and the
+    # last quiet terms are certified and skipped, or, at -Im(tau)/2, one of
+    # them is evaluated only near theta3's zeros at Re = 1/2 + n
     beta = np.linspace(-3.0, 3.0, 2000) + 0.5j * im_in_half_tau * curve.tau.imag
     counting = _ExpCountingNumpy(beta.size)
     monkeypatch.setattr(el, "np", counting)
-    el.theta3(beta, curve.tau)
-    assert counting.scalar_exps >= 4
-    assert counting.array_exps == counting.scalar_exps
+    _, taken = _term_counts(el.theta3, beta, curve.tau)
+    assert taken == counts
+    assert counting.array_exps == array_exps
+    assert counting.scalar_exps == sum(counts.values())
+
+
+def _around(points, n, rng):
+    """points followed by uniform ones in (-2, 2) up to n arguments."""
+    return np.concatenate([points, rng.uniform(-2.0, 2.0, max(n - len(points), 0))])
+
+
+class TestCertifiedTerms:
+    """Terms skipped, or taken at some points, by their a-priori bound keep every bit.
+
+    Each case is compared in bytes, or in its exception, with the
+    two-exponential sum of tests/oracles.py, on arrays below and above
+    elliptic._SMALL_ARRAY points.
+    """
+
+    CURVES = FIVE_CURVES[:2] + ROW_CURVES[1:]       # Im(tau) 1.36, 0.88 and 0.66
+    SIZES = [9, el._SMALL_ARRAY + 72]
+
+    @staticmethod
+    def same_as_two_exponentials(half_index, beta, tau, order):
+        ours, taken = _term_counts(_series_outcome, el._theta_sum, half_index, beta, tau, order)
+        assert ours == _series_outcome(theta_sum_two_exp, half_index, beta, tau, order)
+        return taken
+
+    @pytest.mark.parametrize("branch_points", CURVES)
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_through_the_zeros_of_theta3(self, branch_points, n, sign):
+        # theta3 vanishes at 1/2 + tau/2 + lattice: at Im = -+Im(tau)/2 the sum
+        # T is near 0 there, so its last terms are not inert at those points
+        curve = el.half_periods(*branch_points)
+        offsets = np.array([0.0, 1e-12, -1e-12, 1e-6, -1e-6])
+        re = _around(np.concatenate([0.5 + offsets, -0.5 + offsets, 1.5 + offsets]), n,
+                     np.random.default_rng(n))
+        beta = re + 0.5j * sign * curve.tau.imag
+        subset = 0
+        for order in (0, 1, (0, 1, 2)):
+            subset += self.same_as_two_exponentials(False, beta, curve.tau, order)["subset"]
+        assert subset > 0 if n >= el._SMALL_ARRAY else subset == 0
+
+    @pytest.mark.parametrize("branch_points", CURVES)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_theta1_near_its_zero(self, branch_points, n):
+        curve = el.half_periods(*branch_points)
+        near = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-12, -1e-12, 1e-6, 1.0, -1.0 + 1e-9])
+        beta = _around(near, n, np.random.default_rng(n)) + 0j
+        for order in (0, 1, (0, 1, 2, 3)):
+            self.same_as_two_exponentials(True, beta, curve.tau, order)
+
+    # (curve, half_index, Im z / (Im(tau)/2)); on the two left out, orders 0
+    # to 5 alone take the same terms, so a tuple of them would not mix
+    MIXING = [(bp, half_index, im) for bp in CURVES for half_index in (True, False)
+              for im in (0.0, -1.0, 0.37)
+              if (bp[1], half_index, im) not in ((1.0, False, 0.37), (-0.4, False, 0.37))]
+
+    @pytest.mark.parametrize("branch_points, half_index, im_in_half_tau", MIXING,
+                             ids=[f"{bp[1]}-{hi}-{im}" for bp, hi, im in MIXING])
+    def test_orders_that_certify_apart(self, branch_points, half_index, im_in_half_tau):
+        # alone, some orders evaluate a term that others skip or evaluate at
+        # some points only; together each must still keep its own bits
+        curve = el.half_periods(*branch_points)
+        beta = (np.random.default_rng(5).uniform(-2.0, 2.0, 300)
+                + 0.5j * im_in_half_tau * curve.tau.imag)
+        alone = [tuple(self.same_as_two_exponentials(half_index, beta, curve.tau, k).values())
+                 for k in range(6)]
+        assert len(set(alone)) > 1
+        self.same_as_two_exponentials(half_index, beta, curve.tau, tuple(range(6)))
+        self.same_as_two_exponentials(half_index, beta, curve.tau, (5, 3, 1, 0))
+
+    @pytest.mark.parametrize("m_cross", [4.0, 6.5, 9.0])
+    @pytest.mark.parametrize("factor", [1.0 - 1e-12, 1.0 + 1e-12])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("half_index", [True, False])
+    def test_at_the_exponent_bound(self, curve, m_cross, factor, sign, half_index):
+        # |x| = 2 pi m |Im z| crosses ln(DBL_MAX)/2 at index m_cross: below it
+        # the bound is computed, from it on both exponentials are taken
+        im = sign * factor * el._HALF_LOG_MAX / (2.0 * math.pi * m_cross)
+        beta = np.linspace(-1.0, 1.0, 40) + 1j * im
+        for order in (0, (0, 2)):
+            self.same_as_two_exponentials(half_index, beta, curve.tau, order)
+
+    @pytest.mark.parametrize("half_index", [True, False])
+    def test_far_off_the_axis_raises(self, curve, half_index):
+        # exp overflows from the first terms on: the series must still raise
+        # ThetaConvergenceError, and the bound must not raise OverflowError
+        beta = np.linspace(-0.5, 0.5, 50) - 400j
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ThetaConvergenceError, match="converge"):
+            el._theta_sum(half_index, beta, curve.tau, (0, 1))
+        self.same_as_two_exponentials(half_index, beta, curve.tau, (0, 1))
+
+    @pytest.mark.parametrize("im", [0.0, -0.55])
+    def test_nome_off_the_imaginary_axis(self, im):
+        # with Re(tau) != 0, q^{m^2} is not real, and neither is any term at
+        # real arguments: the imaginary parts must be checked as well
+        beta = np.random.default_rng(9).uniform(-2.0, 2.0, 300) + 1j * im
+        for half_index in (True, False):
+            for order in (0, (0, 1, 2)):
+                self.same_as_two_exponentials(half_index, beta, 0.3 + 1.1j, order)
+
+    @pytest.mark.parametrize("re", [math.nan, math.inf, 2e307, -2e307])
+    def test_arguments_that_break_the_bound(self, re):
+        # at Im(tau) = 12 theta3's terms are below the quiet bound from m = 2
+        # on, where 2 pi m |Re z| overflows for Re z = +-2e307: non-finite
+        # terms must still be evaluated, as the two-exponential sum does
+        beta = np.array([0.25, re, -0.3]) + 0.1j
+        for order in (0, (0, 1)):
+            self.same_as_two_exponentials(False, beta, 12j, order)
+
+
+@pytest.mark.parametrize("im", [0.0, -0.68, 0.37, 9.0])
+def test_subset_terms_equal_full_array_terms(im):
+    # a term taken at some points must equal the same points of the term at
+    # every point: numpy's elementwise loops may not depend on an element's
+    # position or the array's length (a SIMD body and its remainder loop)
+    z = np.linspace(-3.0, 3.0, 2000) + 1j * im
+    rng = np.random.default_rng(2)
+    for m in (1.0, 2.5, 4.0, 40.0):
+        w = 2j * np.pi * m
+        qm = np.exp(1j * np.pi * 1.36j * m * m)
+        x = -(w.imag * im)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_plus, e_minus = el._exp_pair(w, z, x)
+        for k in (0, 1, 2, 3):
+            with np.errstate(over="ignore", invalid="ignore"):
+                full = qm * (w ** k * e_plus + (-w) ** k * e_minus)
+                for points in [np.arange(0, 2000, 7), np.arange(3, 20), np.array([1999]),
+                               np.sort(rng.choice(2000, 33, replace=False))]:
+                    sub_plus, sub_minus = el._exp_pair(w, z[points], x)
+                    part = qm * (w ** k * sub_plus + (-w) ** k * sub_minus)
+                    assert part.tobytes() == full[points].tobytes()
 
 
 # the extreme curves half_periods accepts: e2 - e3 and e1 - e2 at 2e-12 of the scale
