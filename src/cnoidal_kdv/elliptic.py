@@ -282,8 +282,8 @@ def _shared_im_series(z, s: float, tau: complex, orders, starts, m: float) -> li
     quiet term is therefore evaluated, by the same elementwise formulas,
     only at the points that fail that test (at every point below
     _SMALL_ARRAY points), and not at all if none does.  min |Re T|, |Im T|
-    is measured once per change of T; a term added since moves it by at
-    most its bound, which often decides the next test without measuring.
+    is measured at most once per change of T; a quiet term lowers it by at
+    most its bound, which often certifies the next term without measuring.
     The bound needs every w z finite, which a finite sum of (Re z)^2
     ensures; other arrays evaluate every term at every point.
     """
@@ -296,10 +296,9 @@ def _shared_im_series(z, s: float, tau: complex, orders, starts, m: float) -> li
     tops = list(starts)
     quiet = [0] * len(orders)
     # per order: |Re T| (and |Im T|) at every point while T keeps its values,
-    # a lower bound of their minimum, and an estimate of it from above
+    # and a lower bound of their minimum
     mags = [None] * len(orders)
     floor = [-math.inf] * len(orders)
-    ceil = [math.inf] * len(orders)
     tame = None                     # sum of (Re z)^2 finite, checked at the first quiet bound
     while True:
         w = 2j * np.pi * m
@@ -322,11 +321,10 @@ def _shared_im_series(z, s: float, tau: complex, orders, starts, m: float) -> li
                 continue
             quiet[j] += 1
             limit = b / _INERT
-            # measure T unless the bounds decide, or the failing points are needed
-            if limit >= floor[j] and mags[j] is None and (limit < ceil[j] or z.size >= _SMALL_ARRAY):
+            if limit >= floor[j] and mags[j] is None:
                 t = totals[j]
                 mags[j] = np.abs(t.real if real_terms else t.view(np.float64))
-                floor[j] = ceil[j] = float(mags[j].min())
+                floor[j] = float(mags[j].min())
             if limit < floor[j]:
                 n_certified += 1
             elif z.size < _SMALL_ARRAY:
@@ -357,9 +355,8 @@ def _shared_im_series(z, s: float, tau: complex, orders, starts, m: float) -> li
                 if b is not None:
                     # each |Re T|, |Im T| moved by at most b, then rounded
                     floor[j] = (floor[j] - b) * (1.0 - 2.0 ** -50)
-                    ceil[j] += b
                     continue
-                floor[j], ceil[j] = -math.inf, math.inf
+                floor[j] = -math.inf
                 peak = float(np.abs(term).max())
                 tops[j] = top = max(tops[j], peak)
                 if peak == 0.0 or (top > 0.0 and peak < 1e-16 * top):
