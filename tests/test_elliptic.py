@@ -326,7 +326,7 @@ def _term_counts(fn, *args):
 @pytest.mark.parametrize("im_in_half_tau, array_exps, counts", [
     (0.0, 2, {"full": 2, "subset": 0, "certified": 3}),
     (-1.0, 3, {"full": 3, "subset": 1, "certified": 2}),
-])
+], ids=["0.0", "-1.0"])
 def test_one_array_exponential_per_term(curve, monkeypatch, im_in_half_tau, array_exps, counts):
     # a numerator of the A tensor: 2,000 arguments with Im 0 (hot-hot pairs)
     # or -Im(tau)/2 (hot-cool).  Each term takes one q^{m^2} scalar exp; a
