@@ -25,6 +25,7 @@ so that no conditionally convergent lattice sums appear in production code.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -74,6 +75,18 @@ _INERT = 2.0 ** -54
 # the four operations that split it (both cross over at 64 to 128 points)
 _SMALL_ARRAY = 128
 
+# _one_point_series: up to this |Re| of its argument cmath.exp equals numpy's
+# complex exp bit for bit (both form exp(Re) (cos Im + i sin Im); above
+# ln(DBL_MAX/4) = 708.4 CPython rescales and glibc's cexp does from 709 on);
+# past _EXP_OVERFLOWS a part of exp overflows whatever Im is, e^|Re|/sqrt(2)
+# exceeding DBL_MAX
+_CEXP_AGREES = 700.0
+_EXP_OVERFLOWS = 710.5
+# the builtin abs (libm hypot) and numpy's complex absolute differ by a few
+# ulps: a peak within this relative margin of the quiet threshold could stop
+# numpy's series at another term
+_PEAK_MARGIN = 2.0 ** -40
+
 # terms (index and order) of the shared-imaginary-part theta series: evaluated
 # at every point, at some points, or certified not to change a bit and skipped
 _SERIES_TERMS = {"full": 0, "subset": 0, "certified": 0}
@@ -103,14 +116,18 @@ class CurveParams:
 
     # cached_property writes the instance __dict__, which a frozen dataclass allows
     @functools.cached_property
+    def _theta1_odd0(self) -> tuple:
+        """theta1'(0) and theta1'''(0) from one series pass, each its own single-order sum bit for bit."""
+        return theta1(0.0, self.tau, (1, 3))
+
+    @functools.cached_property
     def _theta1_prime0(self) -> complex:
         """theta1'(0), a positive real held as the complex series value."""
-        return theta1(0.0, self.tau, 1)
+        return self._theta1_odd0[0]
 
     @functools.cached_property
     def _zeta_varpi3(self) -> complex:
-        t3 = theta1(0.0, self.tau, 3)
-        return -t3 / (12.0 * self.varpi3 * self._theta1_prime0)
+        return -self._theta1_odd0[1] / (12.0 * self.varpi3 * self._theta1_prime0)
 
 
 @dataclass(frozen=True)
@@ -186,12 +203,19 @@ def _theta_sum(half_index: bool, beta, tau: complex, order, rows: bool = False):
     count per order and takes no term once it stops, so a batch returns
     what one call per row returns.  An empty beta array gives an empty
     result.  An array (not rows) whose z all share one imaginary part goes
-    to _shared_im_series, which skips the work that cannot move a bit.
+    to _shared_im_series, which skips the work that cannot move a bit.  One
+    point (not rows) goes to _one_point_series, on Python complex scalars,
+    unless it declines the point.
     """
     if tau.imag < MIN_IM_TAU:
         raise ThetaConvergenceError(f"Im(tau) = {tau.imag} < {MIN_IM_TAU}")
-    single = np.ndim(order) == 0
+    # isinstance first: np.ndim costs more than a one-point series term
+    single = isinstance(order, int) or not isinstance(order, tuple) and np.ndim(order) == 0
     orders = (order,) if single else tuple(order)
+    if not rows and (isinstance(beta, (complex, float, int)) or np.ndim(beta) == 0):
+        totals = _one_point_series(half_index, complex(beta), tau, orders)
+        if totals is not None:
+            return totals[0] if single else tuple(totals)
     b = np.asarray(beta, dtype=np.complex128)
     if b.size == 0:
         return b.copy() if single else tuple(b.copy() for _ in orders)
@@ -246,6 +270,69 @@ def _theta_sum(half_index: bool, beta, tau: complex, order, rows: bool = False):
     if np.ndim(beta) == 0:
         totals = [complex(total) for total in totals]
     return totals[0] if single else tuple(totals)
+
+
+def _one_point_series(half_index: bool, beta: complex, tau: complex, orders) -> list | None:
+    """_theta_sum's totals at one point, summed on Python complex scalars, or None to decline.
+
+    Every term is the numpy loop's, operation for operation and in the same
+    order: CPython's complex * and + round as numpy's 0-d ones do, and
+    cmath.exp equals numpy's complex exp while |Re| <= _CEXP_AGREES
+    (tests/test_elliptic.py compares bytes with the numpy loop kept in
+    tests/oracles.py).  The builtin abs misses numpy's complex absolute by
+    a few ulps, which only the stopping rule reads: a peak within
+    _PEAK_MARGIN of 1e-16 of the running maximum, where numpy could stop
+    at another term, is declined, as is an exponent between _CEXP_AGREES
+    and _EXP_OVERFLOWS, so that the numpy loop sums those points.  Past
+    _EXP_OVERFLOWS, or where abs overflows or cmath.exp meets an infinite
+    imaginary part (an overflowing 2 pi m Re z), numpy's terms are infinite
+    or NaN from that index on, so its series cannot stop and raises
+    ThetaConvergenceError after 512 terms; this raises it at once.
+    """
+    z = beta - 0.5 if half_index else beta
+    m = 0.5 if half_index else 1.0
+    tops = [1.0 if not half_index and k == 0 else 0.0 for k in orders]
+    totals = [complex(top) for top in tops]
+    lows = [1e-16 * top * (1.0 - _PEAK_MARGIN) for top in tops]   # quiet below
+    highs = [1e-16 * top * (1.0 + _PEAK_MARGIN) for top in tops]  # not quiet above
+    quiet = [0] * len(orders)
+    live = list(range(len(orders)))
+    try:
+        while True:
+            w = 2j * math.pi * m
+            qm = cmath.exp(1j * math.pi * tau * m * m)
+            wz = w * z
+            x = abs(wz.real)
+            if x > _CEXP_AGREES:
+                if x > _EXP_OVERFLOWS:
+                    break
+                return None
+            e_plus, e_minus = cmath.exp(wz), cmath.exp(-w * z)
+            for j in live:
+                k = orders[j]
+                term = qm * (w ** k * e_plus + (-w) ** k * e_minus)
+                totals[j] += term
+                peak = abs(term)
+                if peak > tops[j]:
+                    tops[j] = peak
+                    lows[j] = 1e-16 * peak * (1.0 - _PEAK_MARGIN)
+                    highs[j] = 1e-16 * peak * (1.0 + _PEAK_MARGIN)
+                    quiet[j] = 0
+                elif peak < lows[j] or peak == 0.0:
+                    quiet[j] += 1
+                elif peak <= highs[j]:
+                    return None
+                else:
+                    quiet[j] = 0
+            live = [j for j in live if quiet[j] < 3]
+            if not live:
+                return totals
+            m += 1.0
+            if m > 512:
+                break
+    except (OverflowError, ValueError):
+        pass
+    raise ThetaConvergenceError("theta series failed to converge")
 
 
 def _exp_pair(w: complex, z, x: float):
@@ -479,20 +566,25 @@ def zeta_half_period(curve: CurveParams) -> complex:
 
 
 def _lattice_distance(s, curve: CurveParams):
+    """Distance from s to the period lattice: on Python floats for a complex s, elementwise for an array."""
     w1, w3 = curve.varpi1, curve.varpi3
     a = s.real / (2.0 * w1)
     b = s.imag / (2.0 * w3.imag)
-    da = a - np.round(a)
-    db = b - np.round(b)
-    return np.abs(da * 2.0 * w1 + db * 2.0 * w3)
+    if isinstance(s, complex):
+        # round(v, 0) rounds half to even and passes nan and inf, as np.round does
+        da, db = a - round(a, 0), b - round(b, 0)
+    else:
+        da, db = a - np.round(a), b - np.round(b)
+    return abs(da * 2.0 * w1 + db * 2.0 * w3)
 
 
 def _weierstrass(s, curve: CurveParams, count: int) -> list:
     """The first count (1 to 3) of zeta, wp, wp' at s, from the first count theta1 log-derivatives."""
-    s = complex(s) if np.ndim(s) == 0 else np.asarray(s, dtype=np.complex128)
+    scalar = isinstance(s, (complex, float, int)) or np.ndim(s) == 0
+    s = complex(s) if scalar else np.asarray(s, dtype=np.complex128)
     near = _lattice_distance(s, curve) < 1e-10
-    if np.any(near):
-        bad = s if np.ndim(s) == 0 else complex(s[near][0])
+    if (near if scalar else near.any()):
+        bad = s if scalar else complex(s[near][0])
         raise LatticePoint(f"s = {bad} within 1e-10 of the period lattice")
     w3 = curve.varpi3
     beta = s / (2.0 * w3)
@@ -510,9 +602,11 @@ def weierstrass(s, curve: CurveParams):
     """(wp, wp', zeta) at the unnormalized argument s, a scalar or an array.
 
     Routed through log-derivatives of theta1 at beta = s/(2 varpi3).  An
-    array is evaluated elementwise in one pass; numpy rounds complex
-    products and quotients differently from Python complex scalars, so its
-    values can differ from per-element calls in the last bits.
+    array is evaluated elementwise in one pass.  A scalar stays on Python
+    complex scalars, whose products, sums and exp equal numpy's 0-d ones bit
+    for bit; numpy's complex quotients, and its array products (a fused
+    multiply-add), round differently, so an array's values can differ from
+    per-element calls in the last bits.
     LatticePoint names the first offending element.
     """
     zeta_w, wp, wp_prime = _weierstrass(s, curve, 3)

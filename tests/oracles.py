@@ -358,7 +358,8 @@ def theta_sum_two_exp(half_index: bool, beta, tau: complex, order, rows: bool = 
     Every term takes both complex exponentials exp(w z) and exp(-w z) over
     the whole array; otherwise (orders, running maxima, rows, stopping rule,
     512-term cap, errors) the package's series is unchanged, so the two must
-    agree bit for bit.
+    agree bit for bit.  At a 0-d argument this is the numpy loop that summed
+    one point before the package summed it on Python complex scalars.
     """
     from cnoidal_kdv.elliptic import MIN_IM_TAU
     from cnoidal_kdv.errors import ThetaConvergenceError

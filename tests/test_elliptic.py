@@ -463,6 +463,115 @@ def test_subset_terms_equal_full_array_terms(im):
                     assert part.tobytes() == full[points].tobytes()
 
 
+class _CountingNumpy:
+    """numpy with every attribute read (function, constant or type) recorded."""
+
+    def __init__(self):
+        self.used = []
+
+    def __getattr__(self, name):
+        self.used.append(name)
+        return getattr(np, name)
+
+
+ONE_POINT_CURVES = ROW_CURVES + [(1.0, 0.2, -1.2), (5.0, -1.0, -4.0), (0.5, 0.49, -0.99)]
+ONE_POINT_ORDERS = [0, 1, 2, 3, (0, 1), (0, 1, 2), (0, 1, 2, 3), (1, 3)]
+
+
+class TestOnePointSeries:
+    """One point is summed on Python complex scalars with the numpy loop's bits.
+
+    tests/oracles.py::theta_sum_two_exp at a 0-d argument is that loop, as
+    _theta_sum ran it for one point before it had a scalar branch.
+    """
+
+    @staticmethod
+    def points(curve, rng):
+        near_zero = 10.0 ** rng.uniform(-12.0, -1.0, 12)
+        cool = rng.uniform(0.0, 0.5, 8) + 0.5j * curve.tau.imag
+        general = rng.uniform(-1.5, 1.5, 6) + 1j * rng.uniform(-1.5, 1.5, 6) * curve.tau.imag
+        signed = [complex(re, im) for re in (0.0, -0.0, 0.25) for im in (0.0, -0.0)]
+        signed += [complex(-0.0, 0.5 * curve.tau.imag), complex(0.5, -0.0), 0.0, -0.0]
+        return list(near_zero) + list(near_zero * -1.0) + list(cool) + list(general) + signed
+
+    @pytest.mark.parametrize("branch_points", ONE_POINT_CURVES)
+    @pytest.mark.parametrize("half_index", [True, False])
+    def test_same_bits_as_the_numpy_loop(self, branch_points, half_index):
+        curve = el.half_periods(*branch_points)
+        rng = np.random.default_rng(2 * ONE_POINT_CURVES.index(branch_points) + half_index)
+        for beta in self.points(curve, rng):
+            for order in ONE_POINT_ORDERS:
+                ours = el._theta_sum(half_index, beta, curve.tau, order)
+                with np.errstate(over="ignore"):
+                    loop = theta_sum_two_exp(half_index, beta, curve.tau, order)
+                if np.ndim(order) == 0:
+                    ours, loop = (ours,), (loop,)
+                assert all(type(value) is complex for value in ours)
+                assert ([np.asarray(v).tobytes() for v in ours]
+                        == [np.asarray(v).tobytes() for v in loop]), (beta, order)
+
+    @pytest.mark.parametrize("beta", [0.3 + 60j, 0.3 + 400j, complex(math.nan, 0.0),
+                                      complex(math.inf, 0.0), 1e300 + 0j, 1e308 + 0j],
+                             ids=["60j", "400j", "nan", "inf", "1e300", "1e308"])
+    @pytest.mark.parametrize("half_index, order", [(False, 0), (True, 0), (True, 2)])
+    def test_overflow_raises_like_the_numpy_loop(self, curve, monkeypatch, beta, half_index,
+                                                  order):
+        # at 60j and 400j an exponential overflows, where cmath.exp would
+        # raise OverflowError and numpy returns inf; at 1e308 the exponent's
+        # imaginary part 2 pi m 1e308 is infinite, where cmath.exp raises
+        # ValueError and numpy returns nan.  numpy's series cannot converge
+        # after either, nor at nan and inf
+        counting = _CountingNumpy()
+        monkeypatch.setattr(el, "np", counting)
+        ours = _series_outcome(el._theta_sum, half_index, beta, curve.tau, order)
+        assert counting.used == []
+        monkeypatch.undo()
+        assert ours == _series_outcome(theta_sum_two_exp, half_index, beta, curve.tau, order)
+        if beta.real == 1e300:
+            assert isinstance(ours, list)
+        else:
+            assert ours == (ThetaConvergenceError, "theta series failed to converge")
+
+    @pytest.mark.parametrize("order", [0, (0, 1, 2, 3)])
+    def test_declined_points_take_the_numpy_loop(self, curve, monkeypatch, order):
+        # at 0.2 + 9.4j theta3's last term has |Re(w z)| = 708.7, between
+        # _CEXP_AGREES and _EXP_OVERFLOWS, where CPython's exp rescales and
+        # numpy's does not; with the peak margin at 1, every first quiet peak
+        # is too close to call.  Both are summed by the numpy loop
+        cases = [(el._PEAK_MARGIN, 0.2 + 9.4j), (el._PEAK_MARGIN, 0.2 - 9.4j),
+                 (1.0, 0.23), (1.0, 0.1 + 0.5j * curve.tau.imag)]
+        for margin, beta in cases:
+            monkeypatch.setattr(el, "_PEAK_MARGIN", margin)
+            assert el._one_point_series(False, beta, curve.tau, (0,)) is None
+            ours = _series_outcome(el._theta_sum, False, beta, curve.tau, order)
+            assert isinstance(ours, list) or order != 0     # orders above 0 overflow at 9.4j
+            assert ours == _series_outcome(theta_sum_two_exp, False, beta, curve.tau, order)
+
+    def test_curve_constants_from_one_pass(self):
+        # theta1'(0) and zeta(varpi3) from the (1, 3) pass keep the bits of
+        # the single-order calls they replaced
+        for branch_points in ONE_POINT_CURVES:
+            curve = el.half_periods(*branch_points)
+            prime = el.theta1(0.0, curve.tau, 1)
+            zeta = -el.theta1(0.0, curve.tau, 3) / (12.0 * curve.varpi3 * prime)
+            assert np.asarray(curve._theta1_prime0).tobytes() == np.asarray(prime).tobytes()
+            assert np.asarray(el.zeta_half_period(curve)).tobytes() == np.asarray(zeta).tobytes()
+
+
+def test_one_point_series_makes_no_numpy_call(monkeypatch):
+    curve = el.half_periods(2.0, 1.0, -3.0)
+    el.zeta_half_period(curve)          # the curve constants, cached on the instance
+    counting = _CountingNumpy()
+    monkeypatch.setattr(el, "np", counting)
+    for beta in (0.23, 0.23 + 0j, np.complex128(0.1 + 0.3j), np.float64(0.4), 0):
+        for order in (0, 3, (0, 1, 2, 3)):
+            el.theta1(beta, curve.tau, order)
+            el.theta3(beta, curve.tau, order)
+    el.weierstrass(0.3 + 0.2j, curve)
+    el.wp_on_segment(0.23, curve)
+    assert counting.used == []
+
+
 # the extreme curves half_periods accepts: e2 - e3 and e1 - e2 at 2e-12 of the scale
 EXTREME_CURVES = {"e2 near e3": (1.0, -0.5 + 1e-12, -0.5 - 1e-12),
                   "e2 near e1": (0.5 + 1e-12, 0.5 - 1e-12, -1.0)}
@@ -605,6 +714,21 @@ class TestWeierstrass:
         s = np.array([0.3 + 0.2j, 2.0 * curve.varpi1 + 2.0 * curve.varpi3, 0.1 - 0.4j])
         with pytest.raises(LatticePoint, match="within 1e-10"):
             el.weierstrass(s, curve)
+
+    @pytest.mark.parametrize("n1, n3", [(0, 0), (1, 0), (0, -1), (3, 2), (-2, 5)])
+    def test_lattice_threshold(self, curve, n1, n3):
+        # the scalar check runs on Python floats, the array one in numpy: both
+        # raise within 1e-10 of a lattice point and evaluate beyond it
+        point = 2.0 * n1 * curve.varpi1 + 2.0 * n3 * curve.varpi3
+        for step in (1.0, -1.0, 1j, -1j):
+            with pytest.raises(LatticePoint, match="within 1e-10"):
+                el.weierstrass(point + 5e-11 * step, curve)
+            with pytest.raises(LatticePoint, match="within 1e-10"):
+                el.weierstrass(np.array([0.3 + 0.2j, point + 5e-11 * step]), curve)
+            s = point + 2e-10 * step
+            scalar = el.weierstrass(s, curve)
+            assert all(math.isfinite(abs(v)) for v in scalar)
+            assert np.all(np.isfinite(el.weierstrass(np.array([s]), curve)))
 
 
 class TestInvertWp:
