@@ -13,6 +13,8 @@ and the header block echoes the resolved configuration and tool version.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import itertools
 import json
 import sys
@@ -31,6 +33,17 @@ _DEFAULT_TOL = {"pde": 1e-3, "degeneration": 1e-5, "fay": 1e-9}
 
 class ConfigError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _reading(name: str):
+    """Re-raise a missing key or an unusable value read inside as a ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{name} entry missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _fmt(v) -> str:
@@ -63,11 +76,9 @@ def _load_config(path: str) -> dict:
 
 
 def _build_curve(cfg: dict):
-    cv = cfg["curve"]
-    try:
-        return half_periods(float(cv["e1"]), float(cv["e2"]), float(cv["e3"]))
-    except KeyError as exc:
-        raise ConfigError(f"curve entry missing {exc}") from exc
+    with _reading("curve"):
+        e1, e2, e3 = (float(cfg["curve"][k]) for k in ("e1", "e2", "e3"))
+    return half_periods(e1, e2, e3)
 
 
 def _finite(value, name: str) -> float:
@@ -103,16 +114,13 @@ def _grid(cfg: dict):
     g = cfg.get("grid")
     if g is None:
         raise ConfigError("config needs a 'grid' entry")
-    try:
+    with _reading("grid"):
         xmin, xmax, nx = float(g["xmin"]), float(g["xmax"]), int(g["nx"])
         tmin, tmax, nt = float(g["tmin"]), float(g["tmax"]), int(g["nt"])
-    except KeyError as exc:
-        raise ConfigError(f"grid entry missing {exc}") from exc
     if nx < 2 or nt < 1:
         raise ConfigError("grid needs nx >= 2 and nt >= 1")
-    for v in (xmin, xmax, tmin, tmax):
-        if not np.isfinite(v):
-            raise ConfigError("grid bounds must be finite")
+    if not np.all(np.isfinite([xmin, xmax, tmin, tmax])):
+        raise ConfigError("grid bounds must be finite")
     xs = np.linspace(xmin, xmax, nx)
     ts = np.linspace(tmin, tmax, nt) if nt > 1 else np.array([tmin])
     return xs, ts
@@ -184,10 +192,23 @@ def _verify_pde(cfg, ctx, tol, rep):
     return ok
 
 
-def _verify_degeneration(cfg, ctx, tol, rng, radius, rep):
+def _lattice_inputs(cfg: dict, args, n: int, default_eps: list) -> tuple[list, int]:
+    """verify.epsilons and the radius of the genus n + 1 lattice sums, checked."""
+    eps_list = cfg.get("verify", {}).get("epsilons", default_eps)
+    with _reading("verify.epsilons"):
+        if not eps_list or not all(0.0 < float(eps) < 1.0 for eps in eps_list):
+            raise ConfigError("verify.epsilons must be a non-empty list in (0, 1)")
+    with _reading("radius"):
+        radius = args.radius if args.radius is not None else int(cfg.get("radius", 6))
+    if radius < 0 or (2 * radius + 1) ** (n + 1) > riemann._LATTICE_MAX:
+        raise ConfigError(f"radius = {radius}: lattice box (2*{radius}+1)^{n + 1} too large")
+    return eps_list, radius
+
+
+def _verify_degeneration(cfg, ctx, tol, rng, args, rep):
     spectrum = ctx.spectrum
     n = len(spectrum)
-    eps_list = cfg.get("verify", {}).get("epsilons", _DEFAULT_EPS_DEGEN)
+    eps_list, radius = _lattice_inputs(cfg, args, n, _DEFAULT_EPS_DEGEN)
     psis = 1j * rng.uniform(-0.5, 0.5, size=n)
     beta = rng.uniform(0.0, 1.0)
     x_phase = np.concatenate([psis, [beta]])
@@ -214,10 +235,9 @@ def _verify_fay(cfg, curve, tol, rng, rep):
     return ok
 
 
-def _verify_montecarlo(cfg, ctx, rng_seed, radius, rep):
-    vcfg = cfg.get("verify", {})
-    eps_list = vcfg.get("epsilons", _DEFAULT_EPS_MC)
-    trials = int(vcfg.get("trials", 200))
+def _verify_montecarlo(cfg, ctx, rng_seed, args, rep):
+    eps_list, radius = _lattice_inputs(cfg, args, len(ctx.spectrum), _DEFAULT_EPS_MC)
+    trials = int(cfg.get("verify", {}).get("trials", 200))
     xs, ts = _grid(cfg)
     means = riemann.random_phase_mc(ctx.spectrum, eps_list, trials, rng_seed,
                                     xs, [float(ts[0])], radius)
@@ -234,21 +254,19 @@ def cmd_verify(cfg: dict, args) -> tuple[Report, int]:
     if which not in ("pde", "degeneration", "fay", "montecarlo"):
         raise ConfigError("verify.which must be pde|degeneration|fay|montecarlo")
     curve = _build_curve(cfg)
-    spectrum = _build_spectrum(cfg, curve)
-    ctx = tau.build_context(curve, spectrum)
+    ctx = tau.build_context(curve, _build_spectrum(cfg, curve))
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    radius = args.radius if args.radius is not None else int(cfg.get("radius", 6))
     rng = np.random.default_rng(seed)
     tol = args.tol if args.tol is not None else _DEFAULT_TOL.get(which, 1e-9)
     rep = Report("verify", cfg, ["check", "parameters", "residual", "tolerance", "pass"])
     if which == "pde":
         ok = _verify_pde(cfg, ctx, tol, rep)
     elif which == "degeneration":
-        ok = _verify_degeneration(cfg, ctx, tol, rng, radius, rep)
+        ok = _verify_degeneration(cfg, ctx, tol, rng, args, rep)
     elif which == "fay":
         ok = _verify_fay(cfg, curve, tol, rng, rep)
     else:
-        ok = _verify_montecarlo(cfg, ctx, seed, radius, rep)
+        ok = _verify_montecarlo(cfg, ctx, seed, args, rep)
     return rep, 0 if ok else 4
 
 
@@ -271,10 +289,8 @@ def cmd_dynamics(cfg: dict, args) -> tuple[Report, int]:
     if mode == "track":
         if len(spectrum) != 1:
             raise ConfigError("track mode needs exactly one soliton")
-        try:
+        with _reading("dynamics.norming"):
             norming = float(cfg.get("dynamics", {}).get("norming", 1.0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"dynamics.norming: {exc}") from exc
         _, ts = _grid(cfg)
         try:
             phis = dynamics.track_phase(spectrum.entries[0].point, curve, norming, ts)
@@ -293,20 +309,21 @@ def _gas_model_from_config(cfg: dict, curve, nodes_override=None):
         raise ConfigError("config needs a 'gas' entry")
     intervals = []
     for iv in gcfg.get("support", []):
-        if "b_lo" in iv:
-            intervals.append(gas.interval_from_physical(
-                curve, float(iv["b_lo"]), float(iv["b_hi"])))
-            continue
-        kind = iv.get("kind", "hot")
-        if kind not in ("hot", "cool"):
-            raise ConfigError(f"unknown support kind {kind!r}")
-        intervals.append(gas.GasInterval(1 if kind == "cool" else 0,
-                                         float(iv["lo"]), float(iv["hi"])))
+        with _reading("gas.support"):            # an interval checks its own ends
+            if "b_lo" in iv:
+                intervals.append(gas.interval_from_physical(
+                    curve, float(iv["b_lo"]), float(iv["b_hi"])))
+                continue
+            kind = iv.get("kind", "hot")
+            if kind not in ("hot", "cool"):
+                raise ConfigError(f"unknown support kind {kind!r}")
+            intervals.append(gas.GasInterval(1 if kind == "cool" else 0,
+                                             float(iv["lo"]), float(iv["hi"])))
     if not intervals:
         raise ConfigError("gas.support must not be empty")
-    nodes = nodes_override or int(gcfg.get("nodes", 64))
-    sigma = float(gcfg.get("sigma", 1.0))
-    return gas.build_model(curve, intervals, sigma, nodes)
+    with _reading("gas"):                        # the node count and the sign of sigma
+        nodes = nodes_override or int(gcfg.get("nodes", 64))
+        return gas.build_model(curve, intervals, float(gcfg.get("sigma", 1.0)), nodes)
 
 
 def cmd_gas(cfg: dict, args) -> tuple[Report, int]:
@@ -317,9 +334,7 @@ def cmd_gas(cfg: dict, args) -> tuple[Report, int]:
     rep = Report("gas", cfg, ["eta", "u", "v", "s", "s0"])
     for i, beta in enumerate(model.betas):
         rep.add(beta, model.solved_u[i], model.solved_v[i], speeds[i], s0[i])
-    k_t, w_t = gas.carrier_quantities(model)
-    rep.footer["k_tilde"] = k_t
-    rep.footer["w_tilde"] = w_t
+    rep.footer["k_tilde"], rep.footer["w_tilde"] = gas.carrier_quantities(model)
     rep.footer["eos_residual"] = gas.equation_of_state_residual(model)
     if args.double_nodes:
         fine = gas.ndr_solve(_gas_model_from_config(
@@ -329,7 +344,9 @@ def cmd_gas(cfg: dict, args) -> tuple[Report, int]:
     return rep, 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(prog="cnoidal-kdv", description=__doc__)
     parser.add_argument("command", choices=["eval", "verify", "dynamics", "gas"])
     parser.add_argument("--config", required=True)
@@ -339,7 +356,11 @@ def main(argv=None) -> int:
     parser.add_argument("--radius", type=int, default=None)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--double-nodes", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     handlers = {"eval": cmd_eval, "verify": cmd_verify,
                 "dynamics": cmd_dynamics, "gas": cmd_gas}

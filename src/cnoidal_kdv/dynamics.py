@@ -169,17 +169,12 @@ def track_phase(point: JacobianPoint, curve: CurveParams, norming: float, t):
     return float(phi[0]) if np.ndim(t) == 0 else phi.reshape(np.shape(t))
 
 
-def tracking_period(point: JacobianPoint, curve: CurveParams) -> float:
-    """Signed period T = 4 i varpi3 / V of the tracked phase."""
-    return curve.period_x / group_velocity(point, curve)
-
-
 def mean_track_phase(point: JacobianPoint, curve: CurveParams, norming: float) -> float:
     """Period average of Phi by composite midpoint; equals ln(norming)/|P|.
 
     Computed at 256 and 512 nodes; the refinement must agree to 1e-9.
     """
-    period = abs(tracking_period(point, curve))
+    period = abs(track_soliton(point, curve).period_T)
 
     def average(n: int) -> float:
         ts = (np.arange(n) + 0.5) * period / n

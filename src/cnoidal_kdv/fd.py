@@ -1,7 +1,8 @@
 """Shared fourth-order central finite-difference stencils.
 
 One differentiation engine serves the tau-function second log-derivative,
-the PDE residual verifier and the random-phase experiments.
+the PDE residual verifier and the random-phase experiments.  The D2 stencil
+that takes u = 2 (ln tau)_xx has its step and its sampling grid here only.
 """
 
 import numpy as np
@@ -12,15 +13,25 @@ D1_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
 D2_OFFSETS = np.array([-2, -1, 0, 1, 2])
 D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+D2_CENTRE = D2_OFFSETS.size // 2        # index of the offset 0
 
 D3_OFFSETS = np.array([-3, -2, -1, 1, 2, 3])
 D3_WEIGHTS = np.array([1.0, -8.0, 13.0, -13.0, 8.0, -1.0]) / 8.0
 
 
+def d2_step(period: float) -> float:
+    """Step h of the D2 stencil for a field of spatial period `period`: 1e-3 of it."""
+    return 1e-3 * period
+
+
+def d2_grid(xs: np.ndarray, h: float) -> np.ndarray:
+    """The D2 stencil points x + k h, k = -2..2, of every x in xs, flattened x-major."""
+    return (xs[:, None] + h * D2_OFFSETS[None, :]).ravel()
+
+
 def second_derivative(samples, h: float):
     """f'' from samples at x + k h, k = -2..2, along the last axis."""
-    samples = np.asarray(samples)
-    return samples @ D2_WEIGHTS / (h * h)
+    return np.asarray(samples) @ D2_WEIGHTS / (h * h)
 
 
 def first_derivative_axis(field, h: float, axis: int):

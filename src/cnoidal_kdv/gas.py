@@ -74,8 +74,6 @@ class GasModel:
     sigma: np.ndarray
     solved_u: np.ndarray | None = None
     solved_v: np.ndarray | None = None
-    carrier_k: float | None = None
-    carrier_w: float | None = None
     # kernel_matrix and the _zeta_form terms (P, wp', V) of these nodes, kept by
     # ndr_solve for the equation of state and the free speeds;
     # dataclasses.replace copies them, so reset them when replacing curve or nodes

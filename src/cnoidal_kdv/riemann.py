@@ -36,6 +36,7 @@ from .errors import (
 from .tau import SolitonSpectrum, fredholm_factor
 
 _IDENTITY_GATE = 1e-9
+_LATTICE_MAX = 2e7        # largest lattice box _lattice enumerates
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ def degenerate_period_matrix(spec: DegenerationSpec) -> PeriodMatrix:
 
 
 def _lattice(dim: int, radius: int) -> np.ndarray:
-    if (2 * radius + 1) ** dim > 2e7:
+    if (2 * radius + 1) ** dim > _LATTICE_MAX:
         raise ValueError(f"lattice box (2*{radius}+1)^{dim} too large to enumerate")
     # rows in lexicographic order, first index slowest
     box = np.indices((2 * radius + 1,) * dim).reshape(dim, -1).T
@@ -318,7 +319,7 @@ def _finite_gap_theta(spec: DegenerationSpec, draws: np.ndarray, xs: np.ndarray,
 
     vals = np.empty((draws.shape[0], ts.size, xs.size, fd.D2_OFFSETS.size), dtype=complex)
     for idx in _x_blocks(xs, reach):
-        x_blk = (xs[idx, None] + h * fd.D2_OFFSETS[None, :]).ravel()
+        x_blk = fd.d2_grid(xs[idx], h)
         x_c = 0.5 * (x_blk.min() + x_blk.max())
         dx = x_blk - x_c
         big_x = np.empty((ts.size, n + 1), dtype=complex)
@@ -351,7 +352,7 @@ def finite_gap_solution(spec: DegenerationSpec, phi, xs, ts, radius: int) -> np.
         raise ValueError("phi must have one entry per soliton, shape (N,) or (k, N)")
     xs = np.asarray(xs, dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    h = 1e-3 * sp.curve.period_x
+    h = fd.d2_step(sp.curve.period_x)
     vals = _finite_gap_theta(spec, phi.reshape(-1, n), xs, h, ts, radius)
     if not np.all(np.isfinite(vals)):
         raise PhaseOverflow("theta lattice sum not finite in double precision")

@@ -101,11 +101,6 @@ class TauContext:
     quad_const: float     # C = zeta(varpi3) / (8 varpi3), real
     P_carrier: float      # -i pi / (2 varpi3), positive real
 
-    @property
-    def fd_step(self) -> float:
-        # scale-aware step for the det-term second derivative
-        return 1e-3 * self.curve.period_x
-
 
 def quasi_momentum(point: JacobianPoint, curve: CurveParams) -> complex:
     """P(beta) = theta1'(beta)/theta1(beta)/(2 varpi3) + chi i pi/(2 varpi3)."""
@@ -351,34 +346,6 @@ def u_background(ctx: TauContext, xs) -> np.ndarray:
     return _cnoidal_wave(_background_phase(ctx, xs), ctx.curve) - 4.0 * ctx.quad_const
 
 
-def _logdet_stencil(ctx: TauContext, xs: np.ndarray, t: float,
-                    h: float | None = None) -> np.ndarray:
-    """ln det(1 + G) at xs + k*h for k = -2..2; shape (nx, 5)."""
-    if h is None:
-        h = ctx.fd_step
-    xs = np.asarray(xs, dtype=float)
-    grid = (xs[:, None] + h * fd.D2_OFFSETS[None, :]).ravel()
-    return _logdet_one_plus_g(ctx, grid, t).reshape(xs.size, 5)
-
-
-def u_grid(ctx: TauContext, xs, t: float, richardson: bool = False) -> np.ndarray:
-    """u(x, t) on an array of x values at fixed t.
-
-    With richardson=True the determinant term combines the h and h/2
-    stencils, cancelling the leading h^4 error of the shared engine.
-    """
-    xs = np.asarray(xs, dtype=float)
-    u = u_background(ctx, xs)
-    if len(ctx.spectrum) > 0:
-        h = ctx.fd_step
-        d2 = fd.second_derivative(_logdet_stencil(ctx, xs, t, h), h)
-        if richardson:
-            fine = fd.second_derivative(_logdet_stencil(ctx, xs, t, h / 2.0), h / 2.0)
-            d2 = (16.0 * fine - d2) / 15.0
-        u = u + 2.0 * d2
-    return u
-
-
 def logdet_x_analytic(ctx: TauContext, x: float, t: float) -> float:
     """d/dx ln det(1 + G) as trace((1+G)^{-1} dG/dx), fully analytic.
 
@@ -407,17 +374,18 @@ def logdet_x_analytic(ctx: TauContext, x: float, t: float) -> float:
     return float(val.real)
 
 
-def _stencil_tensor(ctx: TauContext, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The D2-stencil grid around xs (five points per x) and the A tensor on it."""
-    grid = (xs[:, None] + ctx.fd_step * fd.D2_OFFSETS[None, :]).ravel()
-    return grid, _a_tensor(ctx.spectrum, _background_phase(ctx, grid))
+def _stencil_tensor(ctx: TauContext, xs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The D2 stencil around xs, as its step and grid, and the A tensor on that grid."""
+    h = fd.d2_step(ctx.curve.period_x)
+    grid = fd.d2_grid(xs, h)
+    return h, grid, _a_tensor(ctx.spectrum, _background_phase(ctx, grid))
 
 
-def _u_row(ctx: TauContext, xs: np.ndarray, ubg: np.ndarray, grid: np.ndarray,
+def _u_row(ctx: TauContext, ubg: np.ndarray, h: float, grid: np.ndarray,
            a: np.ndarray, t: float) -> np.ndarray:
-    """u at xs and time t from the stencil A tensor, ubg the cnoidal part."""
-    ld = _logdet_one_plus_g(ctx, grid, t, a=a).reshape(xs.size, 5)
-    return ubg + 2.0 * fd.second_derivative(ld, ctx.fd_step)
+    """u at time t from _stencil_tensor's stencil, ubg the cnoidal part at its centres."""
+    ld = _logdet_one_plus_g(ctx, grid, t, a=a).reshape(ubg.size, fd.D2_OFFSETS.size)
+    return ubg + 2.0 * fd.second_derivative(ld, h)
 
 
 def _eval_rows(ctx: TauContext, xs, ts):
@@ -438,10 +406,10 @@ def _eval_rows(ctx: TauContext, xs, ts):
         for _ in ts:
             yield ubg, _tau_values(ctx, xs, det, th), det
         return
-    grid, a = _stencil_tensor(ctx, xs)
-    centre = a.reshape(xs.size, 5, n, n)[:, 2]      # offset 0 is the middle of D2_OFFSETS
+    h, grid, a = _stencil_tensor(ctx, xs)
+    centre = a.reshape(xs.size, fd.D2_OFFSETS.size, n, n)[:, fd.D2_CENTRE]
     for t in map(float, ts):
-        u = _u_row(ctx, xs, ubg, grid, a, t)
+        u = _u_row(ctx, ubg, h, grid, a, t)
         det = _det_one_plus_g(ctx, xs, t, centre)
         yield u, _tau_values(ctx, xs, det, th), det
 
@@ -455,10 +423,15 @@ def u_field(ctx: TauContext, xs, ts) -> np.ndarray:
     if len(ctx.spectrum) == 0:
         out[:] = ubg[None, :]
         return out
-    grid, a = _stencil_tensor(ctx, xs)
+    h, grid, a = _stencil_tensor(ctx, xs)
     for i, t in enumerate(ts):
-        out[i] = _u_row(ctx, xs, ubg, grid, a, float(t))
+        out[i] = _u_row(ctx, ubg, h, grid, a, float(t))
     return out
+
+
+def u_grid(ctx: TauContext, xs, t: float) -> np.ndarray:
+    """u(x, t) on an array of x values at fixed t: the row of u_field at t."""
+    return u_field(ctx, xs, t)[0]
 
 
 def kdv_residual(ctx: TauContext, x_span: tuple[float, float], nx: int,

@@ -287,6 +287,20 @@ def a_tensor_loop(spectrum, ybg) -> np.ndarray:
     return a
 
 
+def u_grid_stencil(ctx, xs, t: float) -> np.ndarray:
+    """u = u_background + 2 (ln det(1 + G))_xx at one t, from its own stencil grid and A tensor."""
+    from cnoidal_kdv import fd, tau
+
+    xs = np.asarray(xs, dtype=float)
+    u = tau.u_background(ctx, xs)
+    if len(ctx.spectrum) == 0:
+        return u
+    h = 1e-3 * ctx.curve.period_x
+    grid = (xs[:, None] + h * np.arange(-2, 3)[None, :]).ravel()
+    ld = tau._logdet_one_plus_g(ctx, grid, t).reshape(xs.size, 5)
+    return u + 2.0 * fd.second_derivative(ld, h)
+
+
 def invert_wp_bisection(b: float, curve):
     """Jacobian coordinate of a spectral point b by bisection, evaluating wp at every step.
 

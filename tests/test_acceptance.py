@@ -75,7 +75,7 @@ def test_criterion_4_soliton_transport(curve, dim_point, bright_point):
     for pt, direction in ((bright_point, +1.0), (dim_point, -1.0)):
         v = dy.group_velocity(pt, curve)
         t1 = 10.0 / abs(v)
-        t_per = abs(dy.tracking_period(pt, curve))
+        t_per = abs(dy.track_soliton(pt, curve).period_T)
 
         def mean_center(t_start, n=64):
             ts = t_start + (np.arange(n) + 0.5) * t_per / n

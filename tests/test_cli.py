@@ -1,8 +1,10 @@
 """Exit-code contract, determinism, and column semantics of the CLI."""
 
+import argparse
 import json
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -340,6 +342,19 @@ class TestGasCommand:
         assert 0.0 < delta < 1e-3
 
 
+def gas_cfg(support=None, **gas):
+    support = support or [{"kind": "hot", "lo": 0.2, "hi": 0.3}]
+    return {"curve": BASE_CURVE, "gas": {"support": support, "sigma": 1.0, "nodes": 16, **gas}}
+
+
+def verify_cfg(n, **verify):
+    solitons = [{"beta": 0.30, "kind": "hot"}, {"beta": 0.24, "kind": "cool"},
+                {"beta": 0.20, "kind": "hot"}]
+    return {"curve": BASE_CURVE, "solitons": solitons[:n],
+            "grid": {"xmin": -1, "xmax": 1, "nx": 2, "tmin": 0, "tmax": 0, "nt": 1},
+            "verify": {"which": "degeneration", **verify}, "seed": 1}
+
+
 class TestExitCodes:
     def test_missing_config(self, tmp_path):
         cmd = [sys.executable, "-m", "cnoidal_kdv.cli", "eval",
@@ -405,6 +420,54 @@ class TestExitCodes:
                "verify": {"which": "fay", "fay_n": 2, "trials": 5}, "seed": 1}
         res = run_cli(tmp_path, cfg, "verify", "--tol", "1e-25")
         assert res.returncode == 4
+
+    @pytest.mark.parametrize("command, cfg", [
+        pytest.param("gas", gas_cfg([{"kind": "hot", "lo": 0.3, "hi": 0.2}]), id="lo>hi"),
+        pytest.param("gas", gas_cfg(nodes=4), id="nodes=4"),
+        pytest.param("gas", gas_cfg(sigma=-1), id="sigma<0"),
+        pytest.param("gas", gas_cfg([{"kind": "hot", "lo": 0.2}]), id="no-hi"),
+        pytest.param("gas", gas_cfg([{"b_lo": -4.0, "b_hi": -5.0}]), id="b_lo>b_hi"),
+        pytest.param("verify", verify_cfg(1, epsilons=[2.0]), id="epsilon=2"),
+        pytest.param("verify", verify_cfg(1, epsilons=[]), id="no-epsilons"),
+        pytest.param("verify", dict(verify_cfg(3), radius=400), id="radius=400"),
+        pytest.param("eval", dict(cnoidal_cfg(), grid=dict(cnoidal_cfg()["grid"], nx="a")),
+                     id="nx=a"),
+    ])
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, command, cfg):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error:")
+
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+
+        def counting(*args, _build=argparse.ArgumentParser, **kwargs):
+            built.append(_build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=counting))
+        cli._parser.cache_clear()
+        try:
+            path = tmp_path / "velocity.json"
+            path.write_text(json.dumps({"curve": BASE_CURVE,
+                                        "solitons": [{"beta": 0.30, "kind": "hot"}]}))
+            assert cli.main(["dynamics", "--config", str(path)]) == 0
+            assert cli.main(["dynamics", "--config", str(path)]) == 0
+            assert len(built) == 1
+            capsys.readouterr()
+            # a usage error still exits through argparse
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["dynamics"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: cnoidal-kdv")
+            assert "the following arguments are required: --config" in err
+            assert len(built) == 1
+        finally:
+            cli._parser.cache_clear()
 
 
 def track_cfg(nt, norming=1.0):

@@ -61,7 +61,7 @@ class TestGroupVelocity:
 
 class TestTrackPhase:
     def test_periodicity(self, curve, bright_point):
-        t_per = dy.tracking_period(bright_point, curve)
+        t_per = dy.track_soliton(bright_point, curve).period_T
         for t in (0.0, 0.4, 1.1):
             a = dy.track_phase(bright_point, curve, 1.0, t)
             b = dy.track_phase(bright_point, curve, 1.0, t + t_per)
@@ -115,7 +115,7 @@ def _newton_points(curve):
 
 
 def _period_midpoints(point, curve, n=64):
-    return (np.arange(n) + 0.5) * abs(dy.tracking_period(point, curve)) / n
+    return (np.arange(n) + 0.5) * abs(dy.track_soliton(point, curve).period_T) / n
 
 
 class TestTrackPhaseNewton:

@@ -15,7 +15,8 @@ from cnoidal_kdv.errors import (
     GridTooCoarse,
     PhaseOverflow,
 )
-from oracles import a_tensor_loop, norming_constants_loop, single_soliton_two_term
+from oracles import (a_tensor_loop, norming_constants_loop, single_soliton_two_term,
+                     u_grid_stencil)
 
 
 class TestSpectrum:
@@ -282,6 +283,15 @@ class TestBatchedThetaKeepsBits:
             before = d1 / (2.0 * curve.varpi3) + pt.chi * 1j * np.pi / (2.0 * curve.varpi3)
             assert tu.quasi_momentum(pt, curve) == before
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
+    def test_u_grid_keeps_the_per_t_stencil_bits(self, curve, n):
+        # u_grid is u_field's row; the per-t stencil formula gave the same bytes
+        sp = tu.spectrum_from_points(curve, [(p, 0.5 - k) for k, p in enumerate(mixed_points(curve, n))])
+        ctx = tu.build_context(curve, sp)
+        xs = np.linspace(-6.0, 6.0, 97)
+        for t in (0.0, 0.3):
+            assert tu.u_grid(ctx, xs, t).tobytes() == u_grid_stencil(ctx, xs, t).tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_a_tensor(self, curve, n):
         sp = tu.spectrum_from_points(curve, [(p, 0.0) for p in mixed_points(curve, n)])
@@ -355,14 +365,6 @@ class TestDerivativeModes:
             an = tu.logdet_x_analytic(ctx_dimbright, x, t)
             ld = np.log(tu._det_one_plus_g(ctx_dimbright, np.array([x - h, x + h]), t))
             assert abs(an - (ld[1] - ld[0]) / (2 * h)) < 1e-8
-
-    def test_richardson_flag_consistent(self, ctx_bright):
-        xs = np.linspace(-4, 4, 17)
-        base = tu.u_grid(ctx_bright, xs, 0.2)
-        rich = tu.u_grid(ctx_bright, xs, 0.2, richardson=True)
-        # the h^4 correction is tiny but nonzero
-        delta = np.max(np.abs(base - rich))
-        assert 0.0 < delta < 1e-6
 
 
 class TestKdvResidual:
