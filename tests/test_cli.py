@@ -2,10 +2,12 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from cnoidal_kdv import cli
 from cnoidal_kdv import tau as tu
 
 BASE_CURVE = {"e1": 2.0, "e2": 1.0, "e3": -3.0}
+# a CLI subprocess imports the package these tests import, installed or not
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(tmp_path, cfg, *args):
@@ -21,7 +26,7 @@ def run_cli(tmp_path, cfg, *args):
     path.write_text(json.dumps(cfg))
     cmd = [sys.executable, "-m", "cnoidal_kdv.cli", *args[:1],
            "--config", str(path), *args[1:]]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True, env=CLI_ENV)
 
 
 def parse_csv(text):
@@ -359,13 +364,13 @@ class TestExitCodes:
     def test_missing_config(self, tmp_path):
         cmd = [sys.executable, "-m", "cnoidal_kdv.cli", "eval",
                "--config", str(tmp_path / "absent.json")]
-        assert subprocess.run(cmd, capture_output=True).returncode == 2
+        assert subprocess.run(cmd, capture_output=True, env=CLI_ENV).returncode == 2
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         cmd = [sys.executable, "-m", "cnoidal_kdv.cli", "eval", "--config", str(path)]
-        assert subprocess.run(cmd, capture_output=True).returncode == 2
+        assert subprocess.run(cmd, capture_output=True, env=CLI_ENV).returncode == 2
 
     def test_bad_grid(self, tmp_path):
         cfg = cnoidal_cfg()
