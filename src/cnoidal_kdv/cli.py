@@ -46,6 +46,31 @@ def _reading(name: str):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
+def _section(cfg: dict, key: str) -> dict:
+    """cfg[key] as a JSON object, {} when absent."""
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{key}' must be a JSON object")
+    return section
+
+
+def _objects(section: dict, key: str) -> list[dict]:
+    """section[key] as a list of JSON objects, [] when absent."""
+    items = section.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise ConfigError(f"'{key}' must be a list of JSON objects")
+    return items
+
+
+def _count(vcfg: dict, key: str, default: int) -> int:
+    """verify.<key> as an integer of at least 1."""
+    with _reading(f"verify.{key}"):
+        n = int(vcfg.get(key, default))
+    if n < 1:
+        raise ConfigError(f"verify.{key} = {n} must be at least 1")
+    return n
+
+
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return f"{v:.17g}"
@@ -82,7 +107,8 @@ def _build_curve(cfg: dict):
 
 
 def _finite(value, name: str) -> float:
-    v = float(value)
+    with _reading(name):
+        v = float(value)
     if not np.isfinite(v):
         raise ConfigError(f"{name} = {v} is not finite")
     return v
@@ -90,7 +116,7 @@ def _finite(value, name: str) -> float:
 
 def _build_spectrum(cfg: dict, curve):
     points = []
-    for sol in cfg.get("solitons", []):
+    for sol in _objects(cfg, "solitons"):
         x_shift = _finite(sol.get("x_shift", 0.0), "soliton x_shift")
         if "b" in sol:
             points.append((invert_wp(_finite(sol["b"], "soliton b"), curve), x_shift))
@@ -194,7 +220,7 @@ def _verify_pde(cfg, ctx, tol, rep):
 
 def _lattice_inputs(cfg: dict, args, n: int, default_eps: list) -> tuple[list, int]:
     """verify.epsilons and the radius of the genus n + 1 lattice sums, checked."""
-    eps_list = cfg.get("verify", {}).get("epsilons", default_eps)
+    eps_list = _section(cfg, "verify").get("epsilons", default_eps)
     with _reading("verify.epsilons"):
         if not eps_list or not all(0.0 < float(eps) < 1.0 for eps in eps_list):
             raise ConfigError("verify.epsilons must be a non-empty list in (0, 1)")
@@ -221,9 +247,9 @@ def _verify_degeneration(cfg, ctx, tol, rng, args, rep):
 
 
 def _verify_fay(cfg, curve, tol, rng, rep):
-    vcfg = cfg.get("verify", {})
-    n = int(vcfg.get("fay_n", 3))
-    trials = int(vcfg.get("trials", 50))
+    vcfg = _section(cfg, "verify")
+    n = _count(vcfg, "fay_n", 3)
+    trials = _count(vcfg, "trials", 50)
     worst = 0.0
     for _ in range(trials):
         xs = rng.uniform(0, 1, n) + 1j * rng.uniform(0, 0.3, n)
@@ -237,7 +263,7 @@ def _verify_fay(cfg, curve, tol, rng, rep):
 
 def _verify_montecarlo(cfg, ctx, rng_seed, args, rep):
     eps_list, radius = _lattice_inputs(cfg, args, len(ctx.spectrum), _DEFAULT_EPS_MC)
-    trials = int(cfg.get("verify", {}).get("trials", 200))
+    trials = _count(_section(cfg, "verify"), "trials", 200)
     xs, ts = _grid(cfg)
     means = riemann.random_phase_mc(ctx.spectrum, eps_list, trials, rng_seed,
                                     xs, [float(ts[0])], radius)
@@ -250,13 +276,14 @@ def _verify_montecarlo(cfg, ctx, rng_seed, args, rep):
 
 
 def cmd_verify(cfg: dict, args) -> tuple[Report, int]:
-    which = cfg.get("verify", {}).get("which")
+    which = _section(cfg, "verify").get("which")
     if which not in ("pde", "degeneration", "fay", "montecarlo"):
         raise ConfigError("verify.which must be pde|degeneration|fay|montecarlo")
     curve = _build_curve(cfg)
     ctx = tau.build_context(curve, _build_spectrum(cfg, curve))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    rng = np.random.default_rng(seed)
+    with _reading("seed"):
+        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        rng = np.random.default_rng(seed)
     tol = args.tol if args.tol is not None else _DEFAULT_TOL.get(which, 1e-9)
     rep = Report("verify", cfg, ["check", "parameters", "residual", "tolerance", "pass"])
     if which == "pde":
@@ -271,7 +298,7 @@ def cmd_verify(cfg: dict, args) -> tuple[Report, int]:
 
 
 def cmd_dynamics(cfg: dict, args) -> tuple[Report, int]:
-    mode = cfg.get("dynamics", {}).get("mode", "velocity")
+    mode = _section(cfg, "dynamics").get("mode", "velocity")
     curve = _build_curve(cfg)
     spectrum = _build_spectrum(cfg, curve)
     if mode == "velocity":
@@ -290,7 +317,7 @@ def cmd_dynamics(cfg: dict, args) -> tuple[Report, int]:
         if len(spectrum) != 1:
             raise ConfigError("track mode needs exactly one soliton")
         with _reading("dynamics.norming"):
-            norming = float(cfg.get("dynamics", {}).get("norming", 1.0))
+            norming = float(_section(cfg, "dynamics").get("norming", 1.0))
         _, ts = _grid(cfg)
         try:
             phis = dynamics.track_phase(spectrum.entries[0].point, curve, norming, ts)
@@ -304,11 +331,11 @@ def cmd_dynamics(cfg: dict, args) -> tuple[Report, int]:
 
 
 def _gas_model_from_config(cfg: dict, curve, nodes_override=None):
-    gcfg = cfg.get("gas")
-    if gcfg is None:
+    if "gas" not in cfg:
         raise ConfigError("config needs a 'gas' entry")
+    gcfg = _section(cfg, "gas")
     intervals = []
-    for iv in gcfg.get("support", []):
+    for iv in _objects(gcfg, "support"):
         with _reading("gas.support"):            # an interval checks its own ends
             if "b_lo" in iv:
                 intervals.append(gas.interval_from_physical(

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .elliptic import CurveParams, JacobianPoint
 from .elliptic import _cnoidal_wave, _log_theta1_ratio, _theta_grid, _zeta_form
@@ -238,6 +237,9 @@ def background_shift_probe(ctx: TauContext, t: float,
     from the group velocities).  The returned phase is the additive one:
     u ~ 2 d^2/dx^2 ln theta3(y + phase) + const on the window.
     """
+    # scipy.optimize loads here, not with the package: no CLI command fits phases
+    from scipy.optimize import minimize_scalar
+
     phases = []
     for lo, hi in windows:
         xs = np.linspace(lo, hi, samples_per_window)

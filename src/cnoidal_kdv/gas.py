@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
 
 from .elliptic import CurveParams, JacobianPoint, weierstrass, zeta_half_period
 from .elliptic import _log_theta1_ratio, _theta_grid, _zeta_form
@@ -254,6 +253,9 @@ def ndr_solve(model: GasModel) -> GasModel:
     The kernel matrix and the node terms are kept on the returned model for
     the equation of state and the free speeds.
     """
+    # scipy.linalg loads at the first solve, not with the package
+    from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
+
     a = kernel_matrix(model)
     m = a + np.diag(model.sigma)
     with warnings.catch_warnings():

@@ -437,6 +437,20 @@ class TestExitCodes:
         pytest.param("verify", dict(verify_cfg(3), radius=400), id="radius=400"),
         pytest.param("eval", dict(cnoidal_cfg(), grid=dict(cnoidal_cfg()["grid"], nx="a")),
                      id="nx=a"),
+        pytest.param("verify", dict(verify_cfg(1, which="fay"), seed="a"), id="seed=a"),
+        pytest.param("verify", dict(verify_cfg(1, which="fay"), seed=-1), id="seed=-1"),
+        pytest.param("verify", verify_cfg(1, which="fay", trials="a"), id="trials=a"),
+        pytest.param("verify", verify_cfg(1, which="fay", fay_n="a"), id="fay_n=a"),
+        pytest.param("verify", verify_cfg(1, which="fay", fay_n=0), id="fay_n=0"),
+        pytest.param("verify", verify_cfg(1, which="fay", trials=0), id="fay-trials=0"),
+        pytest.param("verify", verify_cfg(1, which="montecarlo", trials=0), id="mc-trials=0"),
+        pytest.param("verify", dict(verify_cfg(1), verify=3), id="verify=3"),
+        pytest.param("eval", dict(cnoidal_cfg(), solitons=[{"b": "a"}]), id="b=a"),
+        pytest.param("eval", dict(cnoidal_cfg(), solitons=3), id="solitons=3"),
+        pytest.param("eval", dict(cnoidal_cfg(), solitons=[3]), id="solitons=[3]"),
+        pytest.param("dynamics", dict(cnoidal_cfg(), dynamics=3), id="dynamics=3"),
+        pytest.param("gas", dict(gas_cfg(), gas=3), id="gas=3"),
+        pytest.param("gas", gas_cfg(3), id="support=3"),
     ])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, command, cfg):
         path = tmp_path / "config.json"

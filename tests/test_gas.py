@@ -311,7 +311,7 @@ class TestNdrSolve:
 
     def test_singular_system_rejected(self, curve):
         iv = gas.GasInterval(0, 0.2, 0.3)
-        with pytest.raises(SingularSystem):
+        with pytest.raises(SingularSystem, match="is singular"):
             gas.ndr_solve(gas.build_model(curve, [iv, iv], 0.0, 16))
 
 
