@@ -62,10 +62,17 @@ def _objects(section: dict, key: str) -> list[dict]:
     return items
 
 
+def _whole(value, name: str) -> int:
+    """value as an int; a bool or a number with a fractional part is a ConfigError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} = {value!r} must be a whole number")
+    with _reading(name):
+        return int(value)
+
+
 def _count(vcfg: dict, key: str, default: int) -> int:
     """verify.<key> as an integer of at least 1."""
-    with _reading(f"verify.{key}"):
-        n = int(vcfg.get(key, default))
+    n = _whole(vcfg.get(key, default), f"verify.{key}")
     if n < 1:
         raise ConfigError(f"verify.{key} = {n} must be at least 1")
     return n
@@ -141,8 +148,8 @@ def _grid(cfg: dict):
     if g is None:
         raise ConfigError("config needs a 'grid' entry")
     with _reading("grid"):
-        xmin, xmax, nx = float(g["xmin"]), float(g["xmax"]), int(g["nx"])
-        tmin, tmax, nt = float(g["tmin"]), float(g["tmax"]), int(g["nt"])
+        xmin, xmax, nx = float(g["xmin"]), float(g["xmax"]), _whole(g["nx"], "grid.nx")
+        tmin, tmax, nt = float(g["tmin"]), float(g["tmax"]), _whole(g["nt"], "grid.nt")
     if nx < 2 or nt < 1:
         raise ConfigError("grid needs nx >= 2 and nt >= 1")
     if not np.all(np.isfinite([xmin, xmax, tmin, tmax])):
@@ -218,23 +225,23 @@ def _verify_pde(cfg, ctx, tol, rep):
     return ok
 
 
-def _lattice_inputs(cfg: dict, args, n: int, default_eps: list) -> tuple[list, int]:
+def _lattice_inputs(cfg: dict, vcfg: dict, args, n: int,
+                    default_eps: list) -> tuple[list, int]:
     """verify.epsilons and the radius of the genus n + 1 lattice sums, checked."""
-    eps_list = _section(cfg, "verify").get("epsilons", default_eps)
+    eps_list = vcfg.get("epsilons", default_eps)
     with _reading("verify.epsilons"):
         if not eps_list or not all(0.0 < float(eps) < 1.0 for eps in eps_list):
             raise ConfigError("verify.epsilons must be a non-empty list in (0, 1)")
-    with _reading("radius"):
-        radius = args.radius if args.radius is not None else int(cfg.get("radius", 6))
+    radius = args.radius if args.radius is not None else _whole(cfg.get("radius", 6), "radius")
     if radius < 0 or (2 * radius + 1) ** (n + 1) > riemann._LATTICE_MAX:
         raise ConfigError(f"radius = {radius}: lattice box (2*{radius}+1)^{n + 1} too large")
     return eps_list, radius
 
 
-def _verify_degeneration(cfg, ctx, tol, rng, args, rep):
+def _verify_degeneration(cfg, vcfg, ctx, tol, rng, args, rep):
     spectrum = ctx.spectrum
     n = len(spectrum)
-    eps_list, radius = _lattice_inputs(cfg, args, n, _DEFAULT_EPS_DEGEN)
+    eps_list, radius = _lattice_inputs(cfg, vcfg, args, n, _DEFAULT_EPS_DEGEN)
     psis = 1j * rng.uniform(-0.5, 0.5, size=n)
     beta = rng.uniform(0.0, 1.0)
     x_phase = np.concatenate([psis, [beta]])
@@ -246,8 +253,7 @@ def _verify_degeneration(cfg, ctx, tol, rng, args, rep):
     return monotone and resids[-1] < tol
 
 
-def _verify_fay(cfg, curve, tol, rng, rep):
-    vcfg = _section(cfg, "verify")
+def _verify_fay(vcfg, curve, tol, rng, rep):
     n = _count(vcfg, "fay_n", 3)
     trials = _count(vcfg, "trials", 50)
     worst = 0.0
@@ -261,9 +267,9 @@ def _verify_fay(cfg, curve, tol, rng, rep):
     return ok
 
 
-def _verify_montecarlo(cfg, ctx, rng_seed, args, rep):
-    eps_list, radius = _lattice_inputs(cfg, args, len(ctx.spectrum), _DEFAULT_EPS_MC)
-    trials = _count(_section(cfg, "verify"), "trials", 200)
+def _verify_montecarlo(cfg, vcfg, ctx, rng_seed, args, rep):
+    eps_list, radius = _lattice_inputs(cfg, vcfg, args, len(ctx.spectrum), _DEFAULT_EPS_MC)
+    trials = _count(vcfg, "trials", 200)
     xs, ts = _grid(cfg)
     means = riemann.random_phase_mc(ctx.spectrum, eps_list, trials, rng_seed,
                                     xs, [float(ts[0])], radius)
@@ -276,29 +282,31 @@ def _verify_montecarlo(cfg, ctx, rng_seed, args, rep):
 
 
 def cmd_verify(cfg: dict, args) -> tuple[Report, int]:
-    which = _section(cfg, "verify").get("which")
+    vcfg = _section(cfg, "verify")
+    which = vcfg.get("which")
     if which not in ("pde", "degeneration", "fay", "montecarlo"):
         raise ConfigError("verify.which must be pde|degeneration|fay|montecarlo")
     curve = _build_curve(cfg)
     ctx = tau.build_context(curve, _build_spectrum(cfg, curve))
     with _reading("seed"):
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else _whole(cfg.get("seed", 0), "seed")
         rng = np.random.default_rng(seed)
     tol = args.tol if args.tol is not None else _DEFAULT_TOL.get(which, 1e-9)
     rep = Report("verify", cfg, ["check", "parameters", "residual", "tolerance", "pass"])
     if which == "pde":
         ok = _verify_pde(cfg, ctx, tol, rep)
     elif which == "degeneration":
-        ok = _verify_degeneration(cfg, ctx, tol, rng, args, rep)
+        ok = _verify_degeneration(cfg, vcfg, ctx, tol, rng, args, rep)
     elif which == "fay":
-        ok = _verify_fay(cfg, curve, tol, rng, rep)
+        ok = _verify_fay(vcfg, curve, tol, rng, rep)
     else:
-        ok = _verify_montecarlo(cfg, ctx, seed, args, rep)
+        ok = _verify_montecarlo(cfg, vcfg, ctx, seed, args, rep)
     return rep, 0 if ok else 4
 
 
 def cmd_dynamics(cfg: dict, args) -> tuple[Report, int]:
-    mode = _section(cfg, "dynamics").get("mode", "velocity")
+    dcfg = _section(cfg, "dynamics")
+    mode = dcfg.get("mode", "velocity")
     curve = _build_curve(cfg)
     spectrum = _build_spectrum(cfg, curve)
     if mode == "velocity":
@@ -317,7 +325,7 @@ def cmd_dynamics(cfg: dict, args) -> tuple[Report, int]:
         if len(spectrum) != 1:
             raise ConfigError("track mode needs exactly one soliton")
         with _reading("dynamics.norming"):
-            norming = float(_section(cfg, "dynamics").get("norming", 1.0))
+            norming = float(dcfg.get("norming", 1.0))
         _, ts = _grid(cfg)
         try:
             phis = dynamics.track_phase(spectrum.entries[0].point, curve, norming, ts)

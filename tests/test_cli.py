@@ -444,6 +444,13 @@ class TestExitCodes:
         pytest.param("verify", verify_cfg(1, which="fay", fay_n=0), id="fay_n=0"),
         pytest.param("verify", verify_cfg(1, which="fay", trials=0), id="fay-trials=0"),
         pytest.param("verify", verify_cfg(1, which="montecarlo", trials=0), id="mc-trials=0"),
+        pytest.param("verify", verify_cfg(1, which="fay", fay_n=2.9), id="fay_n=2.9"),
+        pytest.param("verify", verify_cfg(1, which="fay", trials=1.5), id="trials=1.5"),
+        pytest.param("verify", verify_cfg(1, which="fay", fay_n=True), id="fay_n=true"),
+        pytest.param("verify", dict(verify_cfg(1, which="fay"), seed=1.5), id="seed=1.5"),
+        pytest.param("verify", dict(verify_cfg(1), radius=2.5), id="radius=2.5"),
+        pytest.param("eval", dict(cnoidal_cfg(), grid=dict(cnoidal_cfg()["grid"], nx=2.5)),
+                     id="nx=2.5"),
         pytest.param("verify", dict(verify_cfg(1), verify=3), id="verify=3"),
         pytest.param("eval", dict(cnoidal_cfg(), solitons=[{"b": "a"}]), id="b=a"),
         pytest.param("eval", dict(cnoidal_cfg(), solitons=3), id="solitons=3"),

@@ -1,6 +1,6 @@
 """Wall time of the README's CLI commands, each a fresh process, on this checkout and another.
 
-    python3 tools/cli_walltime.py --parent DIR [--repeats 5]
+    python3 tools/cli_walltime.py --parent DIR
 
 DIR is another checkout of the repository, e.g. the parent commit made with
 `git clone` or `git archive <rev> | tar -x -C DIR`.  Each command of the
@@ -8,10 +8,11 @@ README's CLI examples, plus `verify` on verify_all.json, runs as
 `python -m cnoidal_kdv.cli ...` with that checkout's `src/` alone on
 PYTHONPATH and BLAS and OpenMP pinned to one thread.  Both sides read this
 checkout's demo configs, and `eval` writes to stdout rather than to --out,
-so every command's output can be compared.  The side that goes first
-alternates from repeat to repeat.  Per command it prints each side's median
-wall time in seconds and whether stdout and the exit code were identical on
-every run.  Nothing of the benchmark is imported.
+so every command's output can be compared.  Each command runs PAIRS times
+on each side, and the side that goes first alternates from pair to pair.
+Per command it prints each side's median [quartiles] wall time in seconds,
+the number of pairs in which this checkout was faster, and whether stdout
+and the exit code were identical on every run.  Nothing of the benchmark is imported.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ COMMANDS = [
     ("gas", "gas_hot.json", "--double-nodes"),
     ("verify", "verify_all.json"),
 ]
+PAIRS = 10
 PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -50,22 +52,26 @@ def run_once(checkout: Path, command: tuple) -> tuple[float, int, bytes]:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path)
-    ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
     sides = {"change": ROOT, "parent": args.parent.resolve()}
-    print(f"{'command':<42} {'parent_s':>9} {'change_s':>9} {'ratio':>6}  identical")
+    print(f"{'command':<36} {'parent_s [q1, q3]':>22} {'change_s [q1, q3]':>22} "
+          f"{'ratio':>6} {'wins':>5}  identical")
     for command in COMMANDS:
         times = {side: [] for side in sides}
         outputs = {side: set() for side in sides}
-        for k in range(args.repeats):
+        for k in range(PAIRS):
             for side in (("change", "parent") if k % 2 == 0 else ("parent", "change")):
                 seconds, code, out = run_once(sides[side], command)
                 times[side].append(seconds)
                 outputs[side].add((code, out))
-        parent_s, change_s = (statistics.median(times[side]) for side in ("parent", "change"))
+        (p1, parent_s, p3), (c1, change_s, c3) = (
+            statistics.quantiles(times[side], n=4, method="inclusive")
+            for side in ("parent", "change"))
+        wins = sum(c < p for c, p in zip(times["change"], times["parent"]))
         identical = len(outputs["parent"] | outputs["change"]) == 1
-        print(f"{' '.join(command):<42} {parent_s:9.3f} {change_s:9.3f} "
-              f"{change_s / parent_s:6.3f}  {identical}", flush=True)
+        print(f"{' '.join(command):<36} {parent_s:7.3f} [{p1:.3f}, {p3:.3f}] "
+              f"{change_s:7.3f} [{c1:.3f}, {c3:.3f}] {change_s / parent_s:6.3f} "
+              f"{wins:>2}/{PAIRS}  {identical}", flush=True)
     return 0
 
 
