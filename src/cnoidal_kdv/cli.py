@@ -357,18 +357,17 @@ def _gas_model_from_config(cfg: dict, curve, nodes_override=None):
     if not intervals:
         raise ConfigError("gas.support must not be empty")
     with _reading("gas"):                        # the node count and the sign of sigma
-        nodes = nodes_override or int(gcfg.get("nodes", 64))
+        nodes = nodes_override or _whole(gcfg.get("nodes", 64), "gas.nodes")
         return gas.build_model(curve, intervals, float(gcfg.get("sigma", 1.0)), nodes)
 
 
 def cmd_gas(cfg: dict, args) -> tuple[Report, int]:
     curve = _build_curve(cfg)
     model = gas.ndr_solve(_gas_model_from_config(cfg, curve))
-    speeds = model.speeds
-    s0 = gas.free_speeds(model)
     rep = Report("gas", cfg, ["eta", "u", "v", "s", "s0"])
-    for i, beta in enumerate(model.betas):
-        rep.add(beta, model.solved_u[i], model.solved_v[i], speeds[i], s0[i])
+    columns = (model.betas, model.solved_u, model.solved_v, model.speeds,
+               gas.free_speeds(model))
+    rep.rows += map(list, zip(*(col.tolist() for col in columns)))
     rep.footer["k_tilde"], rep.footer["w_tilde"] = gas.carrier_quantities(model)
     rep.footer["eos_residual"] = gas.equation_of_state_residual(model)
     if args.double_nodes:

@@ -228,6 +228,25 @@ def total_shift_schedule(spectrum: SolitonSpectrum) -> np.ndarray:
 # Background phase probe (conveyer-belt effect)
 # ----------------------------------------------------------------------------
 
+_INV_GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
+
+
+def _golden_section(cost, lo: float, hi: float, xatol: float) -> float:
+    """Minimiser of a unimodal cost on [lo, hi], to xatol, by golden-section search."""
+    x1, x2 = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
+    f1, f2 = cost(x1), cost(x2)
+    while hi - lo > xatol:
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_GOLDEN * (hi - lo)
+            f1 = cost(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_GOLDEN * (hi - lo)
+            f2 = cost(x2)
+    return 0.5 * (lo + hi)
+
+
 def background_shift_probe(ctx: TauContext, t: float,
                            windows: list[tuple[float, float]],
                            samples_per_window: int = 160) -> list[float]:
@@ -237,9 +256,6 @@ def background_shift_probe(ctx: TauContext, t: float,
     from the group velocities).  The returned phase is the additive one:
     u ~ 2 d^2/dx^2 ln theta3(y + phase) + const on the window.
     """
-    # scipy.optimize loads here, not with the package: no CLI command fits phases
-    from scipy.optimize import minimize_scalar
-
     phases = []
     for lo, hi in windows:
         xs = np.linspace(lo, hi, samples_per_window)
@@ -252,10 +268,7 @@ def background_shift_probe(ctx: TauContext, t: float,
 
         coarse = np.linspace(0.0, 1.0, 256, endpoint=False)
         c0 = min(coarse, key=cost)
-        res = minimize_scalar(cost, bounds=(c0 - 1.0 / 128, c0 + 1.0 / 128),
-                              method="bounded",
-                              options={"xatol": 1e-12})
-        phase = float(res.x % 1.0)
+        phase = float(_golden_section(cost, c0 - 1.0 / 128, c0 + 1.0 / 128, 1e-12) % 1.0)
         if np.sqrt(cost(phase)) > 1e-2:
             raise FitDiverged(f"window ({lo}, {hi}): rms {np.sqrt(cost(phase))}")
         phases.append(phase)

@@ -39,11 +39,12 @@ from .errors import (
 )
 from .tau import quasi_momentum
 
-# Cap on the LAPACK gecon estimate of the 1-norm condition number k1 of the NDR
-# matrix.  LU with partial pivoting is backward stable, so the solution's relative
-# 1-norm error is at most about k1 u, u = 2^-53; the cap keeps it below about
-# 1e12 u ~ 1.1e-4.  The estimate never exceeds k1 and is rarely below k1 / 3
-# (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed., sec. 15.3).
+# Cap on the 1-norm condition number k1 of the NDR matrix.  LU with partial
+# pivoting is backward stable, so the solution's relative 1-norm error is at
+# most about k1 u, u = 2^-53; the cap keeps it below about 1e12 u ~ 1.1e-4.
+# ndr_solve gates an upper bound on k1 (_cond_bound) where the matrix is
+# diagonally dominant by columns, else k1 itself from the inverse, so no
+# matrix with k1 above the cap passes.
 _COND_LIMIT = 1e12
 
 
@@ -247,31 +248,45 @@ def _rhs_vectors(model: GasModel) -> np.ndarray:
     return vals.real
 
 
+def _cond_bound(m: np.ndarray) -> float:
+    """Upper bound on the 1-norm condition number of m; inf unless m is column dominant.
+
+    With D = |diag(m)| and f = max_j (sum_i |m_ij| - D_j)/D_j = ||(m - D) D^-1||_1,
+    f < 1 gives ||m^-1||_1 <= 1/(min D (1 - f)) by the Neumann series (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2nd ed., ch. 15).
+    """
+    col = np.abs(m).sum(axis=0)
+    d = np.abs(np.diagonal(m))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = np.max(col / d) - 1.0            # nan or inf on a zero diagonal entry
+        if f < 1.0:
+            return float(np.max(col) / (np.min(d) * (1.0 - f)))
+    return np.inf
+
+
 def ndr_solve(model: GasModel) -> GasModel:
     """Solve the discretized NDR pair; returns a model with u, v filled in.
 
     The kernel matrix and the node terms are kept on the returned model for
     the equation of state and the free speeds.
     """
-    # scipy.linalg loads at the first solve, not with the package
-    from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
-
     a = kernel_matrix(model)
     m = a + np.diag(model.sigma)
-    with warnings.catch_warnings():
-        # lu_factor warns, and does not raise, on an exactly zero pivot
-        warnings.simplefilter("error", LinAlgWarning)
-        try:
-            factors = lu_factor(m, check_finite=False)
-        except LinAlgWarning as exc:
-            raise SingularSystem(f"NDR matrix is singular: {exc}") from exc
-    rcond, _ = lapack.dgecon(factors[0], np.linalg.norm(m, 1), norm="1")
-    cond = 1.0 / rcond if rcond else np.inf
-    if not cond <= _COND_LIMIT:
-        raise SingularSystem(f"1-norm condition estimate {cond:.3e}")
     model = replace(model, node_terms=_zeta_form(model.betas, model.nodes_chi, model.curve))
     rhs = _rhs_vectors(model)
-    sol = lu_solve(factors, rhs, check_finite=False)
+    try:
+        if _cond_bound(m) <= _COND_LIMIT:
+            sol = np.linalg.solve(m, rhs)
+        else:
+            # one solve gives the solution and the inverse, hence k1 itself
+            sol, inv = np.hsplit(np.linalg.solve(m, np.hstack([rhs, np.eye(len(m))])),
+                                 [rhs.shape[1]])
+            cond = np.linalg.norm(m, 1) * np.linalg.norm(inv, 1)
+            if not cond <= _COND_LIMIT:
+                raise SingularSystem(f"1-norm condition number {cond:.3e} "
+                                     f"above {_COND_LIMIT:.0e}")
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"NDR matrix is singular: {exc}") from exc
     for x, b in zip(sol.T, rhs.T):
         defect = float(np.max(np.abs(m @ x - b)))
         if defect > 1e-9 * (1.0 + float(np.max(np.abs(b)))):

@@ -458,6 +458,8 @@ class TestExitCodes:
         pytest.param("dynamics", dict(cnoidal_cfg(), dynamics=3), id="dynamics=3"),
         pytest.param("gas", dict(gas_cfg(), gas=3), id="gas=3"),
         pytest.param("gas", gas_cfg(3), id="support=3"),
+        pytest.param("gas", gas_cfg(nodes=64.7), id="nodes=64.7"),
+        pytest.param("gas", gas_cfg(nodes=True), id="nodes=true"),
     ])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, command, cfg):
         path = tmp_path / "config.json"

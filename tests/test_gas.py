@@ -12,7 +12,12 @@ from cnoidal_kdv import dynamics as dy
 from cnoidal_kdv import elliptic as el
 from cnoidal_kdv import gas
 from cnoidal_kdv import tau as tu
-from cnoidal_kdv.errors import DiagonalSingularity, SingularSystem, ZeroDensityNode
+from cnoidal_kdv.errors import (
+    DiagonalSingularity,
+    NegativeDensityWarning,
+    SingularSystem,
+    ZeroDensityNode,
+)
 from oracles import hat_log_integrals_loop, kernel_row_loop, mp_theta
 
 
@@ -313,6 +318,56 @@ class TestNdrSolve:
         iv = gas.GasInterval(0, 0.2, 0.3)
         with pytest.raises(SingularSystem, match="is singular"):
             gas.ndr_solve(gas.build_model(curve, [iv, iv], 0.0, 16))
+
+
+def ndr_matrix(model):
+    return gas.kernel_matrix(model) + np.diag(model.sigma)
+
+
+@pytest.fixture
+def solve_widths(monkeypatch):
+    """Column counts of the right-hand sides passed to np.linalg.solve."""
+    widths = []
+
+    def recording(a, b, _solve=np.linalg.solve):
+        widths.append(b.shape[1])
+        return _solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return widths
+
+
+class TestConditionGate:
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 1e6])
+    def test_bound_above_condition_number(self, curve, sigma):
+        m = ndr_matrix(hot_model(curve, sigma=sigma))
+        assert np.linalg.cond(m, 1) <= gas._cond_bound(m) < np.inf
+
+    def test_bound_above_condition_number_hot_cool(self, curve):
+        m = ndr_matrix(gas.build_model(
+            curve, [gas.GasInterval(0, 0.15, 0.40), gas.GasInterval(1, 0.15, 0.40)], 1.0, 64))
+        assert np.linalg.cond(m, 1) <= gas._cond_bound(m) < np.inf
+
+    def test_dominant_model_solves_once_for_its_rhs(self, curve, solve_widths):
+        gas.ndr_solve(hot_model(curve, sigma=1.0))
+        assert solve_widths == [2]
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_exact_path_solves(self, curve, sigma, solve_widths):
+        # not column dominant (f = 19.6 and 5.96; k1 = 195 and 112); gases this
+        # dense have u < 0 somewhere
+        model = hot_model(curve, sigma=sigma)
+        assert gas._cond_bound(ndr_matrix(model)) == np.inf
+        with pytest.warns(NegativeDensityWarning):
+            solved = gas.ndr_solve(model)
+        assert solve_widths == [2 + 64]
+        assert np.all(np.isfinite(solved.solved_u)) and np.all(np.isfinite(solved.solved_v))
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.0], ids=["dominant", "not-dominant"])
+    def test_both_paths_raise_above_cap(self, curve, sigma, monkeypatch):
+        monkeypatch.setattr(gas, "_COND_LIMIT", 1.5)
+        with pytest.raises(SingularSystem, match="condition"):
+            gas.ndr_solve(hot_model(curve, sigma=sigma))
 
 
 class TestEquationOfState:

@@ -1,11 +1,19 @@
-"""The package's public name list and what importing it loads."""
+"""The package's public name list, its dependencies and what running it loads."""
 
+import ast
+import re
 import subprocess
 import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import cnoidal_kdv
 from test_cli import CLI_ENV
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(cnoidal_kdv.__file__).parent
 
 
 def test_all_names_resolve_and_none_is_a_module():
@@ -15,10 +23,40 @@ def test_all_names_resolve_and_none_is_a_module():
 
 
 def test_import_loads_no_scipy_solver():
-    # scipy.optimize and scipy.linalg cost most of a CLI process's start-up;
-    # they load only in the functions that call them
-    code = ("import sys, cnoidal_kdv, cnoidal_kdv.cli; "
-            "print(sorted({'scipy.optimize', 'scipy.linalg'} & set(sys.modules)))")
+    # the runtime is numpy alone: neither a gas solve nor the phase probe loads scipy
+    code = f"""
+import contextlib, io, sys
+from cnoidal_kdv import cli, dynamics, elliptic, tau
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["gas", "--config", {str(ROOT / "demos/configs/gas_hot.json")!r},
+                     "--double-nodes"]) == 0
+curve = elliptic.half_periods(2.0, 1.0, -3.0)
+point = elliptic.JacobianPoint(beta=0.30 + 0j, chi=0)
+ctx = tau.build_context(curve, tau.spectrum_from_points(curve, [(point, 0.0)]))
+dynamics.background_shift_probe(ctx, 15.0 / ctx.spectrum.entries[0].velocity, [(30, 36)])
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=CLI_ENV, check=True)
     assert res.stdout.strip() == "[]"
+
+
+def test_no_module_imports_scipy():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_runtime_depends_on_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in deps] == ["numpy"]
