@@ -256,12 +256,11 @@ def _verify_degeneration(cfg, vcfg, ctx, tol, rng, args, rep):
 def _verify_fay(vcfg, curve, tol, rng, rep):
     n = _count(vcfg, "fay_n", 3)
     trials = _count(vcfg, "trials", 50)
-    worst = 0.0
-    for _ in range(trials):
-        xs = rng.uniform(0, 1, n) + 1j * rng.uniform(0, 0.3, n)
-        xh = rng.uniform(0, 1, n) + 1j * rng.uniform(0, 0.3, n)
-        e_pt = rng.uniform(0, 1) + 0.1j
-        worst = max(worst, riemann.fay_residual(n, xs, xh, e_pt, curve))
+    draws = [(rng.uniform(0, 1, n) + 1j * rng.uniform(0, 0.3, n),
+              rng.uniform(0, 1, n) + 1j * rng.uniform(0, 0.3, n),
+              rng.uniform(0, 1) + 0.1j) for _ in range(trials)]
+    xs, xh, e_pts = (np.array(side) for side in zip(*draws))
+    worst = max([0.0, *riemann._fay_residuals(n, xs, xh, e_pts, curve).tolist()])
     ok = worst < tol
     rep.add("fay", f"n={n};trials={trials}", worst, tol, ok)
     return ok

@@ -1,8 +1,9 @@
 """Shared fourth-order central finite-difference stencils.
 
-One differentiation engine serves the tau-function second log-derivative,
-the PDE residual verifier and the random-phase experiments.  The D2 stencil
-that takes u = 2 (ln tau)_xx has its step and its sampling grid here only.
+One differentiation engine serves the tau-function second log-derivative
+and the PDE residual verifier.  The D2 stencil that takes u = 2 (ln tau)_xx
+has its step and its sampling grid here only.  The random-phase experiments
+take u = 2 (ln Theta)_xx in closed form instead (riemann._finite_gap_theta).
 """
 
 import numpy as np

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fd
 from .elliptic import _HALF_LOG_MAX, _cnoidal_wave, _log_theta1_ratio, theta1, theta3
 from .errors import (
     CoincidentSolitons,
@@ -239,26 +238,41 @@ def degeneration_residual(x_phase, spec: DegenerationSpec, radius: int) -> float
     return _degeneration_residuals(x_phase, spec.spectrum, [spec.epsilon], radius)[0]
 
 
-def fay_residual(n: int, xs, xhats, e_point: complex, curve) -> float:
-    """Residual of the genus-1 Fay determinant identity at n points."""
+def _fay_residuals(n: int, xs, xhats, e_points, curve) -> np.ndarray:
+    """fay_residual of each trial of a batch: xs and xhats (trials, n), e_points (trials,).
+
+    A singular trial raises as the first such trial of a one-at-a-time loop would.
+    """
     xs = np.asarray(xs, dtype=complex)
     xhats = np.asarray(xhats, dtype=complex)
-    if xs.shape != (n,) or xhats.shape != (n,):
+    e_points = np.asarray(e_points, dtype=complex)
+    trials = e_points.shape[0]
+    if xs.shape != (trials, n) or xhats.shape != (trials, n):
         raise ValueError("need n points on each side")
     tau_mod = curve.tau
-    th_e = theta3(e_point, tau_mod)
-    if abs(th_e) < 1e-12:
-        raise SingularConfiguration("theta3(E) vanishes")
-    cross = theta1(xs[:, None] - xhats[None, :], tau_mod)
-    if np.min(np.abs(cross)) < 1e-12:
+    th_e = theta3(e_points, tau_mod)
+    diff = xs[:, :, None] - xhats[:, None, :]
+    cross = theta1(diff, tau_mod)
+    flat_e = np.abs(th_e) < 1e-12
+    singular = flat_e | (np.min(np.abs(cross), axis=(1, 2)) < 1e-12)
+    if np.any(singular):
+        if flat_e[np.argmax(singular)]:
+            raise SingularConfiguration("theta3(E) vanishes")
         raise SingularConfiguration("theta1(x_j - xhat_k) vanishes")
-    mat = theta3(xs[:, None] - xhats[None, :] + e_point, tau_mod) / (cross * th_e)
-    lhs = complex(np.linalg.det(mat))
-    rhs = theta3(np.sum(xs - xhats) + e_point, tau_mod) / th_e
+    th_e = th_e[:, None, None]
+    lhs = np.linalg.det(theta3(diff + e_points[:, None, None], tau_mod) / (cross * th_e))
+    rhs = theta3(np.sum(xs - xhats, axis=1) + e_points, tau_mod) / th_e[:, 0, 0]
     j, k = np.triu_indices(n, 1)
-    rhs *= np.prod(theta1(xs[j] - xs[k], tau_mod) * theta1(xhats[k] - xhats[j], tau_mod))
-    rhs /= np.prod(cross)
-    return abs(lhs - rhs)
+    rhs *= np.prod(theta1(xs[:, j] - xs[:, k], tau_mod)
+                   * theta1(xhats[:, k] - xhats[:, j], tau_mod), axis=1)
+    rhs /= np.prod(cross, axis=(1, 2))
+    return np.abs(lhs - rhs)
+
+
+def fay_residual(n: int, xs, xhats, e_point: complex, curve) -> float:
+    """Residual of the genus-1 Fay determinant identity at n points."""
+    batch = (np.asarray(xs)[None], np.asarray(xhats)[None], [e_point])
+    return float(_fay_residuals(n, *batch, curve)[0])
 
 
 # ----------------------------------------------------------------------------
@@ -271,70 +285,115 @@ def cnoidal_reference(curve, xs) -> np.ndarray:
 
 
 def _x_blocks(xs: np.ndarray, reach: float) -> list[np.ndarray]:
-    """Index sets of xs, each spanning at most 2 reach."""
+    """Index sets of xs, each spanning at most 2 reach; only the blocks that hold points."""
     lo, hi = float(xs.min()), float(xs.max())
     count = max(1, int(np.ceil((hi - lo) / (2.0 * reach))))
     if count == 1:
         return [np.arange(xs.size)]
     which = np.minimum(((xs - lo) * (count / (hi - lo))).astype(int), count - 1)
-    return [idx for idx in (np.flatnonzero(which == b) for b in range(count)) if idx.size]
+    return [np.flatnonzero(which == b) for b in np.unique(which)]
 
 
-def _finite_gap_theta(spec: DegenerationSpec, draws: np.ndarray, xs: np.ndarray,
-                      h: float, ts: np.ndarray, radius: int) -> np.ndarray:
-    """Theta(X(x, t) - Omega u/2) on the D2 stencil of xs: shape (k, nt, nx, 5).
+@dataclass(frozen=True)
+class _XTables:
+    """The parts of the finite-gap lattice sum that depend on neither epsilon nor the draws."""
+
+    nu: np.ndarray         # (L, N+1) lattice rows, first index slowest
+    rate: np.ndarray       # (L,) w = 2 pi i nu.a, the x-derivative of each term's exponent
+    blocks: list           # (index set of xs, block centre x_c, E table of shape (L, size))
+
+
+def _x_tables(sp: SolitonSpectrum, xs: np.ndarray, radius: int) -> _XTables:
+    """The lattice, its rates w and one E table per block of xs.
 
     X is affine in x with slope a = (P_1/2pi, ..., P_N/2pi, 1/(4|varpi3|)), so
     at a block centre x_c each lattice term splits into
         C[draw, t, nu] = exp(i pi nu.Omega.nu + 2 pi i nu.(X(x_c, t) - Omega u/2))
         E[nu, x]       = prod_j exp(2 pi i nu_j a_j (x - x_c))
-    and the sum over a block is the one matrix product C @ E.  C is a single
+    and only C depends on epsilon and the draws.  The soliton slopes are
+    imaginary, so E is a real exponential; the blocks keep its exponent within
+    _HALF_LOG_MAX, so E never overflows.
+    """
+    p = np.array([e.P for e in sp.entries])
+    slope = np.append(p / (2.0 * np.pi), 1.0 / (4.0 * abs(sp.curve.varpi3)))
+    nu = _lattice(len(sp) + 1, radius)
+    growth = radius * float(np.sum(np.abs(p.imag)))      # max |Re log E| per unit |x - x_c|
+    reach = _HALF_LOG_MAX / growth if growth > 0.0 else np.inf
+    m = np.arange(-radius, radius + 1, dtype=float)
+    blocks = []
+    for idx in _x_blocks(xs, reach):
+        x_c = 0.5 * (xs[idx].min() + xs[idx].max())
+        dx = xs[idx] - x_c
+        # E row by row in lattice order (first index slowest), one factor table per axis
+        table = np.ones((1, dx.size), dtype=complex)
+        for a in slope:
+            factor = np.exp(2j * np.pi * a * m[:, None] * dx[None, :])
+            table = (table[:, None, :] * factor[None, :, :]).reshape(-1, dx.size)
+        blocks.append((idx, x_c, table))
+    return _XTables(nu=nu, rate=2j * np.pi * (nu @ slope), blocks=blocks)
+
+
+def _finite_gap_theta(omega: np.ndarray, sp: SolitonSpectrum, draws: np.ndarray,
+                      ts: np.ndarray, tables: _XTables) -> np.ndarray:
+    """Theta(X(x, t) - Omega u/2) and its first two x-derivatives: shape (3, k, nt, nx).
+
+    On each block of tables the k-th derivative is the one matrix product
+    (C w^k) @ E, so Theta, Theta' and Theta'' are three products against one
+    table, with C weighted by w in place between them.  C is a single
     exponent per term: the damping from the quadratic form and the growth
     from the half-period shift must not be exponentiated separately (their
-    product is finite where the factors overflow).  The soliton slopes are
-    imaginary, so E is a real exponential; the blocks keep its exponent
-    within _HALF_LOG_MAX.  E then never overflows, and a term whose per-draw
-    factor C underflows lies below exp(-_HALF_LOG_MAX) of the nu = 0 term,
-    which is 1.
+    product is finite where the factors overflow).  A term whose C underflows
+    lies below exp(-_HALF_LOG_MAX) of the nu = 0 term, which is 1.  The
+    first block whose sums are not finite raises PhaseOverflow.
     """
-    sp = spec.spectrum
-    curve = sp.curve
     n = len(sp)
-    pm = degenerate_period_matrix(spec)
     u = np.zeros((draws.shape[0], n + 1))
     u[:, :n] = 1.0 - draws
-    shift = 0.5 * u @ pm.omega.T
-
-    nu = _lattice(n + 1, radius)
-    quad = 1j * np.pi * np.einsum("ij,jk,ik->i", nu, pm.omega, nu)
+    shift = 0.5 * u @ omega.T
+    nu = tables.nu
+    quad = 1j * np.pi * np.einsum("ij,jk,ik->i", nu, omega, nu)
 
     p = np.array([e.P for e in sp.entries])
     en = np.array([e.E for e in sp.entries])
     xsh = np.array([e.x_shift for e in sp.entries])
-    w3 = 4.0 * abs(curve.varpi3)
-    slope = np.append(p / (2.0 * np.pi), 1.0 / w3)
-    growth = radius * float(np.sum(np.abs(p.imag)))      # max |Re log E| per unit |x - x_c|
-    reach = (_HALF_LOG_MAX / growth if growth > 0.0 else np.inf) - 2.0 * h
-    m = np.arange(-radius, radius + 1, dtype=float)
-
-    vals = np.empty((draws.shape[0], ts.size, xs.size, fd.D2_OFFSETS.size), dtype=complex)
-    for idx in _x_blocks(xs, reach):
-        x_blk = fd.d2_grid(xs[idx], h)
-        x_c = 0.5 * (x_blk.min() + x_blk.max())
-        dx = x_blk - x_c
+    w3 = 4.0 * abs(sp.curve.varpi3)
+    nx = sum(idx.size for idx, _, _ in tables.blocks)
+    out = np.empty((3, draws.shape[0], ts.size, nx), dtype=complex)
+    for idx, x_c, table in tables.blocks:
         big_x = np.empty((ts.size, n + 1), dtype=complex)
         big_x[:, :n] = ((x_c - xsh) * p + ts[:, None] * en) / (2.0 * np.pi)
         big_x[:, n] = (x_c - sp.x0) / w3
-        arg = quad + 2j * np.pi * ((big_x[None, :, :] - shift[:, None, :]) @ nu.T)
+        c = quad + 2j * np.pi * ((big_x[None, :, :] - shift[:, None, :]) @ nu.T)
+        c = c.reshape(-1, nu.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            # E row by row in lattice order (first index slowest), one factor table per axis
-            table = np.ones((1, dx.size), dtype=complex)
-            for a in slope:
-                factor = np.exp(2j * np.pi * a * m[:, None] * dx[None, :])
-                table = (table[:, None, :] * factor[None, :, :]).reshape(-1, dx.size)
-            theta = np.exp(arg).reshape(-1, nu.shape[0]) @ table
-        vals[:, :, idx] = theta.reshape(vals.shape[:2] + (idx.size, -1))
-    return vals
+            np.exp(c, out=c)
+            for k in range(3):
+                if k:
+                    c *= tables.rate
+                out[k][..., idx] = (c @ table).reshape(out.shape[1:3] + (idx.size,))
+        if not np.all(np.isfinite(out[..., idx])):
+            raise PhaseOverflow("theta lattice sum not finite in double precision")
+    return out
+
+
+def _finite_gap_u(theta: np.ndarray, tables: _XTables) -> np.ndarray:
+    """u = 2 (Theta''/Theta - (Theta'/Theta)^2) from _finite_gap_theta, after its gates.
+
+    Theta and its derivatives are real on a real (x, t) grid.  Each imaginary
+    part is measured against |Theta| times the k-th power of the largest rate,
+    which bounds |Theta^(k)| term by term; Theta' and Theta'' themselves
+    vanish at the extrema of Theta, so they cannot be their own scale.
+    """
+    scale = np.abs(theta[0]) + 1e-300
+    rate = float(np.max(np.abs(tables.rate)))
+    for k in range(3):
+        if float(np.max(np.abs(theta[k].imag) / (scale * rate ** k))) > 1e-8:
+            raise NonRealTau("theta sum not real on a real (x, t) grid")
+    th, th1, th2 = theta.real
+    if np.min(th) <= 0.0:
+        raise NonRealTau("theta sum not positive; cannot take logarithms")
+    log_slope = th1 / th
+    return 2.0 * (th2 / th - log_slope * log_slope)
 
 
 def finite_gap_solution(spec: DegenerationSpec, phi, xs, ts, radius: int) -> np.ndarray:
@@ -343,7 +402,8 @@ def finite_gap_solution(spec: DegenerationSpec, phi, xs, ts, radius: int) -> np.
     u = (1 - phi_1, ..., 1 - phi_N, 0); phi = 0 is the half-period tuning of
     the soliton solution.  phi is one draw, shape (N,), giving a result of
     shape (len(ts), len(xs)), or k draws, shape (k, N), giving (k, len(ts),
-    len(xs)) from one lattice sum over all draws.
+    len(xs)) from one lattice sum over all draws.  u is taken in closed form
+    from Theta, Theta' and Theta'' at the points xs themselves.
     """
     sp = spec.spectrum
     n = len(sp)
@@ -352,16 +412,9 @@ def finite_gap_solution(spec: DegenerationSpec, phi, xs, ts, radius: int) -> np.
         raise ValueError("phi must have one entry per soliton, shape (N,) or (k, N)")
     xs = np.asarray(xs, dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    h = fd.d2_step(sp.curve.period_x)
-    vals = _finite_gap_theta(spec, phi.reshape(-1, n), xs, h, ts, radius)
-    if not np.all(np.isfinite(vals)):
-        raise PhaseOverflow("theta lattice sum not finite in double precision")
-    if float(np.max(np.abs(vals.imag) / (np.abs(vals) + 1e-300))) > 1e-8:
-        raise NonRealTau("theta sum not real on a real (x, t) grid")
-    re = vals.real
-    if np.min(re) <= 0.0:
-        raise NonRealTau("theta sum not positive; cannot take logarithms")
-    u_big = 2.0 * fd.second_derivative(np.log(re), h)
+    tables = _x_tables(sp, xs, radius)
+    omega = degenerate_period_matrix(spec).omega
+    u_big = _finite_gap_u(_finite_gap_theta(omega, sp, phi.reshape(-1, n), ts, tables), tables)
     return u_big[0] if phi.ndim == 1 else u_big
 
 
@@ -377,16 +430,23 @@ def random_phase_mc(spectrum: SolitonSpectrum, epsilons, n_trials: int, seed: in
     """Mean sup-deviation per epsilon over common random phase draws.
 
     The same phi sequence (given by the seed) is reused for every epsilon so
-    the means are comparable trial by trial; each epsilon is one
-    finite_gap_solution call over all draws.
+    the means are comparable trial by trial.  The lattice, its E tables and
+    the off-diagonal period-matrix blocks do not depend on epsilon and are
+    built once; each epsilon is then one lattice sum over all draws, taken to
+    u as in finite_gap_solution.
     """
     n = len(spectrum)
+    specs = [DegenerationSpec(epsilon=float(eps), spectrum=spectrum) for eps in epsilons]
     rng = np.random.default_rng(seed)
     phis = rng.uniform(-1.0, 1.0, size=(n_trials, n))
+    xs = np.asarray(xs, dtype=float)
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
     u1 = cnoidal_reference(spectrum.curve, xs)
+    tables = _x_tables(spectrum, xs, radius)
+    blocks = _pinched_blocks(spectrum)
     means = []
-    for eps in epsilons:
-        spec = DegenerationSpec(epsilon=float(eps), spectrum=spectrum)
-        u_big = finite_gap_solution(spec, phis, xs, ts, radius)
+    for spec in specs:
+        omega = _pinched_period_matrix(blocks, spec.lam, spectrum.curve.tau).omega
+        u_big = _finite_gap_u(_finite_gap_theta(omega, spectrum, phis, ts, tables), tables)
         means.append(float(np.mean(np.abs(u_big - u1).max(axis=(1, 2)))))
     return np.array(means)

@@ -182,11 +182,12 @@ def kernel_row_loop(model, eta) -> np.ndarray:
     return row
 
 
-def finite_gap_theta_loop(spec, phi, x, t: float, radius: int) -> np.ndarray:
-    """Theta(X(x, t) - Omega u/2) at the points x for one draw phi and one t.
+def finite_gap_theta_loop(spec, phi, x, t: float, radius: int, order: int = 0) -> np.ndarray:
+    """d^order/dx^order Theta(X(x, t) - Omega u/2) at the points x for one draw phi and one t.
 
     The box sum with one exponent per lattice term and point, as in its
-    definition: exp(i pi nu.Omega.nu + 2 pi i nu.(X(x, t) - Omega u/2)).
+    definition: exp(i pi nu.Omega.nu + 2 pi i nu.(X(x, t) - Omega u/2)),
+    each term weighted by w^order, w = 2 pi i nu.dX/dx.
     """
     from cnoidal_kdv.riemann import _lattice, degenerate_period_matrix
 
@@ -203,7 +204,52 @@ def finite_gap_theta_loop(spec, phi, x, t: float, radius: int) -> np.ndarray:
     big_x = np.empty((n + 1, x.size), dtype=complex)
     big_x[:n] = ((x[None, :] - xsh[:, None]) * p[:, None] + t * en[:, None]) / (2.0 * np.pi)
     big_x[n] = (x - sp.x0) / (4.0 * abs(sp.curve.varpi3))
-    return np.sum(np.exp(quad[:, None] + 2j * np.pi * (nu @ (big_x - shift[:, None]))), axis=0)
+    rate = 2j * np.pi * (nu @ np.append(p / (2.0 * np.pi), 1.0 / (4.0 * abs(sp.curve.varpi3))))
+    terms = np.exp(quad[:, None] + 2j * np.pi * (nu @ (big_x - shift[:, None])))
+    return np.sum(rate[:, None] ** order * terms, axis=0)
+
+
+def x_blocks_every_block(xs: np.ndarray, reach: float) -> list[np.ndarray]:
+    """Index sets of xs, each spanning at most 2 reach, by a scan of every block of the span."""
+    lo, hi = float(xs.min()), float(xs.max())
+    count = max(1, int(np.ceil((hi - lo) / (2.0 * reach))))
+    if count == 1:
+        return [np.arange(xs.size)]
+    which = np.minimum(((xs - lo) * (count / (hi - lo))).astype(int), count - 1)
+    return [idx for idx in (np.flatnonzero(which == b) for b in range(count)) if idx.size]
+
+
+def finite_gap_u_mp(spec, phi, x: float, t: float, radius: int, dps: int = 40) -> float:
+    """u = 2 d^2/dx^2 ln Theta at one point from the box sum in dps-digit arithmetic.
+
+    Omega, X and the rates are formed in double precision, as the package
+    forms them; Theta, Theta' and Theta'' are then summed term by term in
+    mpmath, so only the package's rounding of the sum itself is tested.
+    """
+    from cnoidal_kdv.riemann import _lattice, degenerate_period_matrix
+
+    sp = spec.spectrum
+    n = len(sp)
+    omega = degenerate_period_matrix(spec).omega
+    shift = 0.5 * omega @ np.concatenate([1.0 - np.asarray(phi, dtype=float), [0.0]])
+    p = np.array([e.P for e in sp.entries])
+    en = np.array([e.E for e in sp.entries])
+    xsh = np.array([e.x_shift for e in sp.entries])
+    w3 = 4.0 * abs(sp.curve.varpi3)
+    big_x = np.append(((x - xsh) * p + t * en) / (2.0 * np.pi), (x - sp.x0) / w3) - shift
+    slope = np.append(p / (2.0 * np.pi), 1.0 / w3)
+    with mpmath.workdps(dps):
+        two_pi_i = 2j * mpmath.pi
+        sums = [mpmath.mpc(0)] * 3
+        for nu in _lattice(n + 1, radius):
+            quad = sum(nu[i] * nu[j] * mpmath.mpc(omega[i, j])
+                       for i in range(n + 1) for j in range(n + 1))
+            phase = sum(nu[j] * mpmath.mpc(big_x[j]) for j in range(n + 1))
+            rate = two_pi_i * sum(nu[j] * mpmath.mpc(slope[j]) for j in range(n + 1))
+            term = mpmath.exp(1j * mpmath.pi * quad + two_pi_i * phase)
+            sums = [sums[0] + term, sums[1] + rate * term, sums[2] + rate * rate * term]
+        th, th1, th2 = (mpmath.re(s) for s in sums)
+        return float(2 * (th2 / th - (th1 / th) ** 2))
 
 
 def finite_gap_solution_loop(spec, phi, xs, ts, radius: int) -> np.ndarray:
@@ -219,6 +265,24 @@ def finite_gap_solution_loop(spec, phi, xs, ts, radius: int) -> np.ndarray:
         vals = finite_gap_theta_loop(spec, phi, x_st, t, radius)
         out[i] = 2.0 * fd.second_derivative(np.log(vals.real).reshape(xs.size, -1), h)
     return out
+
+
+def fay_sides_loop(n: int, xs, xhats, e_point: complex, curve) -> tuple[complex, complex]:
+    """(det side, product side) of the genus-1 Fay identity for one trial.
+
+    One theta call per matrix or product, with theta3(E) a one-point call.
+    """
+    from cnoidal_kdv.elliptic import theta1, theta3
+
+    xs = np.asarray(xs, dtype=complex)
+    xhats = np.asarray(xhats, dtype=complex)
+    th_e = theta3(e_point, curve.tau)
+    cross = theta1(xs[:, None] - xhats[None, :], curve.tau)
+    mat = theta3(xs[:, None] - xhats[None, :] + e_point, curve.tau) / (cross * th_e)
+    rhs = theta3(np.sum(xs - xhats) + e_point, curve.tau) / th_e
+    j, k = np.triu_indices(n, 1)
+    rhs *= np.prod(theta1(xs[j] - xs[k], curve.tau) * theta1(xhats[k] - xhats[j], curve.tau))
+    return complex(np.linalg.det(mat)), complex(rhs / np.prod(cross))
 
 
 def track_phase_bisection(point, curve, norming: float, ts) -> np.ndarray:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import types
 import warnings
 from pathlib import Path
@@ -411,6 +412,19 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("PhaseOverflow")
+
+    def test_far_montecarlo_grid_overflows_at_once(self, tmp_path, capsys):
+        # the demo config with xmin = -1e9: its span holds 2.5e7 lattice blocks of
+        # which 41 hold points, and a scan of every block took about 42 s
+        cfg = json.loads((Path(__file__).resolve().parents[1]
+                          / "demos/configs/montecarlo.json").read_text())
+        cfg["grid"]["xmin"] = -1e9
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        start = time.perf_counter()
+        assert cli.main(["verify", "--config", str(path)]) == 3
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().err.startswith("PhaseOverflow")
 
     def test_track_mode_needs_one_soliton(self, tmp_path):
         cfg = {"curve": BASE_CURVE,

@@ -60,3 +60,16 @@ def test_runtime_depends_on_numpy_alone():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in deps] == ["numpy"]
+
+
+def test_riemann_takes_no_stencil():
+    # Theta, Theta' and Theta'' are closed-form lattice sums: riemann needs no fd stencil
+    tree = ast.parse((PACKAGE / "riemann.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not {"fd", "cnoidal_kdv.fd"} & imported
+    assert not any(isinstance(node, ast.Name) and node.id == "fd" for node in ast.walk(tree))

@@ -8,8 +8,13 @@ import pytest
 from cnoidal_kdv import elliptic as el
 from cnoidal_kdv import riemann as rm
 from cnoidal_kdv import tau as tu
-from cnoidal_kdv.errors import CoincidentSolitons, PhaseOverflow
-from oracles import finite_gap_solution_loop, finite_gap_theta_loop
+from cnoidal_kdv.errors import CoincidentSolitons, NonRealTau, PhaseOverflow
+from oracles import (
+    finite_gap_solution_loop,
+    finite_gap_theta_loop,
+    finite_gap_u_mp,
+    x_blocks_every_block,
+)
 
 
 @pytest.fixture(scope="module")
@@ -41,20 +46,26 @@ class TestBatchedPhases:
     def test_matches_per_draw_loop(self, spectrum2, block_counts, xs, blocks, u_tol):
         phis = np.random.default_rng(6).uniform(-1.0, 1.0, size=(3, 2))
         ts = np.array([0.0, 0.3])
-        h = 1e-3 * spectrum2.curve.period_x
-        x_st = (xs[:, None] + h * np.arange(-2, 3)[None, :]).ravel()
+        tables = rm._x_tables(spectrum2, xs, 6)
+        rate = np.max(np.abs(tables.rate))
         for eps in (1e-2, 1e-4):
             spec = rm.DegenerationSpec(eps, spectrum2)
-            theta = rm._finite_gap_theta(spec, phis, xs, h, ts, 6)
+            omega = rm.degenerate_period_matrix(spec).omega
+            theta = rm._finite_gap_theta(omega, spectrum2, phis, ts, tables)
             u_big = rm.finite_gap_solution(spec, phis, xs, ts, 6)
-            assert u_big.shape == (3, 2, xs.size)
+            assert theta.shape == (3, 3, 2, xs.size) and u_big.shape == (3, 2, xs.size)
             for k, phi in enumerate(phis):
                 for i, t in enumerate(ts):
-                    ref = finite_gap_theta_loop(spec, phi, x_st, t, 6)
-                    assert np.max(np.abs(theta[k, i].ravel() - ref) / np.abs(ref)) < 1e-12
+                    scale = np.abs(finite_gap_theta_loop(spec, phi, xs, t, 6))
+                    for order in range(3):
+                        # Theta' and Theta'' vanish at the extrema of Theta: measure
+                        # each against |Theta| times its rate scale
+                        ref = finite_gap_theta_loop(spec, phi, xs, t, 6, order)
+                        err = np.abs(theta[order, k, i] - ref) / (scale * rate ** order)
+                        assert np.max(err) < 1e-12
                 ref_u = finite_gap_solution_loop(spec, phi, xs, ts, 6)
                 assert np.max(np.abs(u_big[k] - ref_u)) < u_tol
-        assert block_counts == [blocks] * 4
+        assert block_counts == [blocks] * 3
 
     def test_one_draw_is_first_row(self, spectrum2):
         spec = rm.DegenerationSpec(1e-3, spectrum2)
@@ -74,23 +85,15 @@ class TestBatchedPhases:
         for eps, mean in zip(epsilons, means):
             spec = rm.DegenerationSpec(eps, spectrum2)
             devs = [rm.random_phase_trial(spec, phi, xs, [0.0], 5) for phi in phis]
-            # one draw or five sum Theta in a different order; the stencil
-            # turns an ulp of ln Theta into a few 1e-10 of u
+            # one draw or five sum Theta in a different order
             assert abs(mean - np.mean(devs)) <= 1e-8
 
     @pytest.mark.parametrize("trials", [1, 9])
-    def test_one_lattice_sum_per_epsilon(self, spectrum2, trials, monkeypatch):
-        shapes = []
-        solve = rm.finite_gap_solution
-
-        def counting(spec, phi, *args):
-            shapes.append(np.shape(phi))
-            return solve(spec, phi, *args)
-
-        monkeypatch.setattr(rm, "finite_gap_solution", counting)
-        rm.random_phase_mc(spectrum2, [1e-2, 1e-3, 1e-4], trials, 3,
-                           np.linspace(-2, 2, 9), [0.0], 4)
-        assert shapes == [(trials, 2)] * 3
+    @pytest.mark.parametrize("epsilons", [[1e-2], [1e-2, 1e-3, 1e-4]])
+    def test_one_x_table_per_op(self, spectrum2, block_counts, trials, epsilons):
+        # the lattice and its E tables are shared by every epsilon of the op
+        rm.random_phase_mc(spectrum2, epsilons, trials, 3, np.linspace(-2, 2, 9), [0.0], 4)
+        assert block_counts == [1]
 
     def test_overflow_raises_phase_overflow(self, spectrum2):
         # the box sum overflows at |x| = 200; this used to return NaN u
@@ -98,6 +101,51 @@ class TestBatchedPhases:
         with pytest.raises(PhaseOverflow):
             rm.finite_gap_solution(spec, np.array([0.3, -0.2]),
                                    np.linspace(-200, 200, 41), [0.0], 6)
+
+
+class TestClosedFormU:
+    @pytest.mark.parametrize("genus, radius", [(2, 6), (3, 4)])
+    def test_matches_mp_box_sum(self, curve, bright_point, dim_point, genus, radius):
+        # the same box summed in 40 digits; a D2 stencil of ln Theta is off by 1e-10 to 1.1e-9 here
+        points = [(bright_point, 0.0), (dim_point, 0.0)][:genus - 1]
+        sp = tu.spectrum_from_points(curve, points)
+        phi = np.array([0.37, -0.61])[:genus - 1]
+        xs = np.array([-3.7, 0.4, 2.9])
+        for eps, t in ((1e-2, 0.0), (1e-4, 0.3)):
+            spec = rm.DegenerationSpec(eps, sp)
+            u = rm.finite_gap_solution(spec, phi, xs, [t], radius)[0]
+            want = np.array([finite_gap_u_mp(spec, phi, x, t, radius) for x in xs])
+            assert np.max(np.abs(u - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_derivative_reality_gate_scales_with_theta(self, spectrum2, order):
+        # Theta^(k) is zero where Theta peaks, so its imaginary part is measured
+        # against |Theta| rate^k, not against Theta^(k) itself
+        tables = rm._x_tables(spectrum2, np.linspace(-2.0, 2.0, 5), 4)
+        rate = np.max(np.abs(tables.rate))
+        theta = np.zeros((3, 1, 1, 5), dtype=complex)
+        theta[0] = 2.0
+        theta[order, ..., 3] = 0.5e-8j * 2.0 * rate ** order
+        rm._finite_gap_u(theta, tables)
+        theta[order, ..., 3] *= 4.0
+        with pytest.raises(NonRealTau):
+            rm._finite_gap_u(theta, tables)
+
+
+class TestXBlocks:
+    @pytest.mark.parametrize("xs, reach", [
+        (np.linspace(-80.0, 80.0, 81), 22.0),
+        # two clusters with a span of empty blocks between them
+        (np.concatenate([np.linspace(-1e5, -1e5 + 30.0, 20), np.linspace(0.0, 50.0, 21)]), 8.0),
+        # unsorted points: each index set keeps its points in the order of xs
+        (np.random.default_rng(2).uniform(-40.0, 40.0, 57), 5.0),
+    ])
+    def test_same_sets_as_every_block_scan(self, xs, reach):
+        got = rm._x_blocks(xs, reach)
+        want = x_blocks_every_block(xs, reach)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestPairArrays:

@@ -13,7 +13,7 @@ from cnoidal_kdv.errors import (
     SingularConfiguration,
     TruncationInsufficient,
 )
-from oracles import hotcool_offdiagonal
+from oracles import fay_sides_loop, hotcool_offdiagonal
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +211,28 @@ class TestFay:
     def test_singular_configuration(self, curve):
         with pytest.raises(SingularConfiguration):
             rm.fay_residual(1, [0.3 + 0.1j], [0.3 + 0.1j], 0.4, curve)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_batch_matches_per_trial_loop(self, curve, n):
+        rng = np.random.default_rng(8)
+        xs = rng.uniform(0, 1, (12, n)) + 1j * rng.uniform(0, 0.3, (12, n))
+        xh = rng.uniform(0, 1, (12, n)) + 1j * rng.uniform(0, 0.3, (12, n))
+        e_pts = rng.uniform(0, 1, 12) + 0.1j
+        got = rm._fay_residuals(n, xs, xh, e_pts, curve)
+        assert got.shape == (12,)
+        for r, x, y, e in zip(got, xs, xh, e_pts):
+            lhs, rhs = fay_sides_loop(n, x, y, e, curve)
+            assert abs(r - abs(lhs - rhs)) <= 1e-15 * max(abs(lhs), abs(rhs))
+
+    def test_batch_raises_as_first_singular_trial(self, curve):
+        # trial 1 has theta1(x - xhat) = 0, trial 2 theta3(E) = 0: the loop meets trial 1 first
+        xs = np.array([[0.2 + 0.1j], [0.3 + 0.1j], [0.6 + 0.1j]])
+        xh = np.array([[0.7 + 0.2j], [0.3 + 0.1j], [0.1 + 0.05j]])
+        e_pts = np.array([0.4 + 0.1j, 0.4 + 0.1j, 0.5 + curve.tau / 2.0])
+        with pytest.raises(SingularConfiguration, match="theta1"):
+            rm._fay_residuals(1, xs, xh, e_pts, curve)
+        with pytest.raises(SingularConfiguration, match="theta3"):
+            rm._fay_residuals(1, xs[[0, 2]], xh[[0, 2]], e_pts[[0, 2]], curve)
 
 
 class TestRandomPhase:
