@@ -13,7 +13,6 @@ and the header block echoes the resolved configuration and tool version.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import json
@@ -24,10 +23,9 @@ import numpy as np
 from . import __version__
 from . import dynamics, gas, riemann, tau
 from .elliptic import JacobianPoint, half_periods, invert_wp
-from .errors import CnoidalKdvError, InvalidNorming
+from .errors import CnoidalKdvError
 
-_DEFAULT_EPS_DEGEN = [1e-2, 1e-4, 1e-6]
-_DEFAULT_EPS_MC = [1e-2, 1e-3, 1e-4]
+_DEFAULT_EPS = {"degeneration": [1e-2, 1e-4, 1e-6], "montecarlo": [1e-2, 1e-3, 1e-4]}
 _DEFAULT_TOL = {"pde": 1e-3, "degeneration": 1e-5, "fay": 1e-9}
 
 
@@ -35,47 +33,94 @@ class ConfigError(Exception):
     pass
 
 
-@contextlib.contextmanager
-def _reading(name: str):
-    """Re-raise a missing key or an unusable value read inside as a ConfigError."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ConfigError(f"{name} entry missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+def _finite(lo: float = -np.inf, hi: float = np.inf):
+    """Reader of a finite number inside the open interval (lo, hi)."""
+    def read(value) -> float:
+        v = float(value)
+        if not np.isfinite(v):
+            raise ValueError(f"{v} is not finite")
+        if not lo < v < hi:
+            raise ValueError(f"{v} is outside ({lo}, {hi})")
+        return v
+    return read
 
 
-def _section(cfg: dict, key: str) -> dict:
-    """cfg[key] as a JSON object, {} when absent."""
-    section = cfg.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{key}' must be a JSON object")
-    return section
+def _whole(lo: int):
+    """Reader of a whole number of at least lo; a bool or a fractional number is refused."""
+    def read(value) -> int:
+        n = int(value)
+        if isinstance(value, bool) or isinstance(value, float) and n != value or n < lo:
+            raise ValueError(f"{value!r} is not a whole number of at least {lo}")
+        return n
+    return read
 
 
-def _objects(section: dict, key: str) -> list[dict]:
-    """section[key] as a list of JSON objects, [] when absent."""
-    items = section.get(key, [])
-    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
-        raise ConfigError(f"'{key}' must be a list of JSON objects")
-    return items
+def _choice(*options: str):
+    """Reader of one of the strings options."""
+    def read(value) -> str:
+        if not isinstance(value, str) or value not in options:
+            raise ValueError(f"{value!r} is not {'|'.join(options)}")
+        return value
+    return read
 
 
-def _whole(value, name: str) -> int:
-    """value as an int; a bool or a number with a fractional part is a ConfigError."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name} = {value!r} must be a whole number")
-    with _reading(name):
-        return int(value)
+_KIND = (_choice("hot", "cool"), "hot")
+
+# Every config key.  A dict is a section, a one-element list a list of such
+# entries, anything else a leaf reader; (entry, default) makes the key
+# optional.  An absent section without a default is read as {}.
+_SCHEMA = {
+    "curve": {"e1": _finite(), "e2": _finite(), "e3": _finite()},
+    "solitons": ([{"b": (_finite(), None), "beta": (_finite(0.0, 0.5), None),
+                   "kind": _KIND, "x_shift": (_finite(), 0.0)}], []),
+    "x0": (_finite(), 0.0),
+    "grid": ({"xmin": _finite(), "xmax": _finite(), "nx": _whole(2),
+              "tmin": _finite(), "tmax": _finite(), "nt": _whole(1)}, None),
+    "radius": (_whole(0), 6),
+    "seed": (_whole(0), 0),
+    "verify": {"which": (_choice("pde", "degeneration", "fay", "montecarlo"), None),
+               "epsilons": ([_finite(0.0, 1.0)], None),
+               "trials": (_whole(1), None), "fay_n": (_whole(1), 3)},
+    "dynamics": {"mode": (_choice("velocity", "shifts", "track"), "velocity"),
+                 "norming": (_finite(0.0), 1.0)},
+    "gas": {"support": ([{"kind": _KIND, "lo": (_finite(), None), "hi": (_finite(), None),
+                          "b_lo": (_finite(), None), "b_hi": (_finite(), None)}], []),
+            "sigma": (_finite(), 1.0), "nodes": (_whole(8), 64)},
+}
 
 
-def _count(vcfg: dict, key: str, default: int) -> int:
-    """verify.<key> as an integer of at least 1."""
-    n = _whole(vcfg.get(key, default), f"verify.{key}")
-    if n < 1:
-        raise ConfigError(f"verify.{key} = {n} must be at least 1")
-    return n
+def _check(value, schema, name: str = ""):
+    """value read through schema, defaults filled in; a ConfigError names the first bad key."""
+    if isinstance(schema, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list")
+        return [_check(item, schema[0], f"{name}[{i}]") for i, item in enumerate(value)]
+    if not isinstance(schema, dict):
+        try:
+            return schema(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name or 'config'} must be a JSON object")
+    prefix = f"{name}." if name else ""
+    unknown = sorted(value.keys() - schema.keys())
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(prefix + key for key in unknown)}")
+    out = {}
+    for key, entry in schema.items():
+        if isinstance(entry, tuple):
+            out[key] = _check(value[key], entry[0], prefix + key) if key in value else entry[1]
+        elif key in value or isinstance(entry, dict):
+            out[key] = _check(value.get(key, {}), entry, prefix + key)
+        else:
+            raise ConfigError(f"config needs {prefix}{key}")
+    return out
+
+
+def _flag_or_key(cfg: dict, args, key: str):
+    """The --key flag read through the key's reader if given, else cfg[key]."""
+    flag = getattr(args, key)
+    return cfg[key] if flag is None else _check(flag, _SCHEMA[key][0], f"--{key}")
 
 
 def _fmt(v) -> str:
@@ -96,66 +141,40 @@ def _row_format(types: tuple) -> tuple[str, bool]:
     return ",".join("%.17g" if f else "%s" for f in floats), all(floats)
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> tuple[dict, dict]:
+    """The config document as written, and its values read through _SCHEMA."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict) or "curve" not in cfg:
-        raise ConfigError("config must be a JSON object with a 'curve' entry")
-    return cfg
+    return doc, _check(doc, _SCHEMA)
 
 
 def _build_curve(cfg: dict):
-    with _reading("curve"):
-        e1, e2, e3 = (float(cfg["curve"][k]) for k in ("e1", "e2", "e3"))
-    return half_periods(e1, e2, e3)
-
-
-def _finite(value, name: str) -> float:
-    with _reading(name):
-        v = float(value)
-    if not np.isfinite(v):
-        raise ConfigError(f"{name} = {v} is not finite")
-    return v
+    return half_periods(**cfg["curve"])
 
 
 def _build_spectrum(cfg: dict, curve):
     points = []
-    for sol in _objects(cfg, "solitons"):
-        x_shift = _finite(sol.get("x_shift", 0.0), "soliton x_shift")
-        if "b" in sol:
-            points.append((invert_wp(_finite(sol["b"], "soliton b"), curve), x_shift))
-        elif "beta" in sol:
-            kind = sol.get("kind", "hot")
-            if kind not in ("hot", "cool"):
-                raise ConfigError(f"unknown soliton kind {kind!r}")
-            r = _finite(sol["beta"], "soliton beta")
-            if not 0.0 < r < 0.5:
-                raise ConfigError(f"soliton beta = {r} outside (0, 1/2)")
-            chi = 1 if kind == "cool" else 0
-            beta = r + chi * curve.tau / 2.0
-            points.append((JacobianPoint(beta=beta, chi=chi), x_shift))
+    for sol in cfg["solitons"]:
+        if sol["b"] is not None:
+            point = invert_wp(sol["b"], curve)
+        elif sol["beta"] is not None:
+            chi = 1 if sol["kind"] == "cool" else 0
+            point = JacobianPoint(beta=sol["beta"] + chi * curve.tau / 2.0, chi=chi)
         else:
             raise ConfigError("each soliton needs 'b' or 'beta'+'kind'")
-    x0 = _finite(cfg.get("x0", 0.0), "x0")
-    return tau.spectrum_from_points(curve, points, x0=x0)
+        points.append((point, sol["x_shift"]))
+    return tau.spectrum_from_points(curve, points, x0=cfg["x0"])
 
 
 def _grid(cfg: dict):
-    g = cfg.get("grid")
+    g = cfg["grid"]
     if g is None:
         raise ConfigError("config needs a 'grid' entry")
-    with _reading("grid"):
-        xmin, xmax, nx = float(g["xmin"]), float(g["xmax"]), _whole(g["nx"], "grid.nx")
-        tmin, tmax, nt = float(g["tmin"]), float(g["tmax"]), _whole(g["nt"], "grid.nt")
-    if nx < 2 or nt < 1:
-        raise ConfigError("grid needs nx >= 2 and nt >= 1")
-    if not np.all(np.isfinite([xmin, xmax, tmin, tmax])):
-        raise ConfigError("grid bounds must be finite")
-    xs = np.linspace(xmin, xmax, nx)
-    ts = np.linspace(tmin, tmax, nt) if nt > 1 else np.array([tmin])
+    xs = np.linspace(g["xmin"], g["xmax"], g["nx"])
+    ts = np.linspace(g["tmin"], g["tmax"], g["nt"]) if g["nt"] > 1 else np.array([g["tmin"]])
     return xs, ts
 
 
@@ -202,12 +221,12 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def cmd_eval(cfg: dict, args) -> tuple[Report, int]:
+def cmd_eval(doc: dict, cfg: dict, args) -> tuple[Report, int]:
     curve = _build_curve(cfg)
     spectrum = _build_spectrum(cfg, curve)
     ctx = tau.build_context(curve, spectrum)
     xs, ts = _grid(cfg)
-    rep = Report("eval", cfg, ["x", "t", "u", "tau", "detG"])
+    rep = Report("eval", doc, ["x", "t", "u", "tau", "detG"])
     x_cells = xs.tolist()
     for t, (u_row, tau_row, det_row) in zip(ts.tolist(), tau._eval_rows(ctx, xs, ts)):
         rep.rows += map(list, zip(x_cells, itertools.repeat(t), u_row.tolist(),
@@ -215,7 +234,7 @@ def cmd_eval(cfg: dict, args) -> tuple[Report, int]:
     return rep, 0
 
 
-def _verify_pde(cfg, ctx, tol, rep):
+def _verify_pde(cfg, ctx, tol, seed, args, rep):
     xs, ts = _grid(cfg)
     if ts.size < 2:
         raise ConfigError("pde verification needs grid.nt >= 2")
@@ -225,145 +244,123 @@ def _verify_pde(cfg, ctx, tol, rep):
     return ok
 
 
-def _lattice_inputs(cfg: dict, vcfg: dict, args, n: int,
-                    default_eps: list) -> tuple[list, int]:
+def _lattice_inputs(cfg: dict, args, n: int) -> tuple[list, int]:
     """verify.epsilons and the radius of the genus n + 1 lattice sums, checked."""
-    eps_list = vcfg.get("epsilons", default_eps)
-    with _reading("verify.epsilons"):
-        if not eps_list or not all(0.0 < float(eps) < 1.0 for eps in eps_list):
-            raise ConfigError("verify.epsilons must be a non-empty list in (0, 1)")
-    radius = args.radius if args.radius is not None else _whole(cfg.get("radius", 6), "radius")
-    if radius < 0 or (2 * radius + 1) ** (n + 1) > riemann._LATTICE_MAX:
+    eps_list = cfg["verify"]["epsilons"]
+    eps_list = _DEFAULT_EPS[cfg["verify"]["which"]] if eps_list is None else eps_list
+    if not eps_list:
+        raise ConfigError("verify.epsilons must not be empty")
+    radius = _flag_or_key(cfg, args, "radius")
+    if (2 * radius + 1) ** (n + 1) > riemann._LATTICE_MAX:
         raise ConfigError(f"radius = {radius}: lattice box (2*{radius}+1)^{n + 1} too large")
     return eps_list, radius
 
 
-def _verify_degeneration(cfg, vcfg, ctx, tol, rng, args, rep):
+def _verify_degeneration(cfg, ctx, tol, seed, args, rep):
     spectrum = ctx.spectrum
     n = len(spectrum)
-    eps_list, radius = _lattice_inputs(cfg, vcfg, args, n, _DEFAULT_EPS_DEGEN)
+    eps_list, radius = _lattice_inputs(cfg, args, n)
+    rng = np.random.default_rng(seed)
     psis = 1j * rng.uniform(-0.5, 0.5, size=n)
     beta = rng.uniform(0.0, 1.0)
     x_phase = np.concatenate([psis, [beta]])
     resids = riemann._degeneration_residuals(x_phase, spectrum, eps_list, radius)
     for eps, resid in zip(eps_list, resids):
-        rep.add("degeneration", f"epsilon={_fmt(float(eps))}", resid, tol, resid < tol)
+        rep.add("degeneration", f"epsilon={_fmt(eps)}", resid, tol, resid < tol)
     monotone = all(a > b for a, b in zip(resids, resids[1:]))
     rep.add("degeneration", "monotone-decreasing", float(not monotone), 0.5, monotone)
     return monotone and resids[-1] < tol
 
 
-def _verify_fay(vcfg, curve, tol, rng, rep):
-    n = _count(vcfg, "fay_n", 3)
-    trials = _count(vcfg, "trials", 50)
+def _verify_fay(cfg, ctx, tol, seed, args, rep):
+    n = cfg["verify"]["fay_n"]
+    trials = cfg["verify"]["trials"] or 50
+    rng = np.random.default_rng(seed)
     draws = [(rng.uniform(0, 1, n) + 1j * rng.uniform(0, 0.3, n),
               rng.uniform(0, 1, n) + 1j * rng.uniform(0, 0.3, n),
               rng.uniform(0, 1) + 0.1j) for _ in range(trials)]
     xs, xh, e_pts = (np.array(side) for side in zip(*draws))
-    worst = max([0.0, *riemann._fay_residuals(n, xs, xh, e_pts, curve).tolist()])
+    worst = max([0.0, *riemann._fay_residuals(n, xs, xh, e_pts, ctx.curve).tolist()])
     ok = worst < tol
     rep.add("fay", f"n={n};trials={trials}", worst, tol, ok)
     return ok
 
 
-def _verify_montecarlo(cfg, vcfg, ctx, rng_seed, args, rep):
-    eps_list, radius = _lattice_inputs(cfg, vcfg, args, len(ctx.spectrum), _DEFAULT_EPS_MC)
-    trials = _count(vcfg, "trials", 200)
+def _verify_montecarlo(cfg, ctx, tol, seed, args, rep):
+    eps_list, radius = _lattice_inputs(cfg, args, len(ctx.spectrum))
+    trials = cfg["verify"]["trials"] or 200
     xs, ts = _grid(cfg)
-    means = riemann.random_phase_mc(ctx.spectrum, eps_list, trials, rng_seed,
+    means = riemann.random_phase_mc(ctx.spectrum, eps_list, trials, seed,
                                     xs, [float(ts[0])], radius)
     for eps, mean in zip(eps_list, means):
-        rep.add("montecarlo", f"epsilon={_fmt(float(eps))};trials={trials}",
+        rep.add("montecarlo", f"epsilon={_fmt(eps)};trials={trials}",
                 float(mean), np.inf, True)
     monotone = all(a > b for a, b in zip(means, means[1:]))
     rep.add("montecarlo", "monotone-decreasing", float(not monotone), 0.5, monotone)
     return monotone
 
 
-def cmd_verify(cfg: dict, args) -> tuple[Report, int]:
-    vcfg = _section(cfg, "verify")
-    which = vcfg.get("which")
-    if which not in ("pde", "degeneration", "fay", "montecarlo"):
-        raise ConfigError("verify.which must be pde|degeneration|fay|montecarlo")
+def cmd_verify(doc: dict, cfg: dict, args) -> tuple[Report, int]:
+    which = cfg["verify"]["which"]
+    if which is None:
+        raise ConfigError("config needs verify.which")
     curve = _build_curve(cfg)
     ctx = tau.build_context(curve, _build_spectrum(cfg, curve))
-    with _reading("seed"):
-        seed = args.seed if args.seed is not None else _whole(cfg.get("seed", 0), "seed")
-        rng = np.random.default_rng(seed)
+    seed = _flag_or_key(cfg, args, "seed")
     tol = args.tol if args.tol is not None else _DEFAULT_TOL.get(which, 1e-9)
-    rep = Report("verify", cfg, ["check", "parameters", "residual", "tolerance", "pass"])
-    if which == "pde":
-        ok = _verify_pde(cfg, ctx, tol, rep)
-    elif which == "degeneration":
-        ok = _verify_degeneration(cfg, vcfg, ctx, tol, rng, args, rep)
-    elif which == "fay":
-        ok = _verify_fay(vcfg, curve, tol, rng, rep)
-    else:
-        ok = _verify_montecarlo(cfg, vcfg, ctx, seed, args, rep)
-    return rep, 0 if ok else 4
+    rep = Report("verify", doc, ["check", "parameters", "residual", "tolerance", "pass"])
+    check = {"pde": _verify_pde, "degeneration": _verify_degeneration,
+             "fay": _verify_fay, "montecarlo": _verify_montecarlo}[which]
+    return rep, 0 if check(cfg, ctx, tol, seed, args, rep) else 4
 
 
-def cmd_dynamics(cfg: dict, args) -> tuple[Report, int]:
-    dcfg = _section(cfg, "dynamics")
-    mode = dcfg.get("mode", "velocity")
+def cmd_dynamics(doc: dict, cfg: dict, args) -> tuple[Report, int]:
+    mode = cfg["dynamics"]["mode"]
     curve = _build_curve(cfg)
     spectrum = _build_spectrum(cfg, curve)
     if mode == "velocity":
-        rep = Report("dynamics", cfg, ["beta", "kind", "V", "P", "E"])
+        rep = Report("dynamics", doc, ["beta", "kind", "V", "P", "E"])
         for e in spectrum.entries:
             v = dynamics.group_velocity(e.point, curve)
             rep.add(e.beta, e.point.kind, v, e.P, e.E)
-        return rep, 0
-    if mode == "shifts":
+    elif mode == "shifts":
         sched = dynamics.total_shift_schedule(spectrum)
-        rep = Report("dynamics", cfg, ["beta", "kind", "V", "total_shift"])
+        rep = Report("dynamics", doc, ["beta", "kind", "V", "total_shift"])
         for e, s in zip(spectrum.entries, sched):
             rep.add(e.beta, e.point.kind, e.velocity, s)
-        return rep, 0
-    if mode == "track":
+    else:
         if len(spectrum) != 1:
             raise ConfigError("track mode needs exactly one soliton")
-        with _reading("dynamics.norming"):
-            norming = float(dcfg.get("norming", 1.0))
         _, ts = _grid(cfg)
-        try:
-            phis = dynamics.track_phase(spectrum.entries[0].point, curve, norming, ts)
-        except InvalidNorming as exc:
-            raise ConfigError(f"dynamics.norming: {exc}") from exc
-        rep = Report("dynamics", cfg, ["t", "Phi"])
+        phis = dynamics.track_phase(spectrum.entries[0].point, curve,
+                                    cfg["dynamics"]["norming"], ts)
+        rep = Report("dynamics", doc, ["t", "Phi"])
         for t, phi in zip(ts, phis):
             rep.add(float(t), float(phi))
-        return rep, 0
-    raise ConfigError("dynamics.mode must be velocity|shifts|track")
+    return rep, 0
 
 
-def _gas_model_from_config(cfg: dict, curve, nodes_override=None):
-    if "gas" not in cfg:
-        raise ConfigError("config needs a 'gas' entry")
-    gcfg = _section(cfg, "gas")
+def _gas_model_from_config(cfg: dict, curve, nodes: int):
     intervals = []
-    for iv in _objects(gcfg, "support"):
-        with _reading("gas.support"):            # an interval checks its own ends
-            if "b_lo" in iv:
-                intervals.append(gas.interval_from_physical(
-                    curve, float(iv["b_lo"]), float(iv["b_hi"])))
-                continue
-            kind = iv.get("kind", "hot")
-            if kind not in ("hot", "cool"):
-                raise ConfigError(f"unknown support kind {kind!r}")
-            intervals.append(gas.GasInterval(1 if kind == "cool" else 0,
-                                             float(iv["lo"]), float(iv["hi"])))
-    if not intervals:
-        raise ConfigError("gas.support must not be empty")
-    with _reading("gas"):                        # the node count and the sign of sigma
-        nodes = nodes_override or _whole(gcfg.get("nodes", 64), "gas.nodes")
-        return gas.build_model(curve, intervals, float(gcfg.get("sigma", 1.0)), nodes)
+    try:                # the intervals and the model check their own bounds
+        for iv in cfg["gas"]["support"]:
+            physical = iv["b_lo"] is not None
+            lo, hi = (iv["b_lo"], iv["b_hi"]) if physical else (iv["lo"], iv["hi"])
+            if lo is None or hi is None:
+                raise ConfigError("each gas.support entry needs lo and hi, or b_lo and b_hi")
+            intervals.append(gas.interval_from_physical(curve, lo, hi) if physical else
+                             gas.GasInterval(1 if iv["kind"] == "cool" else 0, lo, hi))
+        if not intervals:
+            raise ConfigError("gas.support must not be empty")
+        return gas.build_model(curve, intervals, cfg["gas"]["sigma"], nodes)
+    except ValueError as exc:
+        raise ConfigError(f"gas: {exc}") from exc
 
 
-def cmd_gas(cfg: dict, args) -> tuple[Report, int]:
+def cmd_gas(doc: dict, cfg: dict, args) -> tuple[Report, int]:
     curve = _build_curve(cfg)
-    model = gas.ndr_solve(_gas_model_from_config(cfg, curve))
-    rep = Report("gas", cfg, ["eta", "u", "v", "s", "s0"])
+    model = gas.ndr_solve(_gas_model_from_config(cfg, curve, cfg["gas"]["nodes"]))
+    rep = Report("gas", doc, ["eta", "u", "v", "s", "s0"])
     columns = (model.betas, model.solved_u, model.solved_v, model.speeds,
                gas.free_speeds(model))
     rep.rows += map(list, zip(*(col.tolist() for col in columns)))
@@ -371,7 +368,7 @@ def cmd_gas(cfg: dict, args) -> tuple[Report, int]:
     rep.footer["eos_residual"] = gas.equation_of_state_residual(model)
     if args.double_nodes:
         fine = gas.ndr_solve(_gas_model_from_config(
-            cfg, curve, nodes_override=2 * (model.n_per_interval - 1) + 1))
+            cfg, curve, 2 * (model.n_per_interval - 1) + 1))
         delta = float(np.max(np.abs(fine.solved_u[::2] - model.solved_u)))
         rep.footer["double_nodes_delta"] = delta
     return rep, 0
@@ -398,8 +395,8 @@ def main(argv=None) -> int:
     handlers = {"eval": cmd_eval, "verify": cmd_verify,
                 "dynamics": cmd_dynamics, "gas": cmd_gas}
     try:
-        cfg = _load_config(args.config)
-        rep, code = handlers[args.command](cfg, args)
+        doc, cfg = _load_config(args.config)
+        rep, code = handlers[args.command](doc, cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -74,7 +74,7 @@ class NonRealTau(CnoidalKdvError):
 
 
 class GridTooCoarse(CnoidalKdvError):
-    """PDE-residual grid under-resolves the cnoidal period."""
+    """PDE-residual grid has a zero span or under-resolves the cnoidal period."""
 
 
 class PhaseOverflow(CnoidalKdvError):

@@ -445,6 +445,8 @@ def kdv_residual(ctx: TauContext, x_span: tuple[float, float], nx: int,
         raise GridTooCoarse("need at least 2 points per direction")
     dx = (x_span[1] - x_span[0]) / (nx - 1)
     dt = (t_span[1] - t_span[0]) / (nt - 1)
+    if dx == 0.0 or dt == 0.0:
+        raise GridTooCoarse(f"zero-span grid: dx = {dx}, dt = {dt}")
     if dx > ctx.curve.period_x / 9.0:
         raise GridTooCoarse(f"dx = {dx} under-resolves the cnoidal period")
     xs = x_span[0] + dx * np.arange(-3, nx + 3)

@@ -1,6 +1,9 @@
 """Exit-code contract, determinism, and column semantics of the CLI."""
 
 import argparse
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -12,9 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cnoidal_kdv import cli
 from cnoidal_kdv import tau as tu
+from cnoidal_kdv.errors import CnoidalKdvError
 
 BASE_CURVE = {"e1": 2.0, "e2": 1.0, "e3": -3.0}
 # a CLI subprocess imports the package these tests import, installed or not
@@ -153,6 +159,7 @@ class TestEvalPath:
         path.write_text(json.dumps(cfg))
         assert cli.main(["eval", "--config", str(path)]) == 0
         rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+        _, cfg = cli._load_config(str(path))
         curve = cli._build_curve(cfg)
         ctx = tu.build_context(curve, cli._build_spectrum(cfg, curve))
         xs, ts = cli._grid(cfg)
@@ -474,6 +481,13 @@ class TestExitCodes:
         pytest.param("gas", gas_cfg(3), id="support=3"),
         pytest.param("gas", gas_cfg(nodes=64.7), id="nodes=64.7"),
         pytest.param("gas", gas_cfg(nodes=True), id="nodes=true"),
+        pytest.param("eval", dict(cnoidal_cfg(), curve=dict(BASE_CURVE, e1=float("nan"))),
+                     id="e1=nan"),
+        pytest.param("gas", gas_cfg(sigma=float("inf")), id="sigma=inf"),
+        # keys their command does not read
+        pytest.param("eval", dict(cnoidal_cfg(), radius="a"), id="eval-radius=a"),
+        pytest.param("dynamics", dict(cnoidal_cfg(), grid=dict(cnoidal_cfg()["grid"], nx="a"),
+                                      dynamics={"mode": "velocity"}), id="velocity-nx=a"),
     ])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, command, cfg):
         path = tmp_path / "config.json"
@@ -544,3 +558,127 @@ class TestTrackOp:
             assert cli.main(["dynamics", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: dynamics.norming")
+
+
+def schema_paths(schema, path=()):
+    """Every key path of a config schema: sections, leaves, and entry 0 of each list."""
+    for key, entry in schema.items():
+        sub = entry[0] if isinstance(entry, tuple) else entry
+        yield path + (key,)
+        if isinstance(sub, list):
+            yield path + (key, 0)
+            if isinstance(sub[0], dict):
+                yield from schema_paths(sub[0], path + (key, 0))
+        elif isinstance(sub, dict):
+            yield from schema_paths(sub, path + (key,))
+
+
+def with_value(cfg, path, value):
+    """A copy of cfg with value at path; missing sections and list entries are made."""
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key, nxt in zip(path, path[1:]):
+        empty = [] if isinstance(nxt, int) else {}
+        if isinstance(node, list):
+            if not node:
+                node.append(empty)
+            node = node[key]
+        else:
+            node = node.setdefault(key, empty)
+    if isinstance(node, list) and not node:
+        node.append(value)
+    else:
+        node[path[-1]] = value
+    return cfg
+
+
+SCHEMA_PATHS = list(schema_paths(cli._SCHEMA))
+HOSTILE = [None, "a", True, 2.5, -1, 0, [], {}, -1e9, float("nan"), float("inf")]
+SMALL_GRID = {"xmin": -1.0, "xmax": 1.0, "nx": 8, "tmin": 0.0, "tmax": 0.0, "nt": 1}
+ONE_HOT = [{"beta": 0.30, "kind": "hot"}]
+FUZZ_BASES = {
+    "eval": ("eval", {"curve": BASE_CURVE, "solitons": ONE_HOT, "grid": SMALL_GRID}),
+    "pde": ("verify", {"curve": BASE_CURVE, "solitons": ONE_HOT,
+                       "grid": dict(SMALL_GRID, nx=65, tmax=0.01, nt=3),
+                       "verify": {"which": "pde"}}),
+    "degeneration": ("verify", {"curve": BASE_CURVE, "solitons": ONE_HOT, "radius": 2,
+                                "verify": {"which": "degeneration", "epsilons": [1e-2, 1e-3]}}),
+    "fay": ("verify", {"curve": BASE_CURVE, "seed": 1,
+                       "verify": {"which": "fay", "fay_n": 2, "trials": 2}}),
+    "montecarlo": ("verify", {"curve": BASE_CURVE, "solitons": ONE_HOT, "radius": 2,
+                              "grid": dict(SMALL_GRID, nx=4),
+                              "verify": {"which": "montecarlo", "epsilons": [1e-2],
+                                         "trials": 2}}),
+    "velocity": ("dynamics", {"curve": BASE_CURVE, "solitons": ONE_HOT}),
+    "shifts": ("dynamics", {"curve": BASE_CURVE, "dynamics": {"mode": "shifts"},
+                            "solitons": [{"beta": 0.25, "kind": "cool"},
+                                         {"beta": 0.36, "kind": "cool"}]}),
+    "track": ("dynamics", {"curve": BASE_CURVE, "solitons": ONE_HOT,
+                           "grid": dict(SMALL_GRID, tmax=1.0, nt=4),
+                           "dynamics": {"mode": "track"}}),
+    "gas": ("gas", {"curve": BASE_CURVE,
+                    "gas": {"support": [{"kind": "hot", "lo": 0.2, "hi": 0.3}], "nodes": 8}}),
+}
+
+
+def error_names(cls=CnoidalKdvError):
+    return {cls.__name__}.union(*(error_names(sub) for sub in cls.__subclasses__()))
+
+
+def run_main(path, command, cfg):
+    """cli.main on cfg in-process, warnings ignored as the CLI leaves them: (code, stdout, stderr)."""
+    path.write_text(json.dumps(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = cli.main([command, "--config", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("base", FUZZ_BASES)
+    def test_fuzz_bases_pass(self, tmp_path, base):
+        assert run_main(tmp_path / "config.json", *FUZZ_BASES[base])[0] == 0
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(base=st.sampled_from(sorted(FUZZ_BASES)), path=st.sampled_from(SCHEMA_PATHS),
+           value=st.sampled_from(HOSTILE))
+    def test_hostile_value_exits_cleanly(self, tmp_path, base, path, value):
+        command, cfg = FUZZ_BASES[base]
+        code, _, err = run_main(tmp_path / "config.json", command, with_value(cfg, path, value))
+        assert code in (0, 2, 3, 4)
+        first = err.splitlines()[0] if err else ""
+        if code == 2:
+            assert first.startswith("config error:")
+        if code == 3:
+            assert first.split(":")[0] in error_names()
+
+    def test_unknown_key_is_named(self, tmp_path):
+        # a misspelt sigma used to solve at the default sigma = 1 with exit 0
+        cfg = json.loads((Path(__file__).resolve().parents[1]
+                          / "demos/configs/gas_hot.json").read_text())
+        cfg["gas"]["sigam"] = cfg["gas"].pop("sigma")
+        code, out, err = run_main(tmp_path / "config.json", "gas", cfg)
+        assert (code, out) == (2, "")
+        assert err == "config error: unknown key gas.sigam\n"
+
+    def test_numeric_strings_read_and_echoed_as_written(self, tmp_path):
+        cfg = cnoidal_cfg(nx=8)
+        cfg["grid"].update(nx="8", xmax="10")
+        code, out, _ = run_main(tmp_path / "config.json", "eval", cfg)
+        assert code == 0
+        assert f"# config: {json.dumps(cfg, sort_keys=True)}" in out.splitlines()
+        want = run_main(tmp_path / "config.json", "eval", cnoidal_cfg(nx=8))[1]
+        assert out.splitlines()[2:] == want.splitlines()[2:]
+
+    @pytest.mark.parametrize("grid", [dict(tmin=0.5, tmax=0.5), dict(xmin=2.0, xmax=2.0)],
+                             ids=["tmin=tmax", "xmin=xmax"])
+    def test_zero_span_pde_grid_is_numeric_error(self, tmp_path, grid):
+        # used to print a nan residual and exit 4
+        command, cfg = FUZZ_BASES["pde"]
+        cfg = dict(cfg, grid=dict(cfg["grid"], **grid))
+        code, out, err = run_main(tmp_path / "config.json", command, cfg)
+        assert (code, out) == (3, "")
+        assert err.startswith("GridTooCoarse: zero-span grid")

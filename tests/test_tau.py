@@ -389,3 +389,11 @@ class TestKdvResidual:
     def test_grid_too_coarse(self, ctx_cnoidal):
         with pytest.raises(GridTooCoarse):
             tu.kdv_residual(ctx_cnoidal, (-10, 10), 20, (-1, 1), 11)
+
+    @pytest.mark.parametrize("x_span, t_span", [((-1, 1), (0.5, 0.5)), ((2, 2), (-1, 1))],
+                             ids=["dt=0", "dx=0"])
+    def test_zero_span_grid_raises(self, ctx_cnoidal, x_span, t_span, monkeypatch):
+        # a zero step used to give a nan residual; the check runs before any u is taken
+        monkeypatch.setattr(tu, "u_field", lambda *args: pytest.fail("u_field called"))
+        with pytest.raises(GridTooCoarse, match="zero-span"):
+            tu.kdv_residual(ctx_cnoidal, x_span, 40, t_span, 3)
