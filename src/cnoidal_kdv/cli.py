@@ -33,7 +33,7 @@ class ConfigError(Exception):
     pass
 
 
-def _finite(lo: float = -np.inf, hi: float = np.inf):
+def _number(lo: float = -np.inf, hi: float = np.inf):
     """Reader of a finite number inside the open interval (lo, hi)."""
     def read(value) -> float:
         v = float(value)
@@ -70,22 +70,22 @@ _KIND = (_choice("hot", "cool"), "hot")
 # entries, anything else a leaf reader; (entry, default) makes the key
 # optional.  An absent section without a default is read as {}.
 _SCHEMA = {
-    "curve": {"e1": _finite(), "e2": _finite(), "e3": _finite()},
-    "solitons": ([{"b": (_finite(), None), "beta": (_finite(0.0, 0.5), None),
-                   "kind": _KIND, "x_shift": (_finite(), 0.0)}], []),
-    "x0": (_finite(), 0.0),
-    "grid": ({"xmin": _finite(), "xmax": _finite(), "nx": _whole(2),
-              "tmin": _finite(), "tmax": _finite(), "nt": _whole(1)}, None),
+    "curve": {"e1": _number(), "e2": _number(), "e3": _number()},
+    "solitons": ([{"b": (_number(), None), "beta": (_number(0.0, 0.5), None),
+                   "kind": _KIND, "x_shift": (_number(), 0.0)}], []),
+    "x0": (_number(), 0.0),
+    "grid": ({"xmin": _number(), "xmax": _number(), "nx": _whole(2),
+              "tmin": _number(), "tmax": _number(), "nt": _whole(1)}, None),
     "radius": (_whole(0), 6),
     "seed": (_whole(0), 0),
     "verify": {"which": (_choice("pde", "degeneration", "fay", "montecarlo"), None),
-               "epsilons": ([_finite(0.0, 1.0)], None),
+               "epsilons": ([_number(0.0, 1.0)], None),
                "trials": (_whole(1), None), "fay_n": (_whole(1), 3)},
     "dynamics": {"mode": (_choice("velocity", "shifts", "track"), "velocity"),
-                 "norming": (_finite(0.0), 1.0)},
-    "gas": {"support": ([{"kind": _KIND, "lo": (_finite(), None), "hi": (_finite(), None),
-                          "b_lo": (_finite(), None), "b_hi": (_finite(), None)}], []),
-            "sigma": (_finite(), 1.0), "nodes": (_whole(8), 64)},
+                 "norming": (_number(0.0), 1.0)},
+    "gas": {"support": ([{"kind": _KIND, "lo": (_number(), None), "hi": (_number(), None),
+                          "b_lo": (_number(), None), "b_hi": (_number(), None)}], []),
+            "sigma": (_number(), 1.0), "nodes": (_whole(8), 64)},
 }
 
 

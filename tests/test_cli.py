@@ -626,7 +626,7 @@ def error_names(cls=CnoidalKdvError):
 
 
 def run_main(path, command, cfg):
-    """cli.main on cfg in-process, warnings ignored as the CLI leaves them: (code, stdout, stderr)."""
+    """cli.main on cfg in-process, warnings left unraised as at the CLI: (code, out, err)."""
     path.write_text(json.dumps(cfg))
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
