@@ -34,8 +34,10 @@ class ConfigError(Exception):
 
 
 def _number(lo: float = -np.inf, hi: float = np.inf):
-    """Reader of a finite number inside the open interval (lo, hi)."""
+    """Reader of a finite number inside the open interval (lo, hi); a bool is refused."""
     def read(value) -> float:
+        if isinstance(value, bool):
+            raise ValueError(f"{value!r} is not a number")
         v = float(value)
         if not np.isfinite(v):
             raise ValueError(f"{v} is not finite")
@@ -76,7 +78,7 @@ _SCHEMA = {
     "x0": (_number(), 0.0),
     "grid": ({"xmin": _number(), "xmax": _number(), "nx": _whole(2),
               "tmin": _number(), "tmax": _number(), "nt": _whole(1)}, None),
-    "radius": (_whole(0), 6),
+    "radius": (_whole(1), 6),
     "seed": (_whole(0), 0),
     "verify": {"which": (_choice("pde", "degeneration", "fay", "montecarlo"), None),
                "epsilons": ([_number(0.0, 1.0)], None),

@@ -36,6 +36,11 @@ from .tau import SolitonSpectrum, fredholm_factor
 
 _IDENTITY_GATE = 1e-9
 _LATTICE_MAX = 2e7        # largest lattice box _lattice enumerates
+_KEEP_LOG = -55.451774444795625  # ln 2^-80: Monte Carlo rows this far below the peak are dropped
+_CERTIFIED = 2.0 ** -60          # the dropped rows' share of min |Theta| that a block allows
+
+# lattice rows x draws x t of the Monte Carlo sums: of the whole box, and those summed
+_LATTICE_TERMS = {"box": 0, "summed": 0}
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,8 @@ def degenerate_period_matrix(spec: DegenerationSpec) -> PeriodMatrix:
 
 
 def _lattice(dim: int, radius: int) -> np.ndarray:
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
     if (2 * radius + 1) ** dim > _LATTICE_MAX:
         raise ValueError(f"lattice box (2*{radius}+1)^{dim} too large to enumerate")
     # rows in lexicographic order, first index slowest
@@ -156,8 +163,6 @@ def theta_lattice_sum(x, omega: PeriodMatrix | np.ndarray, radius: int,
     x = np.asarray(x, dtype=complex)
     if x.shape != (om.shape[0],):
         raise ValueError("dim(X) must match the period matrix")
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
     value = _box_sum(_lattice(om.shape[0], radius), om, x)
     tail = _tail_bound(x, om, radius)
     if tol is not None and tail > tol:
@@ -333,6 +338,20 @@ def _x_tables(sp: SolitonSpectrum, xs: np.ndarray, radius: int) -> _XTables:
     return _XTables(nu=nu, rate=2j * np.pi * (nu @ slope), blocks=blocks)
 
 
+def _row_sums(c: np.ndarray, rows: np.ndarray, rate: np.ndarray,
+              table: np.ndarray) -> np.ndarray:
+    """(C w^k) @ E for k = 0, 1, 2 over the lattice rows `rows` of c: shape (3, len(c), size)."""
+    part = np.exp(c[:, rows])
+    rate = rate[rows]
+    table = table[rows]
+    sums = np.empty((3, c.shape[0], table.shape[1]), dtype=complex)
+    for k in range(3):
+        if k:
+            part *= rate
+        np.matmul(part, table, out=sums[k])
+    return sums
+
+
 def _finite_gap_theta(omega: np.ndarray, sp: SolitonSpectrum, draws: np.ndarray,
                       ts: np.ndarray, tables: _XTables) -> np.ndarray:
     """Theta(X(x, t) - Omega u/2) and its first two x-derivatives: shape (3, k, nt, nx).
@@ -345,6 +364,16 @@ def _finite_gap_theta(omega: np.ndarray, sp: SolitonSpectrum, draws: np.ndarray,
     product is finite where the factors overflow).  A term whose C underflows
     lies below exp(-_HALF_LOG_MAX) of the nu = 0 term, which is 1.  The
     first block whose sums are not finite raises PhaseOverflow.
+
+    Only the rows that can move a bit are summed.  On a block of half-width
+    hw, |E_nu(x)| = exp(Re w_nu (x - x_c)), so for each draw and t
+        bound[nu] = Re c[nu] + |Re w_nu| hw + 2 ln max(1, |w_nu|)
+    bounds ln |C E w^k|, k <= 2, anywhere in the block, while some term is at
+    least exp(peak), peak = max_nu (Re c[nu] - |Re w_nu| hw).  A row is kept
+    if, for some draw and t, its bound comes within 2^-80 of that peak.  The
+    block stands if, for every draw and t, (dropped rows) x exp(largest
+    dropped bound) <= 2^-60 min |Theta| over the block; otherwise it is
+    summed over every row.
     """
     n = len(sp)
     u = np.zeros((draws.shape[0], n + 1))
@@ -352,6 +381,10 @@ def _finite_gap_theta(omega: np.ndarray, sp: SolitonSpectrum, draws: np.ndarray,
     shift = 0.5 * u @ omega.T
     nu = tables.nu
     quad = 1j * np.pi * np.einsum("ij,jk,ik->i", nu, omega, nu)
+    re_w = tables.rate.real
+    weight = 2.0 * np.log(np.maximum(1.0, np.abs(tables.rate)))
+    steep = int(np.argmax(np.abs(re_w)))
+    every = np.arange(nu.shape[0])
 
     p = np.array([e.P for e in sp.entries])
     en = np.array([e.E for e in sp.entries])
@@ -365,12 +398,25 @@ def _finite_gap_theta(omega: np.ndarray, sp: SolitonSpectrum, draws: np.ndarray,
         big_x[:, n] = (x_c - sp.x0) / w3
         c = quad + 2j * np.pi * ((big_x[None, :, :] - shift[:, None, :]) @ nu.T)
         c = c.reshape(-1, nu.shape[0])
+        # the steepest row's table gives hw: ln |E_steep(x)| = Re w_steep (x - x_c)
+        hw = (float(np.max(np.abs(np.log(np.abs(table[steep]))))) / abs(re_w[steep])
+              if re_w[steep] else 0.0)
+        spread = np.abs(re_w) * hw
+        bound = c.real + (spread + weight)
+        peak = np.max(c.real - spread, axis=1, keepdims=True)
+        keep = np.flatnonzero(np.any(bound >= peak + _KEEP_LOG, axis=0))
         with np.errstate(over="ignore", invalid="ignore"):
-            np.exp(c, out=c)
-            for k in range(3):
-                if k:
-                    c *= tables.rate
-                out[k][..., idx] = (c @ table).reshape(out.shape[1:3] + (idx.size,))
+            sums = _row_sums(c, keep, tables.rate, table)
+            summed = keep.size
+            if keep.size < every.size:
+                bound[:, keep] = -np.inf
+                dropped = (every.size - keep.size) * np.exp(np.max(bound, axis=1))
+                if not np.all(dropped <= _CERTIFIED * np.min(np.abs(sums[0]), axis=1)):
+                    sums = _row_sums(c, every, tables.rate, table)
+                    summed += every.size
+        _LATTICE_TERMS["box"] += every.size * c.shape[0]
+        _LATTICE_TERMS["summed"] += summed * c.shape[0]
+        out[..., idx] = sums.reshape(out.shape[:3] + (idx.size,))
         if not np.all(np.isfinite(out[..., idx])):
             raise PhaseOverflow("theta lattice sum not finite in double precision")
     return out

@@ -470,6 +470,9 @@ class TestExitCodes:
         pytest.param("verify", verify_cfg(1, which="fay", fay_n=True), id="fay_n=true"),
         pytest.param("verify", dict(verify_cfg(1, which="fay"), seed=1.5), id="seed=1.5"),
         pytest.param("verify", dict(verify_cfg(1), radius=2.5), id="radius=2.5"),
+        # radius 0 once divided by a zero rate, and the NaN passed the reality gate
+        pytest.param("verify", dict(verify_cfg(1, which="montecarlo"), radius=0),
+                     id="radius=0"),
         pytest.param("eval", dict(cnoidal_cfg(), grid=dict(cnoidal_cfg()["grid"], nx=2.5)),
                      id="nx=2.5"),
         pytest.param("verify", dict(verify_cfg(1), verify=3), id="verify=3"),
@@ -484,6 +487,13 @@ class TestExitCodes:
         pytest.param("eval", dict(cnoidal_cfg(), curve=dict(BASE_CURVE, e1=float("nan"))),
                      id="e1=nan"),
         pytest.param("gas", gas_cfg(sigma=float("inf")), id="sigma=inf"),
+        # float(True) is 1.0: a JSON bool is not a number
+        pytest.param("eval", dict(cnoidal_cfg(), x0=True), id="x0=true"),
+        pytest.param("eval", dict(cnoidal_cfg(), solitons=[{"beta": 0.3, "x_shift": True}]),
+                     id="x_shift=true"),
+        pytest.param("dynamics", dict(cnoidal_cfg(), solitons=[{"beta": 0.3}],
+                                      dynamics={"mode": "velocity", "norming": True}),
+                     id="norming=true"),
         # keys their command does not read
         pytest.param("eval", dict(cnoidal_cfg(), radius="a"), id="eval-radius=a"),
         pytest.param("dynamics", dict(cnoidal_cfg(), grid=dict(cnoidal_cfg()["grid"], nx="a"),
@@ -496,6 +506,12 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("config error:")
+
+    def test_radius_flag_below_one_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(verify_cfg(1, which="montecarlo")))
+        assert cli.main(["verify", "--config", str(path), "--radius", "0"]) == 2
+        assert capsys.readouterr().err.startswith("config error: --radius")
 
     def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
         built = []

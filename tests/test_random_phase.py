@@ -132,6 +132,46 @@ class TestClosedFormU:
             rm._finite_gap_u(theta, tables)
 
 
+class TestPrunedRows:
+    @pytest.fixture(scope="class")
+    def spectrum3(self, curve):
+        return tu.spectrum_from_points(
+            curve, [(el.JacobianPoint(0.14 + 0j, 0), 0.0),
+                    (el.JacobianPoint(0.36 + curve.tau / 2, 1), 0.0),
+                    (el.JacobianPoint(0.30 + 0j, 0), 0.0)])
+
+    def test_genus4_sums_fewer_rows_than_the_box(self, spectrum3):
+        before = dict(rm._LATTICE_TERMS)
+        rm.random_phase_mc(spectrum3, [1e-2, 1e-4], 10, 5, np.linspace(-5, 5, 41), [0.0], 3)
+        box, summed = (rm._LATTICE_TERMS[key] - before[key] for key in ("box", "summed"))
+        assert box == 7 ** 4 * 10 * 2         # rows x draws x epsilons, one block, one t
+        assert 0 < summed < box
+
+    def test_failed_certificate_sums_every_row(self, spectrum3, monkeypatch):
+        xs = np.linspace(-5, 5, 41)
+        tables = rm._x_tables(spectrum3, xs, 3)
+        omega = rm.degenerate_period_matrix(rm.DegenerationSpec(1e-3, spectrum3)).omega
+        phis = np.random.default_rng(8).uniform(-1.0, 1.0, size=(4, 3))
+        ts = np.array([0.0, 0.2])
+        pruned = rm._finite_gap_theta(omega, spectrum3, phis, ts, tables)
+        monkeypatch.setattr(rm, "_KEEP_LOG", -np.inf)        # every row kept
+        every = rm._finite_gap_theta(omega, spectrum3, phis, ts, tables)
+        monkeypatch.setattr(rm, "_KEEP_LOG", np.inf)         # none kept, so none certified
+        before = rm._LATTICE_TERMS["summed"]
+        fallback = rm._finite_gap_theta(omega, spectrum3, phis, ts, tables)
+        assert rm._LATTICE_TERMS["summed"] - before == 7 ** 4 * 4 * 2
+        assert np.array_equal(fallback, every)
+        rate = np.max(np.abs(tables.rate))
+        for k in range(3):
+            err = np.abs(pruned[k] - every[k]) / (np.abs(every[0]) * rate ** k)
+            assert np.max(err) < 1e-14
+
+    def test_radius_below_one_refused(self, spectrum2):
+        spec = rm.DegenerationSpec(1e-2, spectrum2)
+        with pytest.raises(ValueError, match="radius must be >= 1"):
+            rm.finite_gap_solution(spec, np.zeros(2), np.linspace(-1, 1, 5), [0.0], 0)
+
+
 class TestXBlocks:
     @pytest.mark.parametrize("xs, reach", [
         (np.linspace(-80.0, 80.0, 81), 22.0),

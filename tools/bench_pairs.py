@@ -12,9 +12,12 @@ in the host's speed does not favour either side.  Nothing of the benchmark is
 imported.
 
 For each gated metric of BENCHMARK.json (its `end_to_end` list) it prints
-each side's median and quartiles over the pairs and the number of pairs this
-checkout wins (better in the metric's direction), plus each side's
-correctness and failed ops.  The pairs, medians, quartiles, seeds and host go
+each side's median and quartiles over the pairs, the number of pairs this
+checkout wins (better in the metric's direction), and this checkout's median
+worsening (the relative change of the medians, counted positive in the
+metric's bad direction) and whether it lies within or beyond the metric's
+`bound`.  For each side it prints correctness and the failed share of ops
+(failed / attempted), and flags a larger share on this checkout.  The pairs, medians, quartiles, seeds and host go
 to the JSON file named by --out.
 """
 
@@ -85,8 +88,9 @@ def measure(parent: Path, workload: str, seeds: list[int], seconds: float, gated
         summary[name] = {"better": m["better"], "bound": m["bound"], "wins": wins,
                          "pairs": len(pairs),
                          **{side: spread(v) for side, v in sides.items()}}
-        summary[name]["median_ratio"] = (summary[name]["change"]["median"]
-                                         / summary[name]["parent"]["median"])
+        ratio = summary[name]["change"]["median"] / summary[name]["parent"]["median"]
+        summary[name]["median_ratio"] = ratio
+        summary[name]["worsening"] = 1.0 - ratio if higher else ratio - 1.0
     checks = {side: {"all_correct": all(p[side]["correct"] for p in pairs),
                      "failed": sum(p[side]["failed"] for p in pairs),
                      "attempted": sum(p[side]["attempted"] for p in pairs)}
@@ -102,8 +106,16 @@ def report(workload: str, result: dict) -> None:
         print(f"  {name:14s} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
               f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
               f"x{s['median_ratio']:.3f}  wins {s['wins']}/{s['pairs']} ({s['better']} is better)")
+        verdict = "within" if s["worsening"] <= s["bound"] else "BEYOND"
+        print(f"  {'':14s} median worsening {s['worsening']:+.3f}, {verdict} its bound "
+              f"{s['bound']}")
+    share = {side: c["failed"] / c["attempted"] if c["attempted"] else 0.0
+             for side, c in result["checks"].items()}
     for side, c in result["checks"].items():
-        print(f"  {side}: all correct {c['all_correct']}, failed {c['failed']} of {c['attempted']}")
+        print(f"  {side}: all correct {c['all_correct']}, failed {c['failed']} of "
+              f"{c['attempted']} ({share[side]:.2%})")
+    if share["change"] > share["parent"]:
+        print("  the change fails a LARGER share of ops than the parent")
 
 
 def main(argv=None) -> int:
