@@ -81,6 +81,10 @@ class PhaseOverflow(CnoidalKdvError):
     """Soliton phase exponent too large for double precision."""
 
 
+class TooManySolitons(CnoidalKdvError):
+    """More solitons than the subset sum takes (its 2^N terms are refused before any work)."""
+
+
 # -- dynamics -----------------------------------------------------------------
 
 class BranchPointLimit(CnoidalKdvError):

@@ -24,6 +24,12 @@ absorbed by writing the denominator as theta1(beta_m^star - beta_l).  With
 this pairing det[1 + G] reproduces the Fredholm expansion of the degenerated
 Riemann theta term by term (the diagonal entries come out positive, matching
 the two-addenda single-soliton form).
+
+tau, det[1 + G] and the u of `eval` are taken from that expansion itself:
+every principal minor of G is a positive Frobenius product times
+theta3(y - A + mu_S) / theta3(y - A), summed over the subsets S in logarithms
+(see _subset_sums).  u_field, u_grid and kdv_residual still difference
+ln det[1 + G] on a stencil grid.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ from .elliptic import (
     _HALF_LOG_MAX,
     _cnoidal_wave,
     _log_theta1_derivatives,
+    _table_terms,
+    _theta_grid,
     _theta_sum,
     invert_wp,
     theta3,
@@ -51,12 +59,26 @@ from .errors import (
     GridTooCoarse,
     NonRealTau,
     PhaseOverflow,
+    TooManySolitons,
 )
 
 # G_ll carries exp(2 expo_l) and G_lm exp(expo_l + expo_m), so each phase
 # exponent stays within ln(DBL_MAX)/2
 _EXP_GUARD = _HALF_LOG_MAX
 _REALITY_TOL = 1e-9
+
+# the subset sum takes at most _SUBSET_CAP solitons (its 2^N x N mask table is
+# 8 MB at 16) and at most _SUBSET_CELLS (x points) x (subsets) per x block, so a
+# block's float arrays stay at 256 KB each, well inside a 2 MiB L2 cache (at
+# 2^16 cells an N = 8 eval took twice as long on an x86_64 host with 2 MiB of L2
+# per core)
+_SUBSET_CAP = 16
+_SUBSET_CELLS = 2 ** 15
+_SUBSET_KEEP = -55.451774444795625    # ln 2^-80: subsets this far below a block's peak are dropped
+_SUBSET_CERTIFIED = -41.58883083359672  # ln 2^-60: the dropped subsets' share of the block's sum
+
+# subsets x blocks x t of the subset sums: of every subset, and those summed
+_SUBSET_TERMS = {"all": 0, "summed": 0}
 
 
 @dataclass(frozen=True)
@@ -325,20 +347,187 @@ def _logdet_one_plus_g(ctx: TauContext, xs: np.ndarray, t: float,
     return logabs
 
 
-def _tau_values(ctx: TauContext, xs: np.ndarray, det: np.ndarray, th: np.ndarray) -> np.ndarray:
-    """Real tau from det(1+G) and theta3 of the background phase at xs."""
-    vals = np.exp(-ctx.quad_const * xs * xs) * det * th
-    if float(np.max(np.abs(vals.imag) / (np.abs(vals) + 1e-300))) > _REALITY_TOL:
-        raise NonRealTau("tau has a non-negligible imaginary part")
-    return vals.real
+# ----------------------------------------------------------------------------
+# tau, det(1+G) and u as a sum over the subsets of the solitons
+# ----------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _SubsetTables:
+    """The parts of the subset sum that depend on neither x nor t."""
+
+    mask: np.ndarray       # (2^N, N) 0/1 rows: soliton l is in subset s if bit l of s is set
+    log_k: np.ndarray      # (2^N,) ln K_S
+    p_sum: np.ndarray      # (2^N,) sum of |P_l| over S, the x-slope of -ln w_S's phase part
+    left: np.ndarray       # (2^N, 2M + 1) theta3 coefficients at mu_S, see _subset_tables
+    index: np.ndarray      # (M,) the theta3 indices m >= 1
+    rate: np.ndarray       # (M,) x-rate 2 pi m / (4 |varpi3|) of the theta3 terms
+    log_theta: tuple       # ln min and ln max of theta3 on the real line
+
+
+def _subset_tables(spectrum: SolitonSpectrum) -> _SubsetTables:
+    """Frobenius's product for every principal minor of G, and theta3's rows at mu_S.
+
+    det G_SS = K_S exp(2 sum_{l in S} expo_l) theta3(y - A + mu_S) / theta3(y - A)
+    with mu_S = sum_{l in S} (beta_l - beta_l*) and
+
+        K_S = prod_{l in S} C_l / theta1(beta_l* - beta_l)
+              * prod_{l < m in S} theta1(beta_l - beta_m) theta1(beta_m* - beta_l*)
+                / (theta1(beta_m* - beta_l) theta1(beta_l* - beta_m)),
+
+    all theta1 values from one table grid.  Each factor is real on the hot and
+    cool segments, and every K_S must be positive: a factor that is not real,
+    or a K_S with an odd number of negative factors, raises NonRealTau.  The
+    real argument z = y - A + mu_S makes theta3(z) = left @ [1, cos(2 pi m
+    y'), -sin(2 pi m y')] with left = [1, 2 q^{m^2} cos(2 pi m mu_S),
+    2 q^{m^2} sin(2 pi m mu_S)] and y' = y - A, over the indices m >= 1 of
+    _table_terms.  N above _SUBSET_CAP raises TooManySolitons first.
+    """
+    n = len(spectrum)
+    if n > _SUBSET_CAP:
+        raise TooManySolitons(f"{n} solitons; the subset sum takes at most {_SUBSET_CAP}")
+    curve = spectrum.curve
+    mask = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(float)
+    betas = np.array([e.beta for e in spectrum.entries], dtype=complex)
+    stars = np.array([e.beta_star for e in spectrum.entries], dtype=complex)
+    both = np.concatenate([betas, stars])
+    th = _theta_grid(True, both, both, curve.tau)         # theta1(both_i - both_j)
+    cross = th[n:, :n]                                    # theta1(beta_l* - beta_m)
+    factor = th[:n, :n] * th[n:, n:].T / (cross.T * cross)
+    np.fill_diagonal(factor, [e.C_norm for e in spectrum.entries] / np.diag(cross))
+    # ((mask @ M) * mask).sum(axis=1) sums M_lm over l, m in S; a lower
+    # triangle of ones leaves the products over l <= m
+    factor = np.where(np.triu(np.ones((n, n), dtype=bool)), factor, 1.0)
+    if not np.all(np.abs(factor.imag) <= _REALITY_TOL * np.abs(factor)):
+        raise NonRealTau("a factor of a principal minor of G is not real")
+    negative = (factor.real < 0.0).astype(float)
+    if np.any(((mask @ negative) * mask).sum(axis=1) % 2.0):
+        raise NonRealTau("a principal minor of G is not positive")
+    m = _table_terms(curve.tau, 0.0, 0.0)[1:]
+    weight = 2.0 * np.exp(-np.pi * curve.tau.imag * m * m)
+    mu = np.array([e.point.mu() for e in spectrum.entries])
+    angle = 2.0 * np.pi * np.multiply.outer(mask @ mu, m)
+    left = np.concatenate([np.ones((mask.shape[0], 1)), weight * np.cos(angle),
+                           weight * np.sin(angle)], axis=1)
+    signs = (-1.0) ** m
+    return _SubsetTables(
+        mask=mask,
+        log_k=((mask @ np.log(np.abs(factor.real))) * mask).sum(axis=1),
+        p_sum=mask @ np.array([e.p_abs for e in spectrum.entries]),
+        left=left,
+        index=m,
+        rate=2.0 * np.pi * m / (4.0 * abs(curve.varpi3)),
+        log_theta=(float(np.log(1.0 + signs @ weight)), float(np.log(1.0 + weight.sum()))),
+    )
+
+
+def _subset_block(tables: _SubsetTables, rows: np.ndarray, base: np.ndarray,
+                  dx: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E[f''] + Var[f'], ln sum_S w_S) over the subsets rows, at the block's points.
+
+    w_S = exp(base_S - P_S dx) theta3, with theta3 and its x-derivatives
+    theta3' and theta3'' from one product of the rows' coefficients with
+    right, and f_S = ln w_S under the weights w_S / sum w.  Each weighted sum
+    is taken against e = exp(base_S - P_S dx - top), top the largest exponent
+    at the point: w = e theta3, w f' = e (theta3' - P_S theta3) and
+    w f'' = e (theta3'' - theta3'^2 / theta3), so no logarithm of a term is
+    taken.  The variance is summed in centred form, where an error in the
+    mean enters squared.
+    """
+    size = dx.size
+    theta = tables.left[rows] @ right
+    th0, th1, th2 = theta[:, :size], theta[:, size:2 * size], theta[:, 2 * size:]
+    p_sum = tables.p_sum[rows]
+    exponent = base[rows][:, None] - p_sum[:, None] * dx
+    top = np.max(exponent, axis=0)
+    e = np.exp(exponent - top)
+    w = e * th0
+    total = w.sum(axis=0)
+    slope = th1 / th0
+    dev = slope - p_sum[:, None]
+    dev -= (np.einsum("sx,sx->x", e, th1) - p_sum @ w) / total
+    moments = np.einsum("sx,sx->x", e, th2 - th1 * slope + th0 * dev * dev) / total
+    return moments, top + np.log(total)
+
+
+def _subset_sums(ctx: TauContext, xs: np.ndarray, ts):
+    """Yield (u, ln tau, ln det(1+G)) at xs for each t, from the positive subset sum.
+
+    det(1 + G) theta3(y - A) = sum_S w_S over the 2^N subsets S (see
+    _subset_tables), each w_S > 0, so ln tau = -C x^2 + L and
+    u = -4 C + 2 L'' with L = ln sum_S w_S and L'' = E[f''] + Var[f'] under
+    the weights w_S / sum w, f_S = ln w_S.  xs is cut into blocks of at most
+    _SUBSET_CELLS / 2^N points.  On a block of centre x_c and half-width hw,
+    ln w_S(x) lies within P_S hw of ln K_S + 2 sum_{l in S} expo_l(x_c) plus
+    ln theta3 between its real-line extremes: a subset is summed only if its
+    upper bound comes within 2^-80 of the largest lower bound, the block's
+    certain peak.  The block stands if (dropped subsets) x exp(largest
+    dropped bound) <= 2^-60 of the smallest kept sum over its points, and is
+    otherwise summed over every subset; the dropped weight then moves u by at
+    most 2^-58 (max |f''| + 3 max f'^2) over the subsets.  A non-finite sum
+    raises PhaseOverflow.
+    """
+    sp = ctx.spectrum
+    tables = _subset_tables(sp)
+    every = np.arange(tables.mask.shape[0])
+    size = max(1, _SUBSET_CELLS >> len(sp))
+    ybg = _background_phase(ctx, xs)
+    p = np.array([e.p_abs for e in sp.entries])
+    shift = np.array([e.x_shift for e in sp.entries]) * p
+    energy = np.array([e.E.imag for e in sp.entries])
+    low, high = tables.log_theta
+    blocks = []
+    for lo in range(0, xs.size, size):
+        block = slice(lo, lo + size)
+        x_c = 0.5 * (xs[block].min() + xs[block].max())
+        phase = 2.0 * np.pi * np.multiply.outer(tables.index, ybg[block])
+        cos, sin, rate = np.cos(phase), np.sin(phase), tables.rate[:, None]
+        one, zero = np.ones((1, phase.shape[1])), np.zeros((1, phase.shape[1]))
+        right = np.block([[one, zero, zero],
+                          [cos, -rate * sin, -rate * rate * cos],
+                          [-sin, -rate * cos, rate * rate * sin]])
+        # theta3(y - A) is the empty subset's term
+        log_theta_bg = np.log(tables.left[0] @ right[:, :phase.shape[1]])
+        blocks.append((block, x_c, xs[block] - x_c, right, log_theta_bg))
+    for t in ts:
+        # ln K_S + 2 sum_{l in S} expo_l(x) + P_S x
+        x_free = tables.log_k + tables.mask @ (shift - t * energy)
+        u, log_sum, log_det = np.empty((3, xs.size))
+        for block, x_c, dx, right, log_theta_bg in blocks:
+            base = x_free - x_c * tables.p_sum
+            spread = tables.p_sum * float(np.max(np.abs(dx)))
+            bound = base + spread + high
+            keep = np.flatnonzero(bound >= np.max(base - spread) + low + _SUBSET_KEEP)
+            summed = keep.size
+            sums = _subset_block(tables, keep, base, dx, right) if keep.size else None
+            if keep.size < every.size:
+                bound[keep] = -np.inf
+                dropped = np.log(every.size - keep.size) + np.max(bound)
+                if sums is None or not dropped <= _SUBSET_CERTIFIED + np.min(sums[1]):
+                    sums = _subset_block(tables, every, base, dx, right)
+                    summed += every.size
+            _SUBSET_TERMS["all"] += every.size
+            _SUBSET_TERMS["summed"] += summed
+            u[block], log_sum[block] = sums
+            log_det[block] = log_sum[block] - log_theta_bg
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(log_sum))):
+            raise PhaseOverflow("subset sum not finite in double precision")
+        yield 2.0 * u - 4.0 * ctx.quad_const, log_sum - ctx.quad_const * xs * xs, log_det
+
+
+def _exp_cells(log_tau: np.ndarray, log_det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tau and det(1+G) from their logarithms: inf where a value exceeds DBL_MAX."""
+    with np.errstate(over="ignore"):
+        return np.exp(log_tau), np.exp(log_det)
 
 
 def tau_grid(ctx: TauContext, xs, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(tau, det(1+G)) on an array of x values at fixed t; both real arrays."""
+    """(tau, det(1+G)) on an array of x values at fixed t, from the subset sum.
+
+    Both are real arrays, inf where a value exceeds DBL_MAX.
+    """
     xs = np.asarray(xs, dtype=float)
-    det = _det_one_plus_g(ctx, xs, t)
-    th = theta3(_background_phase(ctx, xs), ctx.curve.tau)
-    return _tau_values(ctx, xs, det, th), det
+    _, log_tau, log_det = next(_subset_sums(ctx, xs, [float(t)]))
+    return _exp_cells(log_tau, log_det)
 
 
 def u_background(ctx: TauContext, xs) -> np.ndarray:
@@ -389,29 +578,10 @@ def _u_row(ctx: TauContext, ubg: np.ndarray, h: float, grid: np.ndarray,
 
 
 def _eval_rows(ctx: TauContext, xs, ts):
-    """Yield (u, tau, det(1+G)) per t, as u_grid and tau_grid give them, from one A tensor.
-
-    tau and det(1+G) read the stencil tensor's offset-0 slice, and theta3 of
-    the background phase at xs is evaluated once for all t.  The slice holds
-    tau_grid's bits while each adaptive theta series stops at the same term
-    on the stencil grid as on xs alone; the grid's larger term peaks could
-    only delay that by a term.
-    """
+    """Yield (u, tau, det(1+G)) per t from the subset sum, tau and det(1+G) as tau_grid gives them."""
     xs = np.asarray(xs, dtype=float)
-    n = len(ctx.spectrum)
-    ubg = u_background(ctx, xs)
-    th = theta3(_background_phase(ctx, xs), ctx.curve.tau)
-    if n == 0:
-        det = np.ones(xs.size)
-        for _ in ts:
-            yield ubg, _tau_values(ctx, xs, det, th), det
-        return
-    h, grid, a = _stencil_tensor(ctx, xs)
-    centre = a.reshape(xs.size, fd.D2_OFFSETS.size, n, n)[:, fd.D2_CENTRE]
-    for t in map(float, ts):
-        u = _u_row(ctx, ubg, h, grid, a, t)
-        det = _det_one_plus_g(ctx, xs, t, centre)
-        yield u, _tau_values(ctx, xs, det, th), det
+    for u, log_tau, log_det in _subset_sums(ctx, xs, [float(t) for t in ts]):
+        yield (u, *_exp_cells(log_tau, log_det))
 
 
 def u_field(ctx: TauContext, xs, ts) -> np.ndarray:

@@ -5,9 +5,14 @@ adaptive quadrature, mpmath theta series) and stays independent of the code
 paths it checks.
 """
 
+import json
+from pathlib import Path
+
 import mpmath
 import numpy as np
 from scipy.integrate import quad
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def lattice_zeta(s: complex, varpi1: float, varpi3: complex, m_max: int = 2000) -> complex:
@@ -497,3 +502,23 @@ def theta_sum_two_exp(half_index: bool, beta, tau: complex, order, rows: bool = 
     if np.ndim(beta) == 0:
         totals = [complex(total) for total in totals]
     return totals[0] if single else tuple(totals)
+
+
+def eval_oracle_cases() -> list[tuple[str, dict, list]]:
+    """(label, config, [[x, t, u_oracle], ...]) of every field_tau eval pool member and seed.
+
+    The pool members and their recorded oracle samples come from the
+    benchmark's reference file; eval_oracle.json adds the oracle values at the
+    points that file does not record, and two hot seeds beyond the pool.
+    """
+    pool = json.loads((ROOT / "perfbench" / "reference" / "field_tau.json").read_text())
+    extra = json.loads((Path(__file__).parent / "eval_oracle.json").read_text())
+    cases = []
+    for cls, members in pool["classes"].items():
+        for j, member in enumerate(members):
+            if member["command"] == "eval":
+                label = f"{cls}-{j}"
+                samples = member["samples"] + extra["unrecorded"].get(label, [])
+                cases.append((label, member["cfg"], samples))
+    cases += [(seed["label"], seed["cfg"], seed["samples"]) for seed in extra["seeds"]]
+    return cases

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from cnoidal_kdv import cli
 from cnoidal_kdv import tau as tu
 from cnoidal_kdv.errors import CnoidalKdvError
+from oracles import eval_oracle_cases
 
 BASE_CURVE = {"e1": 2.0, "e2": 1.0, "e3": -3.0}
 # a CLI subprocess imports the package these tests import, installed or not
@@ -152,7 +153,8 @@ def three_soliton_cfg(nt=2):
 class TestEvalPath:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_rows_match_u_grid_and_tau_grid(self, tmp_path, capsys, n):
-        # one A tensor per op gives the bytes of per-t u_grid and tau_grid
+        # tau and det(1+G) are tau_grid's bytes and u the subset sum's; the
+        # stencil u_grid agrees to its own truncation
         cfg = three_soliton_cfg()
         cfg["solitons"] = cfg["solitons"][:n]
         path = tmp_path / "eval.json"
@@ -165,33 +167,35 @@ class TestEvalPath:
         xs, ts = cli._grid(cfg)
         want = []
         for t in ts:
-            u_row = tu.u_grid(ctx, xs, float(t))
+            u_row = next(tu._subset_sums(ctx, xs, [float(t)]))[0]
             tau_row, det_row = tu.tau_grid(ctx, xs, float(t))
             want += [",".join(cli._fmt(v) for v in (x, float(t), u, tv, dv))
                      for x, u, tv, dv in zip(xs, u_row, tau_row, det_row)]
+            stencil = tu.u_grid(ctx, xs, float(t))
+            assert np.max(np.abs(u_row - stencil)) < 1e-7
         assert rows[1:] == want
 
-    def test_one_a_tensor_per_op(self, tmp_path, capsys, monkeypatch, series_calls, theta_calls):
+    def test_one_subset_setup_per_op(self, tmp_path, capsys, monkeypatch, series_calls,
+                                     grid_calls):
         cfg = three_soliton_cfg(nt=2)
         path = tmp_path / "eval.json"
         path.write_text(json.dumps(cfg))
-        builds = []
-        original = tu._a_tensor
-
-        def counting(spectrum, ybg):
-            before = (len(series_calls), len(theta_calls))
-            a = original(spectrum, ybg)
-            builds.append((len(series_calls) - before[0], theta_calls[before[1]:]))
-            return a
-
-        monkeypatch.setattr(tu, "_a_tensor", counting)
+        _, cfg = cli._load_config(str(path))
+        curve = cli._build_curve(cfg)
+        tu.build_context(curve, cli._build_spectrum(cfg, curve))
+        spectrum_passes = len(series_calls)
+        setups = []
+        original = tu._subset_tables
+        monkeypatch.setattr(tu, "_a_tensor", lambda *args: pytest.fail("A tensor built"))
+        monkeypatch.setattr(tu, "_subset_tables",
+                            lambda spectrum: setups.append(1) or original(spectrum))
+        grid_calls.clear()
         assert cli.main(["eval", "--config", str(path)]) == 0
         capsys.readouterr()
-        n = 3
-        # N^2 - 1 numerator theta3 passes (the two hot solitons' arguments
-        # beta_1 - beta_3* and beta_3 - beta_1* are bit-equal and share one),
-        # one batched denominator pass and one background theta3 pass, for both t
-        assert builds == [(n * n + 1, ["theta3"] * n * n)]
+        # one subset setup and its one theta1 table for both t, and no theta
+        # series pass beyond those that build the spectrum
+        assert setups == [1] and len(grid_calls) == 1
+        assert len(series_calls) == 2 * spectrum_passes
 
     def test_csv_rows_match_cellwise_fmt(self):
         rep = cli.Report("eval", {"k": 1}, ["a", "b", "c", "d", "e"])
@@ -405,20 +409,54 @@ class TestExitCodes:
         assert cli.main(["eval", "--config", str(path)]) == 2
         assert "is not finite" in capsys.readouterr().err
 
-    def test_pair_overflow_is_phase_overflow(self, tmp_path, capsys):
-        # at t = 0.5 the largest phase exponent is 507: finite, but G_ll carries
-        # exp(2 * 507), and det(1 + G) used to print 391 nan rows with exit 0
-        cfg = {"curve": BASE_CURVE,
+    def test_pair_overflow_rows_are_finite(self, tmp_path, capsys):
+        # at t = 0.5 the largest phase exponent is 507 and ln det(1 + G)
+        # reaches 1035: u is the oracle's, and a tau or detG cell is inf only
+        # where its logarithm exceeds ln(DBL_MAX), never nan (det(1 + G) once
+        # printed 391 nan rows with exit 0, then raised PhaseOverflow)
+        doc = {"curve": BASE_CURVE,
                "solitons": [{"b": -3.592068, "x_shift": 3.84852},
                             {"beta": 0.056844, "kind": "hot", "x_shift": -4.43772}],
                "grid": {"xmin": -20.0, "xmax": 20.0, "nx": 600,
                         "tmin": 0.0, "tmax": 0.5, "nt": 2}}
         path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["eval", "--config", str(path)]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        data = np.array([[float(c) for c in r] for r in rows])
+        assert not np.any(np.isnan(data))
+        _, cfg = cli._load_config(str(path))
+        curve = cli._build_curve(cfg)
+        ctx = tu.build_context(curve, cli._build_spectrum(cfg, curve))
+        xs, ts = cli._grid(cfg)
+        log_max = np.log(np.finfo(float).max)
+        for k, t in enumerate(ts):
+            _, log_tau, log_det = next(tu._subset_sums(ctx, xs, [float(t)]))
+            block = data[k * xs.size:(k + 1) * xs.size]
+            assert np.array_equal(np.isinf(block[:, 3]), log_tau > log_max)
+            assert np.array_equal(np.isinf(block[:, 4]), log_det > log_max)
+        assert np.any(np.isinf(data[:, 4])) and np.max(log_det) > 1000.0
+        # the benchmark's pool member eval-N2-hot-b-6, with oracle values at
+        # xmin, a seeded x and the largest |u - u_background| of each t
+        (pool_cfg, samples), = [case[1:] for case in eval_oracle_cases()
+                                if case[0] == "eval-N2-hot-b-6"]
+        assert pool_cfg == doc and len(samples) == 4
+        for x, t, want in samples:
+            u = data[(data[:, 0] == x) & (data[:, 1] == t), 2]
+            assert abs(u[0] - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_seventeen_solitons_refused_at_once(self, tmp_path, capsys):
+        # the subset sum takes at most 16 solitons; 17 used to run the dense path
+        cfg = cnoidal_cfg(nx=400)
+        cfg["solitons"] = [{"beta": 0.06 + 0.022 * k, "kind": "hot"} for k in range(17)]
+        path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
+        start = time.perf_counter()
         assert cli.main(["eval", "--config", str(path)]) == 3
+        assert time.perf_counter() - start < 1.0
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("PhaseOverflow")
+        assert err.startswith("TooManySolitons")
 
     def test_far_montecarlo_grid_overflows_at_once(self, tmp_path, capsys):
         # the demo config with xmin = -1e9: its span holds 2.5e7 lattice blocks of

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.signal import argrelextrema
 
+from cnoidal_kdv import cli
 from cnoidal_kdv import elliptic as el
 from cnoidal_kdv import fd
 from cnoidal_kdv import riemann as rm
@@ -14,9 +15,10 @@ from cnoidal_kdv.errors import (
     DuplicateSpectralPoint,
     GridTooCoarse,
     PhaseOverflow,
+    TooManySolitons,
 )
-from oracles import (a_tensor_loop, norming_constants_loop, single_soliton_two_term,
-                     u_grid_stencil)
+from oracles import (a_tensor_loop, eval_oracle_cases, norming_constants_loop,
+                     single_soliton_two_term, u_grid_stencil)
 
 
 class TestSpectrum:
@@ -131,7 +133,7 @@ class TestTau:
             assert np.min(vals) > 0.0
 
     def test_det_at_least_one(self, ctx_dimbright):
-        # regression property observed on all grids, not a theorem
+        # every principal minor is positive and the empty one is 1
         xs = np.linspace(-30, 30, 400)
         for t in (-2.0, 0.0, 2.0):
             _, det = tu.tau_grid(ctx_dimbright, xs, t)
@@ -316,6 +318,66 @@ class TestBatchedThetaKeepsBits:
         # point quasi_momentum (0, 1) and one weierstrass pass (0..3) for b and E
         assert series_orders == [0] + [(0, 1), (0, 1, 2, 3)] * 3
         assert theta_calls == []
+
+
+def pool_context(label: str):
+    """TauContext and grid of a field_tau eval pool member, read as the CLI reads it."""
+    cfg = next(cfg for name, cfg, _ in eval_oracle_cases() if name == label)
+    cfg = cli._check(cfg, cli._SCHEMA)
+    curve = cli._build_curve(cfg)
+    return tu.build_context(curve, cli._build_spectrum(cfg, curve)), *cli._grid(cfg)
+
+
+class TestPrunedSubsets:
+    @pytest.fixture(scope="class")
+    def member12(self):
+        return pool_context("eval-N12-mixed-1")
+
+    def test_n12_member_sums_fewer_subsets_than_all(self, member12):
+        ctx, xs, ts = member12
+        before = dict(tu._SUBSET_TERMS)
+        list(tu._eval_rows(ctx, xs, ts))
+        every, summed = (tu._SUBSET_TERMS[key] - before[key] for key in ("all", "summed"))
+        assert every == 2 ** 12 * 50            # subsets x blocks of 8 points, one t
+        assert 0 < summed < every
+
+    def test_failed_certificate_sums_every_subset(self, member12, monkeypatch):
+        ctx, xs, _ = member12
+        ts = [0.0, 0.5]
+        pruned = list(tu._subset_sums(ctx, xs, ts))
+        monkeypatch.setattr(tu, "_SUBSET_KEEP", -np.inf)       # every subset kept
+        every = list(tu._subset_sums(ctx, xs, ts))
+        monkeypatch.setattr(tu, "_SUBSET_KEEP", np.inf)        # none kept, so none certified
+        before = tu._SUBSET_TERMS["summed"]
+        fallback = list(tu._subset_sums(ctx, xs, ts))
+        assert tu._SUBSET_TERMS["summed"] - before == 2 ** 12 * 50 * 2
+        for got, want in zip(fallback, every):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        for (u, log_tau, _), (u_all, log_tau_all, _) in zip(pruned, every):
+            assert np.max(np.abs(u - u_all)) <= 1e-14 * np.max(np.abs(u_all))
+            assert np.max(np.abs(log_tau - log_tau_all)) <= 1e-14 * np.max(np.abs(log_tau_all))
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("given", ["beta", "b"])
+    def test_det_is_the_dense_determinant(self, curve, n, given):
+        # hot and cool alternate; with b, every soliton comes through invert_wp
+        points = mixed_points(curve, n)
+        if given == "b":
+            points = [el.invert_wp(el.wp_on_segment(p, curve) + 0.01, curve) for p in points]
+        sp = tu.spectrum_from_points(curve, [(p, 1.5 - 0.6 * k) for k, p in enumerate(points)])
+        ctx = tu.build_context(curve, sp)
+        xs = np.linspace(-3.0, 3.0, 25)
+        for t in (0.0, 0.3):
+            _, det = tu.tau_grid(ctx, xs, t)
+            dense = [np.linalg.det(np.eye(n) + tu.g_matrix(ctx, x, t)).real for x in xs]
+            assert np.max(np.abs(det / dense - 1.0)) <= 1e-13
+
+    def test_cap_refused_before_any_work(self, curve, monkeypatch):
+        sp = tu.spectrum_from_points(curve, [(p, 0.0) for p in mixed_points(curve, 17)])
+        ctx = tu.build_context(curve, sp)
+        monkeypatch.setattr(tu, "_theta_grid", lambda *args: pytest.fail("theta table built"))
+        with pytest.raises(TooManySolitons, match="at most 16"):
+            tu.tau_grid(ctx, np.linspace(-1.0, 1.0, 5), 0.0)
 
 
 @pytest.fixture(scope="module")

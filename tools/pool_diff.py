@@ -14,9 +14,15 @@ For each workload it prints the number of members whose stdout, stderr and
 exit code are byte-identical on both sides, and, over the members checked
 against a recorded output, the worst margin of `perfbench/checks.py`'s
 `check_reference` on this checkout's outputs: the largest |value - recorded|
-over the tolerance that check allows, so a margin below 1 passes.  Members
-that differ or fail the check are listed.  The exit code is 1 if any member
-fails `check_reference`, or if a member of a workload named by
+over the tolerance that check allows, so a margin below 1 passes.  The
+members checked against the oracle instead (`field_tau`'s eval members) are
+judged as the benchmark judges them (`checks.judge`, which runs
+`check_field`): it prints how many pass and
+the worst margin |u - oracle| / (U_TOL max(1, |oracle|)) over their sample
+points, oracle values the pool does not record being computed once.  Members
+that differ or fail a check are listed.  The exit code is 1 if any member
+fails `check_reference` or fails the oracle check in a way the benchmark
+counts as `unexpected`, or if a member of a workload named by
 `--require-identical` differs from the parent in any byte (those workloads
 are run even when `--workload` leaves them out), else 0.  Only imports the
 benchmark's modules; the work files go to `.perfbench/pool_diff/`.
@@ -36,6 +42,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import harness  # noqa: E402  (pins BLAS threads before numpy loads)
 import checks  # noqa: E402
+import oracle  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -94,17 +101,48 @@ def reference_margin(op, code, out: str) -> tuple[float, str]:
     return max(cells, default=(0.0, "-"), key=lambda c: c[0])
 
 
-def compare(name: str, mine: dict, theirs: dict) -> tuple[str, list[str], int, bool]:
-    """(summary line, per-member notes, number of check failures, all identical) of one workload."""
+def oracle_margin(op, code, out: str, err: str) -> float:
+    """Largest |u - oracle| / (U_TOL max(1, |oracle|)) over the sample points of an eval op.
+
+    inf if the op gave no finite u.  Oracle values at points the pool does not
+    record are computed here and added to op.samples, where check_field finds
+    them.
+    """
+    failure, points = checks.read_field(op, code, out, err)
+    if failure:
+        return math.inf
+    known = {(x, t): u for x, t, u in op.samples}
+    missing = [(x, t) for x, t, _ in points if (x, t) not in known]
+    if missing:
+        values = oracle.reference_u(op.cfg, missing)
+        known.update(zip(missing, values))
+        op.samples = op.samples + [[x, t, v] for (x, t), v in zip(missing, values)]
+    return max(abs(u - known[(x, t)]) / (checks.U_TOL * max(1.0, abs(known[(x, t)])))
+               for x, t, u in points)
+
+
+def compare(name: str, mine: dict, theirs: dict) -> tuple[list[str], list[str], int, bool]:
+    """(summary lines, per-member notes, number of check failures, all identical) of one workload."""
     ops = pool_ops(name)
     identical = sum(mine[op.label] == theirs[op.label] for op in ops)
     notes, failures = [], 0
     worst, worst_where, checked = 0.0, "-", 0
+    judged, passed, oracle_worst, oracle_where = 0, 0, 0.0, "-"
     for op in ops:
         code, out, err, exc = mine[op.label]
         if mine[op.label] != theirs[op.label]:
             notes.append(f"  {name} {op.label}: output differs from the parent")
         if op.check != "reference":
+            judged += 1
+            margin = oracle_margin(op, code, out, err)
+            if margin > oracle_worst or oracle_where == "-":
+                oracle_worst, oracle_where = margin, op.label
+            verdict = ("unexpected", exc) if exc else checks.judge(op, code, out, err)
+            if verdict is None:
+                passed += 1
+                continue
+            failures += verdict[0] == "unexpected"
+            notes.append(f"  {name} {op.label}: oracle check fails ({verdict[0]}): {verdict[1]}")
             continue
         checked += 1
         reason = exc or checks.check_reference(op, code, out)
@@ -114,9 +152,12 @@ def compare(name: str, mine: dict, theirs: dict) -> tuple[str, list[str], int, b
         margin, cell = reference_margin(op, code, out)
         if margin > worst or worst_where == "-":
             worst, worst_where = margin, f"{op.label}: {cell}"
-    line = (f"{name:<11} {len(ops):>7} {identical:>9} {checked:>7} {failures:>8} "
-            f"{worst:>12.3g} ({worst_where})")
-    return line, notes, failures, identical == len(ops)
+    lines = [f"{name:<11} {len(ops):>7} {identical:>9} {checked:>7} {failures:>8} "
+             f"{worst:>12.3g} ({worst_where})"]
+    if judged:
+        lines.append(f"{name:<11} oracle: {passed}/{judged} pass, worst margin "
+                     f"{oracle_worst:.3g} ({oracle_where})")
+    return lines, notes, failures, identical == len(ops)
 
 
 def main(argv=None) -> int:
@@ -156,8 +197,8 @@ def main(argv=None) -> int:
           f"{'worst_margin':>12} (member: cell)")
     all_notes, total_failures, moved = [], 0, []
     for name in names:
-        line, notes, failures, identical = compare(name, outputs[0][name], outputs[1][name])
-        print(line)
+        lines, notes, failures, identical = compare(name, outputs[0][name], outputs[1][name])
+        print("\n".join(lines))
         all_notes += notes
         total_failures += failures
         if name in args.require_identical and not identical:
