@@ -304,12 +304,16 @@ class _XTables:
     """The parts of the finite-gap lattice sum that depend on neither epsilon nor the draws."""
 
     nu: np.ndarray         # (L, N+1) lattice rows, first index slowest
+    quad: np.ndarray       # (L,) i pi nu.Omega.nu without the soliton diagonal of Omega
+    square: np.ndarray     # (L, N) nu_j^2 of the solitons, which that diagonal multiplies
     rate: np.ndarray       # (L,) w = 2 pi i nu.a, the x-derivative of each term's exponent
     blocks: list           # (index set of xs, block centre x_c, E table of shape (L, size))
 
 
-def _x_tables(sp: SolitonSpectrum, xs: np.ndarray, radius: int) -> _XTables:
-    """The lattice, its rates w and one E table per block of xs.
+def _x_tables(sp: SolitonSpectrum, xs: np.ndarray, radius: int,
+              blocks: tuple[np.ndarray, np.ndarray]) -> _XTables:
+    """The lattice, its quadratic form without Omega's epsilon-dependent diagonal
+    (from the _pinched_blocks pair blocks), its rates w and one E table per block of xs.
 
     X is affine in x with slope a = (P_1/2pi, ..., P_N/2pi, 1/(4|varpi3|)), so
     at a block centre x_c each lattice term splits into
@@ -322,10 +326,12 @@ def _x_tables(sp: SolitonSpectrum, xs: np.ndarray, radius: int) -> _XTables:
     p = np.array([e.P for e in sp.entries])
     slope = np.append(p / (2.0 * np.pi), 1.0 / (4.0 * abs(sp.curve.varpi3)))
     nu = _lattice(len(sp) + 1, radius)
+    b, mu = blocks                                          # b's diagonal is zero
+    omega = np.block([[b, mu[:, None]], [mu[None, :], np.full((1, 1), sp.curve.tau)]])
     growth = radius * float(np.sum(np.abs(p.imag)))      # max |Re log E| per unit |x - x_c|
     reach = _HALF_LOG_MAX / growth if growth > 0.0 else np.inf
     m = np.arange(-radius, radius + 1, dtype=float)
-    blocks = []
+    x_blocks = []
     for idx in _x_blocks(xs, reach):
         x_c = 0.5 * (xs[idx].min() + xs[idx].max())
         dx = xs[idx] - x_c
@@ -334,17 +340,23 @@ def _x_tables(sp: SolitonSpectrum, xs: np.ndarray, radius: int) -> _XTables:
         for a in slope:
             factor = np.exp(2j * np.pi * a * m[:, None] * dx[None, :])
             table = (table[:, None, :] * factor[None, :, :]).reshape(-1, dx.size)
-        blocks.append((idx, x_c, table))
-    return _XTables(nu=nu, rate=2j * np.pi * (nu @ slope), blocks=blocks)
+        x_blocks.append((idx, x_c, table))
+    return _XTables(nu=nu, quad=1j * np.pi * np.einsum("ij,jk,ik->i", nu, omega, nu),
+                    square=nu[:, :-1] ** 2, rate=2j * np.pi * (nu @ slope), blocks=x_blocks)
 
 
-def _row_sums(c: np.ndarray, rows: np.ndarray, rate: np.ndarray,
-              table: np.ndarray) -> np.ndarray:
-    """(C w^k) @ E for k = 0, 1, 2 over the lattice rows `rows` of c: shape (3, len(c), size)."""
-    part = np.exp(c[:, rows])
-    rate = rate[rows]
+def _row_sums(re_c: np.ndarray, quad: np.ndarray, arg: np.ndarray, rows: np.ndarray,
+              tables: _XTables, table: np.ndarray) -> np.ndarray:
+    """(C w^k) @ E for k = 0, 1, 2 over the lattice rows `rows`: shape (3, len(re_c), size).
+
+    C = exp(c), c = quad + 2 pi i arg.nu, is formed for these rows from its real part re_c."""
+    c = np.empty((re_c.shape[0], rows.size), dtype=complex)
+    c.real = re_c[:, rows]
+    c.imag = quad.imag[rows] + 2.0 * np.pi * (arg.real @ tables.nu[rows].T)
+    part = np.exp(c)
+    rate = tables.rate[rows]
     table = table[rows]
-    sums = np.empty((3, c.shape[0], table.shape[1]), dtype=complex)
+    sums = np.empty((3, re_c.shape[0], table.shape[1]), dtype=complex)
     for k in range(3):
         if k:
             part *= rate
@@ -373,14 +385,16 @@ def _finite_gap_theta(omega: np.ndarray, sp: SolitonSpectrum, draws: np.ndarray,
     if, for some draw and t, its bound comes within 2^-80 of that peak.  The
     block stands if, for every draw and t, (dropped rows) x exp(largest
     dropped bound) <= 2^-60 min |Theta| over the block; otherwise it is
-    summed over every row.
+    summed over every row.  Re c is one real product over every row, Im c is
+    formed for the rows summed, and i pi nu.Omega.nu is tables.quad plus the
+    part from omega's soliton diagonal (tables holds the rest of omega).
     """
     n = len(sp)
     u = np.zeros((draws.shape[0], n + 1))
     u[:, :n] = 1.0 - draws
     shift = 0.5 * u @ omega.T
     nu = tables.nu
-    quad = 1j * np.pi * np.einsum("ij,jk,ik->i", nu, omega, nu)
+    quad = tables.quad + 1j * np.pi * (tables.square @ np.diagonal(omega)[:n])
     re_w = tables.rate.real
     weight = 2.0 * np.log(np.maximum(1.0, np.abs(tables.rate)))
     steep = int(np.argmax(np.abs(re_w)))
@@ -396,26 +410,26 @@ def _finite_gap_theta(omega: np.ndarray, sp: SolitonSpectrum, draws: np.ndarray,
         big_x = np.empty((ts.size, n + 1), dtype=complex)
         big_x[:, :n] = ((x_c - xsh) * p + ts[:, None] * en) / (2.0 * np.pi)
         big_x[:, n] = (x_c - sp.x0) / w3
-        c = quad + 2j * np.pi * ((big_x[None, :, :] - shift[:, None, :]) @ nu.T)
-        c = c.reshape(-1, nu.shape[0])
+        arg = (big_x[None, :, :] - shift[:, None, :]).reshape(-1, n + 1)
+        re_c = quad.real - 2.0 * np.pi * (arg.imag @ nu.T)      # Re c, which decides the rows
         # the steepest row's table gives hw: ln |E_steep(x)| = Re w_steep (x - x_c)
         hw = (float(np.max(np.abs(np.log(np.abs(table[steep]))))) / abs(re_w[steep])
               if re_w[steep] else 0.0)
         spread = np.abs(re_w) * hw
-        bound = c.real + (spread + weight)
-        peak = np.max(c.real - spread, axis=1, keepdims=True)
+        bound = re_c + (spread + weight)
+        peak = np.max(re_c - spread, axis=1, keepdims=True)
         keep = np.flatnonzero(np.any(bound >= peak + _KEEP_LOG, axis=0))
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = _row_sums(c, keep, tables.rate, table)
+            sums = _row_sums(re_c, quad, arg, keep, tables, table)
             summed = keep.size
             if keep.size < every.size:
                 bound[:, keep] = -np.inf
                 dropped = (every.size - keep.size) * np.exp(np.max(bound, axis=1))
                 if not np.all(dropped <= _CERTIFIED * np.min(np.abs(sums[0]), axis=1)):
-                    sums = _row_sums(c, every, tables.rate, table)
+                    sums = _row_sums(re_c, quad, arg, every, tables, table)
                     summed += every.size
-        _LATTICE_TERMS["box"] += every.size * c.shape[0]
-        _LATTICE_TERMS["summed"] += summed * c.shape[0]
+        _LATTICE_TERMS["box"] += every.size * re_c.shape[0]
+        _LATTICE_TERMS["summed"] += summed * re_c.shape[0]
         out[..., idx] = sums.reshape(out.shape[:3] + (idx.size,))
         if not np.all(np.isfinite(out[..., idx])):
             raise PhaseOverflow("theta lattice sum not finite in double precision")
@@ -458,8 +472,9 @@ def finite_gap_solution(spec: DegenerationSpec, phi, xs, ts, radius: int) -> np.
         raise ValueError("phi must have one entry per soliton, shape (N,) or (k, N)")
     xs = np.asarray(xs, dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    tables = _x_tables(sp, xs, radius)
-    omega = degenerate_period_matrix(spec).omega
+    blocks = _pinched_blocks(sp)
+    tables = _x_tables(sp, xs, radius, blocks)
+    omega = _pinched_period_matrix(blocks, spec.lam, sp.curve.tau).omega
     u_big = _finite_gap_u(_finite_gap_theta(omega, sp, phi.reshape(-1, n), ts, tables), tables)
     return u_big[0] if phi.ndim == 1 else u_big
 
@@ -488,8 +503,8 @@ def random_phase_mc(spectrum: SolitonSpectrum, epsilons, n_trials: int, seed: in
     xs = np.asarray(xs, dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     u1 = cnoidal_reference(spectrum.curve, xs)
-    tables = _x_tables(spectrum, xs, radius)
     blocks = _pinched_blocks(spectrum)
+    tables = _x_tables(spectrum, xs, radius, blocks)
     means = []
     for spec in specs:
         omega = _pinched_period_matrix(blocks, spec.lam, spectrum.curve.tau).omega

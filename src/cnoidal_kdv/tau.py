@@ -27,9 +27,10 @@ the two-addenda single-soliton form).
 
 tau, det[1 + G] and the u of `eval` are taken from that expansion itself:
 every principal minor of G is a positive Frobenius product times
-theta3(y - A + mu_S) / theta3(y - A), summed over the subsets S in logarithms
-(see _subset_sums).  u_field, u_grid and kdv_residual still difference
-ln det[1 + G] on a stencil grid.
+theta3(y - A + mu_S) / theta3(y - A), summed over the subsets S in logarithms,
+per x block one exponential pass and one matrix product per run of points
+that share a leading subset (see _subset_sums and _subset_block).  u_field,
+u_grid and kdv_residual still difference ln det[1 + G] on a stencil grid.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ _REALITY_TOL = 1e-9
 
 # the subset sum takes at most _SUBSET_CAP solitons (its 2^N x N mask table is
 # 8 MB at 16) and at most _SUBSET_CELLS (x points) x (subsets) per x block, so a
-# block's float arrays stay at 256 KB each, well inside a 2 MiB L2 cache (at
-# 2^16 cells an N = 8 eval took twice as long on an x86_64 host with 2 MiB of L2
-# per core)
+# block's float arrays stay at 256 KB each, inside a 2 MiB L2 cache (on an x86_64
+# host with 2 MiB of L2 per core, 2^14 cells made N = 12 evals 1.3-1.5x slower
+# and 2^16 moved N = 8 and 12 evals by -10% to +10%)
 _SUBSET_CAP = 16
 _SUBSET_CELLS = 2 ** 15
 _SUBSET_KEEP = -55.451774444795625    # ln 2^-80: subsets this far below a block's peak are dropped
@@ -306,7 +307,9 @@ def _g_stack(ctx: TauContext, xs: np.ndarray, t: float,
     expo = _phase_exponents(ctx, xs, t)
     sqrt_c = np.sqrt([e.C_norm for e in ctx.spectrum.entries])
     d = sqrt_c[None, :] * np.exp(expo)
-    return a * d[:, :, None] * d[:, None, :]
+    g = np.multiply(a, d[:, :, None])
+    g *= d[:, None, :]
+    return g
 
 
 def _det_one_plus_g(ctx: TauContext, xs: np.ndarray, t: float,
@@ -341,7 +344,8 @@ def _logdet_one_plus_g(ctx: TauContext, xs: np.ndarray, t: float,
             raise NonRealTau("det(1 + G) not positive on the evaluation grid")
         return np.log(det)
     g = _g_stack(ctx, xs, t, a)
-    sign, logabs = np.linalg.slogdet(np.eye(n)[None, :, :] + g)
+    g.reshape(xs.size, -1)[:, ::n + 1] += 1.0            # 1 + G, built in place
+    sign, logabs = np.linalg.slogdet(g)
     if float(np.max(np.abs(sign - 1.0))) > _REALITY_TOL:
         raise NonRealTau("det(1 + G) not real positive on the evaluation grid")
     return logabs
@@ -422,31 +426,40 @@ def _subset_tables(spectrum: SolitonSpectrum) -> _SubsetTables:
 
 def _subset_block(tables: _SubsetTables, rows: np.ndarray, base: np.ndarray,
                   dx: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E[f''] + Var[f'], ln sum_S w_S) over the subsets rows, at the block's points.
+    """(L'', L) over the subsets rows at the block's points, L = ln sum_S w_S.
 
-    w_S = exp(base_S - P_S dx) theta3, with theta3 and its x-derivatives
-    theta3' and theta3'' from one product of the rows' coefficients with
-    right, and f_S = ln w_S under the weights w_S / sum w.  Each weighted sum
-    is taken against e = exp(base_S - P_S dx - top), top the largest exponent
-    at the point: w = e theta3, w f' = e (theta3' - P_S theta3) and
-    w f'' = e (theta3'' - theta3'^2 / theta3), so no logarithm of a term is
-    taken.  The variance is summed in centred form, where an error in the
-    mean enters squared.
+    At a point, top is the largest exponent base_S - P_S dx, reached by D,
+    e_S = exp(base_S - P_S dx - top) and pc = P_S - P_D.  Up to a factor
+    exp(top - P_D dx), which adds a line to L, w_S = e_S theta3(y - A + mu_S)
+    with derivatives e_S (theta3' - pc theta3), e_S (theta3'' - 2 pc theta3'
+    + pc^2 theta3), all linear in the theta3 row left_S.  So with
+    h_c = sum_S left_S pc^c e_S, one matrix product per run of points that
+    share D (pc^c scales the thinner factor: left's columns or the run's
+    points), S_0 = right[0] h_0, S_1 = right[1] h_0 - right[0] h_1,
+    S_2 = right[2] h_0 - 2 right[1] h_1 + right[0] h_2, and
+    L'' = S_2 / S_0 - (S_1 / S_0)^2, L = top + ln S_0.  Centring at each point's
+    own D keeps that cancellation at the rounding of the leading terms (one
+    centre per block moved u by 1.6e-12 max(1, |u|) on a hot N = 8 spectrum).
     """
-    size = dx.size
-    theta = tables.left[rows] @ right
-    th0, th1, th2 = theta[:, :size], theta[:, size:2 * size], theta[:, 2 * size:]
-    p_sum = tables.p_sum[rows]
+    left, p_sum = tables.left[rows], tables.p_sum[rows]
     exponent = base[rows][:, None] - p_sum[:, None] * dx
-    top = np.max(exponent, axis=0)
+    lead = np.argmax(exponent, axis=0)
+    top = exponent[lead, np.arange(dx.size)]
     e = np.exp(exponent - top)
-    w = e * th0
-    total = w.sum(axis=0)
-    slope = th1 / th0
-    dev = slope - p_sum[:, None]
-    dev -= (np.einsum("sx,sx->x", e, th1) - p_sum @ w) / total
-    moments = np.einsum("sx,sx->x", e, th2 - th1 * slope + th0 * dev * dev) / total
-    return moments, top + np.log(total)
+    h = np.empty((3, left.shape[1], dx.size))
+    edges = [0, *(np.flatnonzero(np.diff(lead)) + 1), dx.size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        pc = (p_sum - p_sum[lead[lo]])[:, None]
+        run = e[:, lo:hi]
+        if hi - lo < left.shape[1]:
+            scaled = left.T @ np.concatenate([run, run * pc, run * (pc * pc)], axis=1)
+            h[:, :, lo:hi] = scaled.reshape(-1, 3, hi - lo).transpose(1, 0, 2)
+        else:
+            scaled = np.concatenate([left, left * pc, left * (pc * pc)], axis=1)
+            h[:, :, lo:hi] = (scaled.T @ run).reshape(3, -1, hi - lo)
+    (r0h0, r0h1, r0h2), (r1h0, r1h1, _), (r2h0, _, _) = np.einsum("kjx,cjx->kcx", right, h)
+    slope = (r1h0 - r0h1) / r0h0
+    return (r2h0 - 2.0 * r1h1 + r0h2) / r0h0 - slope * slope, top + np.log(r0h0)
 
 
 def _subset_sums(ctx: TauContext, xs: np.ndarray, ts):
@@ -480,13 +493,14 @@ def _subset_sums(ctx: TauContext, xs: np.ndarray, ts):
         block = slice(lo, lo + size)
         x_c = 0.5 * (xs[block].min() + xs[block].max())
         phase = 2.0 * np.pi * np.multiply.outer(tables.index, ybg[block])
-        cos, sin, rate = np.cos(phase), np.sin(phase), tables.rate[:, None]
-        one, zero = np.ones((1, phase.shape[1])), np.zeros((1, phase.shape[1]))
-        right = np.block([[one, zero, zero],
-                          [cos, -rate * sin, -rate * rate * cos],
-                          [-sin, -rate * cos, rate * rate * sin]])
+        cos, sin, rate, m = np.cos(phase), np.sin(phase), tables.rate[:, None], tables.index.size
+        # right[k].T @ left_S is the k-th x-derivative of theta3(y - A + mu_S)
+        right = np.zeros((3, 2 * m + 1, phase.shape[1]))
+        right[0, 0] = 1.0
+        right[:, 1:m + 1] = cos, -rate * sin, -rate * rate * cos
+        right[:, m + 1:] = -sin, -rate * cos, rate * rate * sin
         # theta3(y - A) is the empty subset's term
-        log_theta_bg = np.log(tables.left[0] @ right[:, :phase.shape[1]])
+        log_theta_bg = np.log(tables.left[0] @ right[0])
         blocks.append((block, x_c, xs[block] - x_c, right, log_theta_bg))
     for t in ts:
         # ln K_S + 2 sum_{l in S} expo_l(x) + P_S x

@@ -370,6 +370,33 @@ def u_grid_stencil(ctx, xs, t: float) -> np.ndarray:
     return u + 2.0 * fd.second_derivative(ld, h)
 
 
+def subset_block_cells(tables, rows, base, dx, right):
+    """(L'', ln sum_S w_S) of tau._subset_block, cell by cell with a per-subset centred variance.
+
+    theta3, theta3' and theta3'' of every subset at every point come from one
+    product of the rows' coefficients with right (laid out as in
+    tau._subset_sums), f_S = ln w_S, and L'' = E[f''] + Var[f'] under the
+    weights w_S / sum w, the variance summed in centred form where an error in
+    the mean enters squared.  Each weighted sum is taken against e =
+    exp(base_S - P_S dx - top): w = e theta3, w f' = e (theta3' - P_S theta3),
+    w f'' = e (theta3'' - theta3'^2 / theta3).
+    """
+    theta = tables.left[rows] @ np.concatenate(list(right), axis=1)
+    size = dx.size
+    th0, th1, th2 = theta[:, :size], theta[:, size:2 * size], theta[:, 2 * size:]
+    p_sum = tables.p_sum[rows]
+    exponent = base[rows][:, None] - p_sum[:, None] * dx
+    top = np.max(exponent, axis=0)
+    e = np.exp(exponent - top)
+    w = e * th0
+    total = w.sum(axis=0)
+    slope = th1 / th0
+    dev = slope - p_sum[:, None]
+    dev -= (np.einsum("sx,sx->x", e, th1) - p_sum @ w) / total
+    moments = np.einsum("sx,sx->x", e, th2 - th1 * slope + th0 * dev * dev) / total
+    return moments, top + np.log(total)
+
+
 def invert_wp_bisection(b: float, curve):
     """Jacobian coordinate of a spectral point b by bisection, evaluating wp at every step.
 

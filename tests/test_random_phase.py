@@ -46,7 +46,7 @@ class TestBatchedPhases:
     def test_matches_per_draw_loop(self, spectrum2, block_counts, xs, blocks, u_tol):
         phis = np.random.default_rng(6).uniform(-1.0, 1.0, size=(3, 2))
         ts = np.array([0.0, 0.3])
-        tables = rm._x_tables(spectrum2, xs, 6)
+        tables = rm._x_tables(spectrum2, xs, 6, rm._pinched_blocks(spectrum2))
         rate = np.max(np.abs(tables.rate))
         for eps in (1e-2, 1e-4):
             spec = rm.DegenerationSpec(eps, spectrum2)
@@ -121,7 +121,7 @@ class TestClosedFormU:
     def test_derivative_reality_gate_scales_with_theta(self, spectrum2, order):
         # Theta^(k) is zero where Theta peaks, so its imaginary part is measured
         # against |Theta| rate^k, not against Theta^(k) itself
-        tables = rm._x_tables(spectrum2, np.linspace(-2.0, 2.0, 5), 4)
+        tables = rm._x_tables(spectrum2, np.linspace(-2.0, 2.0, 5), 4, rm._pinched_blocks(spectrum2))
         rate = np.max(np.abs(tables.rate))
         theta = np.zeros((3, 1, 1, 5), dtype=complex)
         theta[0] = 2.0
@@ -149,7 +149,7 @@ class TestPrunedRows:
 
     def test_failed_certificate_sums_every_row(self, spectrum3, monkeypatch):
         xs = np.linspace(-5, 5, 41)
-        tables = rm._x_tables(spectrum3, xs, 3)
+        tables = rm._x_tables(spectrum3, xs, 3, rm._pinched_blocks(spectrum3))
         omega = rm.degenerate_period_matrix(rm.DegenerationSpec(1e-3, spectrum3)).omega
         phis = np.random.default_rng(8).uniform(-1.0, 1.0, size=(4, 3))
         ts = np.array([0.0, 0.2])

@@ -18,7 +18,7 @@ from cnoidal_kdv.errors import (
     TooManySolitons,
 )
 from oracles import (a_tensor_loop, eval_oracle_cases, norming_constants_loop,
-                     single_soliton_two_term, u_grid_stencil)
+                     single_soliton_two_term, subset_block_cells, u_grid_stencil)
 
 
 class TestSpectrum:
@@ -372,6 +372,18 @@ class TestPrunedSubsets:
             dense = [np.linalg.det(np.eye(n) + tu.g_matrix(ctx, x, t)).real for x in xs]
             assert np.max(np.abs(det / dense - 1.0)) <= 1e-13
 
+    @pytest.mark.parametrize("label", [case[0] for case in eval_oracle_cases()])
+    def test_sums_match_the_cell_kernel(self, label, monkeypatch):
+        # the per-point centring keeps u at the per-cell kernel's rounding; one
+        # centre per block moved u on eval-N8-hot-3 by 1.6e-12 max(1, |u|)
+        ctx, xs, ts = pool_context(label)
+        got = list(tu._subset_sums(ctx, xs, ts))
+        monkeypatch.setattr(tu, "_subset_block", subset_block_cells)
+        for (u, log_tau, _), (u_cells, log_tau_cells, _) in zip(got, tu._subset_sums(ctx, xs, ts)):
+            assert np.max(np.abs(u - u_cells) / np.maximum(1.0, np.abs(u_cells))) <= 1e-13
+            assert np.max(np.abs(log_tau - log_tau_cells)
+                          / np.maximum(1.0, np.abs(log_tau_cells))) <= 1e-14
+
     def test_cap_refused_before_any_work(self, curve, monkeypatch):
         sp = tu.spectrum_from_points(curve, [(p, 0.0) for p in mixed_points(curve, 17)])
         ctx = tu.build_context(curve, sp)
@@ -402,6 +414,24 @@ class TestThreeSolitons:
         expansion += np.linalg.det(g)
         det = tu._det_one_plus_g(ctx3, np.array([x]), t)[0]
         assert abs(det - expansion) <= 1e-12 * abs(det)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("given", ["beta", "b"])
+    def test_logdet_builds_one_plus_g_in_place(self, curve, n, given):
+        # the stencil's 1 + G is G's stack with 1.0 added to its diagonals in
+        # place: the bytes of the eye-plus-product form it replaced
+        points = mixed_points(curve, n)
+        if given == "b":
+            points = [el.invert_wp(el.wp_on_segment(p, curve) + 0.01, curve) for p in points]
+        sp = tu.spectrum_from_points(curve, [(p, 1.5 - 0.6 * k) for k, p in enumerate(points)])
+        ctx = tu.build_context(curve, sp)
+        xs = np.linspace(-3.0, 3.0, 25)
+        a = tu._a_tensor(sp, tu._background_phase(ctx, xs))
+        for t in (0.0, 0.3):
+            d = np.sqrt([e.C_norm for e in sp.entries])[None, :] * np.exp(tu._phase_exponents(ctx, xs, t))
+            want = np.linalg.slogdet(np.eye(n)[None] + a * d[:, :, None] * d[:, None, :])[1]
+            assert tu._logdet_one_plus_g(ctx, xs, t).tobytes() == want.tobytes()
+            assert tu._logdet_one_plus_g(ctx, xs, t, a=a).tobytes() == want.tobytes()
 
     def test_logdet_slogdet_consistent(self, ctx3):
         xs = np.linspace(-6, 6, 31)

@@ -17,8 +17,12 @@ checkout wins (better in the metric's direction), and this checkout's median
 worsening (the relative change of the medians, counted positive in the
 metric's bad direction) and whether it lies within or beyond the metric's
 `bound`.  For each side it prints correctness and the failed share of ops
-(failed / attempted), and flags a larger share on this checkout.  The pairs, medians, quartiles, seeds and host go
-to the JSON file named by --out.
+(failed / attempted), and flags a larger share on this checkout.  For each op
+class (an op's label without its trailing member number) it prints each side's
+median op time, taken over the per-op medians (`op_median_ms` of run.py's
+diagnostics line) of every run, and their ratio, so a report shows where a
+change in throughput lands.  The pairs, medians, quartiles, per-class times,
+seeds and host go to the JSON file named by --out.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in checkout: its result object plus the run's environment."""
+    """One benchmark run in checkout: its result object plus the run's environment and op times."""
     env = dict(os.environ, **{name: "1" for name in PINNED})
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
@@ -46,7 +50,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"run.py failed in {checkout} ({workload}, seed {seed}):\n{proc.stderr}")
     result = json.loads(lines[-1])
-    result["environment"] = json.loads(lines[-2])["diagnostics"]["environment"]   # the host
+    diagnostics = json.loads(lines[-2])["diagnostics"]
+    result["environment"] = diagnostics["environment"]      # the host
+    result["op_median_ms"] = diagnostics["op_median_ms"]
     return result
 
 
@@ -73,7 +79,7 @@ def measure(parent: Path, workload: str, seeds: list[int], seconds: float, gated
         for side in order:
             res = run_once(ROOT if side == "change" else parent, workload, seed, seconds)
             pair[side] = {"correct": res["correct"], "attempted": res["attempted"],
-                          "failed": res["failed"],
+                          "failed": res["failed"], "op_median_ms": res["op_median_ms"],
                           **{m["name"]: res["metrics"][m["name"]]["value"] for m in gated}}
             environment = res["environment"]
         pairs.append(pair)
@@ -91,12 +97,23 @@ def measure(parent: Path, workload: str, seeds: list[int], seconds: float, gated
         ratio = summary[name]["change"]["median"] / summary[name]["parent"]["median"]
         summary[name]["median_ratio"] = ratio
         summary[name]["worsening"] = 1.0 - ratio if higher else ratio - 1.0
+    by_class = {}
+    for p in pairs:
+        for side in ("change", "parent"):
+            for label, ms in p[side]["op_median_ms"].items():
+                by_class.setdefault(label.rsplit("-", 1)[0], {"change": [], "parent": []})[side].append(ms)
+    classes = {}
+    for cls, sides in sorted(by_class.items()):
+        med = {side: statistics.median(v) for side, v in sides.items() if v}
+        if len(med) == 2:
+            classes[cls] = {"parent_ms": med["parent"], "change_ms": med["change"],
+                            "ratio": med["change"] / med["parent"], "samples": len(sides["change"])}
     checks = {side: {"all_correct": all(p[side]["correct"] for p in pairs),
                      "failed": sum(p[side]["failed"] for p in pairs),
                      "attempted": sum(p[side]["attempted"] for p in pairs)}
               for side in ("change", "parent")}
-    return {"seeds": seeds, "pairs": pairs, "summary": summary, "checks": checks,
-            "environment": environment}
+    return {"seeds": seeds, "pairs": pairs, "summary": summary, "op_classes": classes,
+            "checks": checks, "environment": environment}
 
 
 def report(workload: str, result: dict) -> None:
@@ -109,6 +126,9 @@ def report(workload: str, result: dict) -> None:
         verdict = "within" if s["worsening"] <= s["bound"] else "BEYOND"
         print(f"  {'':14s} median worsening {s['worsening']:+.3f}, {verdict} its bound "
               f"{s['bound']}")
+    print(f"  {'op class':22s} {'parent ms':>10s} {'change ms':>10s}  ratio")
+    for cls, c in result["op_classes"].items():
+        print(f"  {cls:22s} {c['parent_ms']:10.3f} {c['change_ms']:10.3f}  x{c['ratio']:.3f}")
     share = {side: c["failed"] / c["attempted"] if c["attempted"] else 0.0
              for side, c in result["checks"].items()}
     for side, c in result["checks"].items():
