@@ -188,6 +188,7 @@ class Report:
         self.cfg = cfg
         self.columns = columns
         self.rows: list[list] = []
+        self.runs: list[list] = []      # later rows by column: float arrays or a shared cell
         self.footer: dict = {}
 
     def add(self, *row) -> None:
@@ -201,7 +202,10 @@ class Report:
                 "command": self.command,
                 "config": self.cfg,
                 "columns": self.columns,
-                "rows": [[_fmt(v) for v in row] for row in self.rows],
+                "rows": [[_fmt(v) for v in row] for row in self.rows] + [
+                    [_fmt(v) for v in row] for run in self.runs for row in zip(*(
+                        c.tolist() if isinstance(c, np.ndarray) else itertools.repeat(c)
+                        for c in run))],
                 "footer": {k: _fmt(v) for k, v in self.footer.items()},
             }
             return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -218,6 +222,13 @@ class Report:
             if not all_float:
                 cells = [v if isinstance(v, float) else _fmt(v) for v in cells]
             lines.append("\n".join([fmt] * len(run)) % tuple(cells))
+        # one % per run, a shared cell's text in its format
+        for run in self.runs:
+            columns = [c for c in run if isinstance(c, np.ndarray)]
+            fmt = ",".join("%.17g" if isinstance(c, np.ndarray) else _fmt(c).replace("%", "%%")
+                           for c in run)
+            cells = np.column_stack(columns).ravel().tolist()
+            lines.append("\n".join([fmt] * columns[0].size) % tuple(cells))
         for k, v in self.footer.items():
             lines.append(f"# {k} = {_fmt(v)}")
         return "\n".join(lines) + "\n"
@@ -229,10 +240,8 @@ def cmd_eval(doc: dict, cfg: dict, args) -> tuple[Report, int]:
     ctx = tau.build_context(curve, spectrum)
     xs, ts = _grid(cfg)
     rep = Report("eval", doc, ["x", "t", "u", "tau", "detG"])
-    x_cells = xs.tolist()
     for t, (u_row, tau_row, det_row) in zip(ts.tolist(), tau._eval_rows(ctx, xs, ts)):
-        rep.rows += map(list, zip(x_cells, itertools.repeat(t), u_row.tolist(),
-                                  tau_row.tolist(), det_row.tolist()))
+        rep.runs.append([xs, t, u_row, tau_row, det_row])
     return rep, 0
 
 

@@ -35,6 +35,7 @@ u_grid and kdv_residual still difference ln det[1 + G] on a stencil grid.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,12 +70,12 @@ _EXP_GUARD = _HALF_LOG_MAX
 _REALITY_TOL = 1e-9
 
 # the subset sum takes at most _SUBSET_CAP solitons (its 2^N x N mask table is
-# 8 MB at 16) and at most _SUBSET_CELLS (x points) x (subsets) per x block, so a
-# block's float arrays stay at 256 KB each, inside a 2 MiB L2 cache (on an x86_64
-# host with 2 MiB of L2 per core, 2^14 cells made N = 12 evals 1.3-1.5x slower
-# and 2^16 moved N = 8 and 12 evals by -10% to +10%)
+# 8 MB at 16) and at most _SUBSET_CELLS (x points) x (subsets) per x block, whose
+# exponents (512 KB) fit a 2 MiB L2 cache: on an x86_64 host with 2 MiB of L2 per
+# core, best of 6 and 9 interleaved passes, 2^16 took N = 12 evals 0.73-0.75x and
+# N = 8 0.90-0.93x the time of 2^15, and 2^14 N = 12 1.42-1.54x and N = 8 1.10-1.15x
 _SUBSET_CAP = 16
-_SUBSET_CELLS = 2 ** 15
+_SUBSET_CELLS = 2 ** 16
 _SUBSET_KEEP = -55.451774444795625    # ln 2^-80: subsets this far below a block's peak are dropped
 _SUBSET_CERTIFIED = -41.58883083359672  # ln 2^-60: the dropped subsets' share of the block's sum
 
@@ -362,7 +363,7 @@ class _SubsetTables:
     mask: np.ndarray       # (2^N, N) 0/1 rows: soliton l is in subset s if bit l of s is set
     log_k: np.ndarray      # (2^N,) ln K_S
     p_sum: np.ndarray      # (2^N,) sum of |P_l| over S, the x-slope of -ln w_S's phase part
-    left: np.ndarray       # (2^N, 2M + 1) theta3 coefficients at mu_S, see _subset_tables
+    left: np.ndarray       # (2M + 1, 2^N) theta3 coefficients at mu_S, see _subset_tables
     index: np.ndarray      # (M,) the theta3 indices m >= 1
     rate: np.ndarray       # (M,) x-rate 2 pi m / (4 |varpi3|) of the theta3 terms
     log_theta: tuple       # ln min and ln max of theta3 on the real line
@@ -409,9 +410,9 @@ def _subset_tables(spectrum: SolitonSpectrum) -> _SubsetTables:
     m = _table_terms(curve.tau, 0.0, 0.0)[1:]
     weight = 2.0 * np.exp(-np.pi * curve.tau.imag * m * m)
     mu = np.array([e.point.mu() for e in spectrum.entries])
-    angle = 2.0 * np.pi * np.multiply.outer(mask @ mu, m)
-    left = np.concatenate([np.ones((mask.shape[0], 1)), weight * np.cos(angle),
-                           weight * np.sin(angle)], axis=1)
+    angle = 2.0 * np.pi * np.multiply.outer(m, mask @ mu)
+    left = np.concatenate([np.ones((1, mask.shape[0])), weight[:, None] * np.cos(angle),
+                           weight[:, None] * np.sin(angle)])
     signs = (-1.0) ** m
     return _SubsetTables(
         mask=mask,
@@ -425,14 +426,14 @@ def _subset_tables(spectrum: SolitonSpectrum) -> _SubsetTables:
 
 
 def _subset_block(tables: _SubsetTables, rows: np.ndarray, base: np.ndarray,
-                  dx: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                  dx: np.ndarray, right: np.ndarray, work: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(L'', L) over the subsets rows at the block's points, L = ln sum_S w_S.
 
     At a point, top is the largest exponent base_S - P_S dx, reached by D,
     e_S = exp(base_S - P_S dx - top) and pc = P_S - P_D.  Up to a factor
     exp(top - P_D dx), which adds a line to L, w_S = e_S theta3(y - A + mu_S)
     with derivatives e_S (theta3' - pc theta3), e_S (theta3'' - 2 pc theta3'
-    + pc^2 theta3), all linear in the theta3 row left_S.  So with
+    + pc^2 theta3), all linear in the theta3 column left_S.  So with
     h_c = sum_S left_S pc^c e_S, one matrix product per run of points that
     share D (pc^c scales the thinner factor: left's columns or the run's
     points), S_0 = right[0] h_0, S_1 = right[1] h_0 - right[0] h_1,
@@ -440,23 +441,34 @@ def _subset_block(tables: _SubsetTables, rows: np.ndarray, base: np.ndarray,
     L'' = S_2 / S_0 - (S_1 / S_0)^2, L = top + ln S_0.  Centring at each point's
     own D keeps that cancellation at the rounding of the leading terms (one
     centre per block moved u by 1.6e-12 max(1, |u|) on a hot N = 8 spectrum).
+    Laid out as (points, subsets), every broadcast runs along the subsets;
+    each array is written into work, _subset_sums's buffers, before it is read.
     """
-    left, p_sum = tables.left[rows], tables.p_sum[rows]
-    exponent = base[rows][:, None] - p_sum[:, None] * dx
-    lead = np.argmax(exponent, axis=0)
-    top = exponent[lead, np.arange(dx.size)]
-    e = np.exp(exponent - top)
-    h = np.empty((3, left.shape[1], dx.size))
-    edges = [0, *(np.flatnonzero(np.diff(lead)) + 1), dx.size]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pc = (p_sum - p_sum[lead[lo]])[:, None]
-        run = e[:, lo:hi]
-        if hi - lo < left.shape[1]:
-            scaled = left.T @ np.concatenate([run, run * pc, run * (pc * pc)], axis=1)
-            h[:, :, lo:hi] = scaled.reshape(-1, 3, hi - lo).transpose(1, 0, 2)
+    cells, scaled, rates, h, line = work
+    n, k, width = dx.size, rows.size, tables.left.shape[0]
+    factors, rates = scaled[:3 * width * k].reshape(3, width, k), rates[:4 * k].reshape(4, k)
+    left = np.take(tables.left, rows, axis=1, out=factors[0], mode="clip")
+    p_sum, pc = np.take(tables.p_sum, rows, out=rates[0], mode="clip"), rates[2:]
+    np.take(base, rows, out=rates[1], mode="clip")
+    line, h = line[:2 * n].reshape(2, n), h[:3 * width * n].reshape(3, width, n)
+    line[0], line[1] = -dx, 1.0
+    # base_S - P_S dx as one product, then e = exp(base_S - P_S dx - top)
+    e = np.matmul(line.T, rates[:2], out=cells[:n * k].reshape(n, k))
+    lead = np.argmax(e, axis=1)
+    top = cells[np.arange(0, n * k, k) + lead]
+    np.exp(np.subtract(e, top[:, None], out=e), out=e)
+    for lo, hi in itertools.pairwise([0, *(np.flatnonzero(lead[1:] != lead[:-1]) + 1).tolist(), n]):
+        np.subtract(p_sum, p_sum[lead[lo]], out=pc[0])
+        np.multiply(pc[0], pc[0], out=pc[1])
+        run = e[lo:hi]
+        if hi - lo < width:
+            part = scaled[width * k:(width + 2 * (hi - lo)) * k].reshape(2, hi - lo, k)
+            np.matmul(left, run.T, out=h[0, :, lo:hi])
+            np.matmul(left, np.multiply(run, pc[:, None], out=part).transpose(0, 2, 1),
+                      out=h[1:, :, lo:hi])
         else:
-            scaled = np.concatenate([left, left * pc, left * (pc * pc)], axis=1)
-            h[:, :, lo:hi] = (scaled.T @ run).reshape(3, -1, hi - lo)
+            np.multiply(left, pc[:, None], out=factors[1:])
+            np.matmul(factors.reshape(-1, k), run.T, out=h.reshape(-1, n)[:, lo:hi])
     (r0h0, r0h1, r0h2), (r1h0, r1h1, _), (r2h0, _, _) = np.einsum("kjx,cjx->kcx", right, h)
     slope = (r1h0 - r0h1) / r0h0
     return (r2h0 - 2.0 * r1h1 + r0h2) / r0h0 - slope * slope, top + np.log(r0h0)
@@ -482,50 +494,50 @@ def _subset_sums(ctx: TauContext, xs: np.ndarray, ts):
     sp = ctx.spectrum
     tables = _subset_tables(sp)
     every = np.arange(tables.mask.shape[0])
-    size = max(1, _SUBSET_CELLS >> len(sp))
-    ybg = _background_phase(ctx, xs)
+    size, width = max(1, min(xs.size, _SUBSET_CELLS >> len(sp))), tables.left.shape[0]
+    # _subset_block's e, left's columns and their multiples, P_S, base_S, pc, h and [-dx, 1]
+    work = tuple(np.empty(cells) for cells in (size * every.size, 3 * width * every.size,
+                                               4 * every.size, 3 * width * size, 2 * size))
     p = np.array([e.p_abs for e in sp.entries])
     shift = np.array([e.x_shift for e in sp.entries]) * p
     energy = np.array([e.E.imag for e in sp.entries])
     low, high = tables.log_theta
-    blocks = []
-    for lo in range(0, xs.size, size):
-        block = slice(lo, lo + size)
-        x_c = 0.5 * (xs[block].min() + xs[block].max())
-        phase = 2.0 * np.pi * np.multiply.outer(tables.index, ybg[block])
-        cos, sin, rate, m = np.cos(phase), np.sin(phase), tables.rate[:, None], tables.index.size
-        # right[k].T @ left_S is the k-th x-derivative of theta3(y - A + mu_S)
-        right = np.zeros((3, 2 * m + 1, phase.shape[1]))
-        right[0, 0] = 1.0
-        right[:, 1:m + 1] = cos, -rate * sin, -rate * rate * cos
-        right[:, m + 1:] = -sin, -rate * cos, rate * rate * sin
-        # theta3(y - A) is the empty subset's term
-        log_theta_bg = np.log(tables.left[0] @ right[0])
-        blocks.append((block, x_c, xs[block] - x_c, right, log_theta_bg))
+    phase = 2.0 * np.pi * np.multiply.outer(tables.index, _background_phase(ctx, xs))
+    cos, sin, rate, m = np.cos(phase), np.sin(phase), tables.rate[:, None], tables.index.size
+    # right[k].T @ left_S is the k-th x-derivative of theta3(y - A + mu_S)
+    right = np.zeros((3, 2 * m + 1, xs.size))
+    right[0, 0] = 1.0
+    right[:, 1:m + 1] = cos, -rate * sin, -rate * rate * cos
+    right[:, m + 1:] = -sin, -rate * cos, rate * rate * sin
+    # theta3(y - A) is the empty subset's term
+    log_theta_bg = np.log(tables.left[:, 0] @ right[0])
+    blocks = [slice(lo, lo + size) for lo in range(0, xs.size, size)]
+    centres = [0.5 * (xs[block].min() + xs[block].max()) for block in blocks]
+    dxs = [xs[block] - x_c for block, x_c in zip(blocks, centres)]
     for t in ts:
         # ln K_S + 2 sum_{l in S} expo_l(x) + P_S x
         x_free = tables.log_k + tables.mask @ (shift - t * energy)
-        u, log_sum, log_det = np.empty((3, xs.size))
-        for block, x_c, dx, right, log_theta_bg in blocks:
+        u, log_sum = np.empty((2, xs.size))
+        for block, x_c, dx in zip(blocks, centres, dxs):
             base = x_free - x_c * tables.p_sum
             spread = tables.p_sum * float(np.max(np.abs(dx)))
             bound = base + spread + high
             keep = np.flatnonzero(bound >= np.max(base - spread) + low + _SUBSET_KEEP)
-            summed = keep.size
-            sums = _subset_block(tables, keep, base, dx, right) if keep.size else None
+            _SUBSET_TERMS["summed"] += keep.size
+            cols = right[:, :, block]
+            sums = _subset_block(tables, keep, base, dx, cols, work) if keep.size else None
             if keep.size < every.size:
                 bound[keep] = -np.inf
                 dropped = np.log(every.size - keep.size) + np.max(bound)
                 if sums is None or not dropped <= _SUBSET_CERTIFIED + np.min(sums[1]):
-                    sums = _subset_block(tables, every, base, dx, right)
-                    summed += every.size
-            _SUBSET_TERMS["all"] += every.size
-            _SUBSET_TERMS["summed"] += summed
+                    sums = _subset_block(tables, every, base, dx, cols, work)
+                    _SUBSET_TERMS["summed"] += every.size
             u[block], log_sum[block] = sums
-            log_det[block] = log_sum[block] - log_theta_bg
+        _SUBSET_TERMS["all"] += every.size * len(blocks)
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(log_sum))):
             raise PhaseOverflow("subset sum not finite in double precision")
-        yield 2.0 * u - 4.0 * ctx.quad_const, log_sum - ctx.quad_const * xs * xs, log_det
+        yield (2.0 * u - 4.0 * ctx.quad_const, log_sum - ctx.quad_const * xs * xs,
+               log_sum - log_theta_bg)
 
 
 def _exp_cells(log_tau: np.ndarray, log_det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

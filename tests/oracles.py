@@ -370,18 +370,19 @@ def u_grid_stencil(ctx, xs, t: float) -> np.ndarray:
     return u + 2.0 * fd.second_derivative(ld, h)
 
 
-def subset_block_cells(tables, rows, base, dx, right):
+def subset_block_cells(tables, rows, base, dx, right, work):
     """(L'', ln sum_S w_S) of tau._subset_block, cell by cell with a per-subset centred variance.
 
     theta3, theta3' and theta3'' of every subset at every point come from one
-    product of the rows' coefficients with right (laid out as in
-    tau._subset_sums), f_S = ln w_S, and L'' = E[f''] + Var[f'] under the
+    product of the rows' coefficients (tables.left's columns) with right (laid
+    out as in tau._subset_sums), f_S = ln w_S, and L'' = E[f''] + Var[f'] under the
     weights w_S / sum w, the variance summed in centred form where an error in
     the mean enters squared.  Each weighted sum is taken against e =
     exp(base_S - P_S dx - top): w = e theta3, w f' = e (theta3' - P_S theta3),
-    w f'' = e (theta3'' - theta3'^2 / theta3).
+    w f'' = e (theta3'' - theta3'^2 / theta3).  work, tau._subset_block's
+    buffers, is not used.
     """
-    theta = tables.left[rows] @ np.concatenate(list(right), axis=1)
+    theta = tables.left[:, rows].T @ np.concatenate(list(right), axis=1)
     size = dx.size
     th0, th1, th2 = theta[:, :size], theta[:, size:2 * size], theta[:, 2 * size:]
     p_sum = tables.p_sum[rows]

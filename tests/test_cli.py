@@ -210,6 +210,26 @@ class TestEvalPath:
                                               for row in rep.rows]
         assert lines[-1] == "# k_tilde = 0.25"
 
+    @pytest.mark.parametrize("nt", [1, 2])
+    def test_runs_render_as_their_rows(self, nt):
+        # eval hands Report one run of columns per t; CSV and JSON are the bytes
+        # of the same cells added row by row (inf, -0.0, subnormals, and either
+        # side of %g's switches at 1e-5 and 1e17 included)
+        values = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e-310,
+                           2.2250738585072014e-308, 9.999999999999999e-06, 1e-05,
+                           1.0000000000000001e-05, 9.999999999999998e16, 1e17,
+                           1.0000000000000002e17, 0.1, 1.0 / 3.0, -1.5e300])
+        by_runs, by_rows = (cli.Report("eval", {"k": 1}, ["x", "t", "u", "tau", "detG"])
+                            for _ in range(2))
+        for j, t in enumerate([9.999999999999999e-06, 1e17][:nt]):
+            x, u, tv, dv = (np.roll(values, j + shift) for shift in range(4))
+            by_runs.runs.append([x, t, -u, tv, dv])
+            for row in zip(x.tolist(), (-u).tolist(), tv.tolist(), dv.tolist()):
+                by_rows.add(row[0], t, *row[1:])
+        for fmt in ("csv", "json"):
+            assert by_runs.render(fmt) == by_rows.render(fmt)
+        assert len(by_runs.render("csv").splitlines()) == 3 + nt * values.size
+
 
 class TestVerify:
     def test_fay_passes(self, tmp_path):

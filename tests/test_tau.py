@@ -338,7 +338,7 @@ class TestPrunedSubsets:
         before = dict(tu._SUBSET_TERMS)
         list(tu._eval_rows(ctx, xs, ts))
         every, summed = (tu._SUBSET_TERMS[key] - before[key] for key in ("all", "summed"))
-        assert every == 2 ** 12 * 50            # subsets x blocks of 8 points, one t
+        assert every == 2 ** 12 * 25            # subsets x blocks of 16 points, one t
         assert 0 < summed < every
 
     def test_failed_certificate_sums_every_subset(self, member12, monkeypatch):
@@ -350,12 +350,53 @@ class TestPrunedSubsets:
         monkeypatch.setattr(tu, "_SUBSET_KEEP", np.inf)        # none kept, so none certified
         before = tu._SUBSET_TERMS["summed"]
         fallback = list(tu._subset_sums(ctx, xs, ts))
-        assert tu._SUBSET_TERMS["summed"] - before == 2 ** 12 * 50 * 2
+        assert tu._SUBSET_TERMS["summed"] - before == 2 ** 12 * 25 * 2
         for got, want in zip(fallback, every):
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
         for (u, log_tau, _), (u_all, log_tau_all, _) in zip(pruned, every):
             assert np.max(np.abs(u - u_all)) <= 1e-14 * np.max(np.abs(u_all))
             assert np.max(np.abs(log_tau - log_tau_all)) <= 1e-14 * np.max(np.abs(log_tau_all))
+
+    # summed subsets x blocks of _SUBSET_TERMS on the N = 12 pool members as the
+    # (subsets, points) kernel summed them in blocks of 2^15 cells (8 points):
+    # the (points, subsets) one keeps the pruning, so at that budget it sums
+    # exactly as many, and in its own blocks of 2^16 cells no smaller share
+    N12_SUMMED = {"eval-N12-hot-0": 59425, "eval-N12-hot-1": 50197, "eval-N12-hot-2": 52436,
+                  "eval-N12-hot-3": 52153, "eval-N12-hot-4": 62219, "eval-N12-hot-5": 94510,
+                  "eval-N12-mixed-0": 105185, "eval-N12-mixed-1": 165316,
+                  "eval-N12-mixed-2": 65721, "eval-N12-mixed-3": 54185,
+                  "eval-N12-mixed-4": 118598, "eval-N12-mixed-5": 103142}
+
+    @pytest.mark.parametrize("label", sorted(N12_SUMMED))
+    def test_n12_members_sum_the_recorded_subsets(self, label, monkeypatch):
+        ctx, xs, ts = pool_context(label)
+        counts = []
+        for cells in (tu._SUBSET_CELLS, 2 ** 15):
+            monkeypatch.setattr(tu, "_SUBSET_CELLS", cells)
+            before = dict(tu._SUBSET_TERMS)
+            list(tu._subset_sums(ctx, xs, ts))
+            counts.append({key: tu._SUBSET_TERMS[key] - before[key] for key in ("all", "summed")})
+        assert counts[1] == {"all": 2 ** 12 * 50, "summed": self.N12_SUMMED[label]}
+        assert counts[0]["all"] == 2 ** 12 * 25
+        assert counts[0]["summed"] / counts[0]["all"] >= self.N12_SUMMED[label] / (2 ** 12 * 50)
+
+    def test_stale_workspace_changes_no_byte(self, member12, monkeypatch):
+        # _subset_block writes every buffer of its workspace before reading it:
+        # one filled with NaN for the N = 12 member, then the same one, left as
+        # that member left it, for an N = 8 member give a fresh workspace's bytes
+        members = [member12, pool_context("eval-N8-mixed-0")]
+        original, sizes = tu._subset_block, []
+        monkeypatch.setattr(tu, "_subset_block", lambda *args: sizes.append(
+            [buffer.size for buffer in args[-1]]) or original(*args))
+        fresh = [list(tu._subset_sums(ctx, xs, ts)) for ctx, xs, ts in members]
+        shared = tuple(np.full(max(size), np.nan) for size in zip(*sizes))
+        monkeypatch.setattr(tu, "_subset_block", lambda *args: original(*args[:-1], shared))
+        for (ctx, xs, ts), want in zip(members, fresh):
+            got = list(tu._subset_sums(ctx, xs, ts))
+            assert len(got) == len(want)
+            for row, want_row in zip(got, want):
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(row, want_row))
+            assert not np.all(np.isnan(shared[0]))
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     @pytest.mark.parametrize("given", ["beta", "b"])

@@ -8,8 +8,11 @@ DIR is another checkout of the repository, e.g. the parent commit made with
 seed, `perfbench/run.py --workload W --seed S --seconds T` runs once in each
 checkout, one after the other, as a subprocess with BLAS and OpenMP pinned to
 one thread; the side that goes first alternates from pair to pair, so a drift
-in the host's speed does not favour either side.  Nothing of the benchmark is
-imported.
+in the host's speed does not favour either side.  Each run has
+PYTHONDONTWRITEBYTECODE=1 and a fresh, empty PYTHONPYCACHEPREFIX, so neither
+side reads a bytecode cache that its checkout happens to hold: both compile
+their sources at import, and setup_s compares like with like.  Nothing of the
+benchmark is imported.
 
 For each gated metric of BENCHMARK.json (its `end_to_end` list) it prints
 each side's median and quartiles over the pairs, the number of pairs this
@@ -22,7 +25,7 @@ class (an op's label without its trailing member number) it prints each side's
 median op time, taken over the per-op medians (`op_median_ms` of run.py's
 diagnostics line) of every run, and their ratio, so a report shows where a
 change in throughput lands.  The pairs, medians, quartiles, per-class times,
-seeds and host go to the JSON file named by --out.
+seeds, host and bytecode setting go to the JSON file named by --out.
 """
 
 from __future__ import annotations
@@ -34,18 +37,22 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BYTECODE = "PYTHONDONTWRITEBYTECODE=1 and a fresh empty PYTHONPYCACHEPREFIX per run"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in checkout: its result object plus the run's environment and op times."""
-    env = dict(os.environ, **{name: "1" for name in PINNED})
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache,
+                   **{name: "1" for name in PINNED})
+        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"run.py failed in {checkout} ({workload}, seed {seed}):\n{proc.stderr}")
@@ -156,7 +163,7 @@ def main(argv=None) -> int:
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     out = {"created": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
            "change_revision": git_revision(ROOT), "parent_revision": git_revision(parent),
-           "seconds_per_run": seconds,
+           "seconds_per_run": seconds, "bytecode": BYTECODE,
            "host": None, "workloads": {}}
     for workload in args.workload:
         result = measure(parent, workload, args.seeds, seconds, spec["end_to_end"])
