@@ -133,16 +133,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _row_format(types: tuple) -> tuple[str, bool]:
-    """A CSV row's % format for these cell types, and whether every cell is a float.
-
-    "%.17g" renders a float (numpy float64 included) as _fmt does; every
-    other cell goes through _fmt into a "%s" slot.
-    """
-    floats = [issubclass(t, float) for t in types]
-    return ",".join("%.17g" if f else "%s" for f in floats), all(floats)
-
-
 def _load_config(path: str) -> tuple[dict, dict]:
     """The config document as written, and its values read through _SCHEMA."""
     try:
@@ -181,18 +171,20 @@ def _grid(cfg: dict):
 
 
 class Report:
-    """Accumulates rows, then renders CSV (with # comments) or JSON."""
+    """Accumulates runs of rows held by column, then renders CSV (with # comments) or JSON.
+
+    A run is a list of columns: an array or a list, one cell per row, or
+    one cell shared by every row of the run (at least one column is an
+    array or a list).  Every cell renders as _fmt renders it; a float
+    array's cells go through "%.17g", which gives the same text.
+    """
 
     def __init__(self, command: str, cfg: dict, columns: list[str]):
         self.command = command
         self.cfg = cfg
         self.columns = columns
-        self.rows: list[list] = []
-        self.runs: list[list] = []      # later rows by column: float arrays or a shared cell
+        self.runs: list[list] = []
         self.footer: dict = {}
-
-    def add(self, *row) -> None:
-        self.rows.append(list(row))
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -202,35 +194,28 @@ class Report:
                 "command": self.command,
                 "config": self.cfg,
                 "columns": self.columns,
-                "rows": [[_fmt(v) for v in row] for row in self.rows] + [
-                    [_fmt(v) for v in row] for run in self.runs for row in zip(*(
-                        c.tolist() if isinstance(c, np.ndarray) else itertools.repeat(c)
-                        for c in run))],
+                "rows": [[_fmt(v) for v in row] for run in self.runs for row in zip(*(
+                    c.tolist() if isinstance(c, np.ndarray) else
+                    c if isinstance(c, list) else itertools.repeat(c) for c in run))],
                 "footer": {k: _fmt(v) for k, v in self.footer.items()},
             }
             return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        lines = [
-            f"# cnoidal-kdv {__version__} command={self.command}",
-            f"# config: {json.dumps(self.cfg, sort_keys=True)}",
-        ]
-        lines.append(",".join(self.columns))
-        # one % per run of rows whose cells have the same types
-        for types, run in itertools.groupby(self.rows, key=lambda row: tuple(map(type, row))):
-            run = list(run)
-            fmt, all_float = _row_format(types)
-            cells = [v for row in run for v in row]
-            if not all_float:
-                cells = [v if isinstance(v, float) else _fmt(v) for v in cells]
-            lines.append("\n".join([fmt] * len(run)) % tuple(cells))
-        # one % per run, a shared cell's text in its format
+        lines = [f"# cnoidal-kdv {__version__} command={self.command}",
+                 f"# config: {json.dumps(self.cfg, sort_keys=True)}", ",".join(self.columns)]
+        # one % per run: a float array fills "%.17g" slots, any other column "%s"
+        # slots with its cells' _fmt text, and a shared cell's text, each % doubled
+        # (so never a slot), is part of the format
         for run in self.runs:
-            columns = [c for c in run if isinstance(c, np.ndarray)]
-            fmt = ",".join("%.17g" if isinstance(c, np.ndarray) else _fmt(c).replace("%", "%%")
-                           for c in run)
-            cells = np.column_stack(columns).ravel().tolist()
-            lines.append("\n".join([fmt] * columns[0].size) % tuple(cells))
-        for k, v in self.footer.items():
-            lines.append(f"# {k} = {_fmt(v)}")
+            slots = ["%.17g" if isinstance(c, np.ndarray) and c.dtype.kind == "f" else
+                     "%s" if isinstance(c, (np.ndarray, list)) else _fmt(c).replace("%", "%%")
+                     for c in run]
+            columns = [c if slot == "%.17g" else [_fmt(v) for v in c]
+                       for c, slot in zip(run, slots) if slot in ("%.17g", "%s")]
+            if len(columns[0]):
+                cells = (np.column_stack(columns).ravel().tolist() if "%s" not in slots else
+                         [v for row in zip(*columns) for v in row])
+                lines.append("\n".join([",".join(slots)] * len(columns[0])) % tuple(cells))
+        lines += [f"# {k} = {_fmt(v)}" for k, v in self.footer.items()]
         return "\n".join(lines) + "\n"
 
 
@@ -240,19 +225,17 @@ def cmd_eval(doc: dict, cfg: dict, args) -> tuple[Report, int]:
     ctx = tau.build_context(curve, spectrum)
     xs, ts = _grid(cfg)
     rep = Report("eval", doc, ["x", "t", "u", "tau", "detG"])
-    for t, (u_row, tau_row, det_row) in zip(ts.tolist(), tau._eval_rows(ctx, xs, ts)):
-        rep.runs.append([xs, t, u_row, tau_row, det_row])
+    rep.runs += [[xs, t, *rows] for t, rows in zip(ts.tolist(), tau._eval_rows(ctx, xs, ts))]
     return rep, 0
 
 
-def _verify_pde(cfg, ctx, tol, seed, args, rep):
+def _verify_pde(cfg, ctx, tol, seed, args):
     xs, ts = _grid(cfg)
     if ts.size < 2:
         raise ConfigError("pde verification needs grid.nt >= 2")
     resid = tau.kdv_residual(ctx, (xs[0], xs[-1]), xs.size, (ts[0], ts[-1]), ts.size)
     ok = resid < tol
-    rep.add("pde", f"nx={xs.size};nt={ts.size}", resid, tol, ok)
-    return ok
+    return [("pde", f"nx={xs.size};nt={ts.size}", resid, tol, ok)], ok
 
 
 def _lattice_inputs(cfg: dict, args, n: int) -> tuple[list, int]:
@@ -267,7 +250,7 @@ def _lattice_inputs(cfg: dict, args, n: int) -> tuple[list, int]:
     return eps_list, radius
 
 
-def _verify_degeneration(cfg, ctx, tol, seed, args, rep):
+def _verify_degeneration(cfg, ctx, tol, seed, args):
     spectrum = ctx.spectrum
     n = len(spectrum)
     eps_list, radius = _lattice_inputs(cfg, args, n)
@@ -276,14 +259,14 @@ def _verify_degeneration(cfg, ctx, tol, seed, args, rep):
     beta = rng.uniform(0.0, 1.0)
     x_phase = np.concatenate([psis, [beta]])
     resids = riemann._degeneration_residuals(x_phase, spectrum, eps_list, radius)
-    for eps, resid in zip(eps_list, resids):
-        rep.add("degeneration", f"epsilon={_fmt(eps)}", resid, tol, resid < tol)
+    rows = [("degeneration", f"epsilon={_fmt(eps)}", resid, tol, resid < tol)
+            for eps, resid in zip(eps_list, resids)]
     monotone = all(a > b for a, b in zip(resids, resids[1:]))
-    rep.add("degeneration", "monotone-decreasing", float(not monotone), 0.5, monotone)
-    return monotone and resids[-1] < tol
+    rows.append(("degeneration", "monotone-decreasing", float(not monotone), 0.5, monotone))
+    return rows, monotone and resids[-1] < tol
 
 
-def _verify_fay(cfg, ctx, tol, seed, args, rep):
+def _verify_fay(cfg, ctx, tol, seed, args):
     n = cfg["verify"]["fay_n"]
     trials = cfg["verify"]["trials"] or 50
     rng = np.random.default_rng(seed)
@@ -293,22 +276,20 @@ def _verify_fay(cfg, ctx, tol, seed, args, rep):
     xs, xh, e_pts = (np.array(side) for side in zip(*draws))
     worst = max([0.0, *riemann._fay_residuals(n, xs, xh, e_pts, ctx.curve).tolist()])
     ok = worst < tol
-    rep.add("fay", f"n={n};trials={trials}", worst, tol, ok)
-    return ok
+    return [("fay", f"n={n};trials={trials}", worst, tol, ok)], ok
 
 
-def _verify_montecarlo(cfg, ctx, tol, seed, args, rep):
+def _verify_montecarlo(cfg, ctx, tol, seed, args):
     eps_list, radius = _lattice_inputs(cfg, args, len(ctx.spectrum))
     trials = cfg["verify"]["trials"] or 200
     xs, ts = _grid(cfg)
     means = riemann.random_phase_mc(ctx.spectrum, eps_list, trials, seed,
                                     xs, [float(ts[0])], radius)
-    for eps, mean in zip(eps_list, means):
-        rep.add("montecarlo", f"epsilon={_fmt(eps)};trials={trials}",
-                float(mean), np.inf, True)
+    rows = [("montecarlo", f"epsilon={_fmt(eps)};trials={trials}", float(mean), np.inf, True)
+            for eps, mean in zip(eps_list, means)]
     monotone = all(a > b for a, b in zip(means, means[1:]))
-    rep.add("montecarlo", "monotone-decreasing", float(not monotone), 0.5, monotone)
-    return monotone
+    rows.append(("montecarlo", "monotone-decreasing", float(not monotone), 0.5, monotone))
+    return rows, monotone
 
 
 def cmd_verify(doc: dict, cfg: dict, args) -> tuple[Report, int]:
@@ -322,23 +303,25 @@ def cmd_verify(doc: dict, cfg: dict, args) -> tuple[Report, int]:
     rep = Report("verify", doc, ["check", "parameters", "residual", "tolerance", "pass"])
     check = {"pde": _verify_pde, "degeneration": _verify_degeneration,
              "fay": _verify_fay, "montecarlo": _verify_montecarlo}[which]
-    return rep, 0 if check(cfg, ctx, tol, seed, args, rep) else 4
+    rows, ok = check(cfg, ctx, tol, seed, args)
+    rep.runs.append([list(column) for column in zip(*rows)])
+    return rep, 0 if ok else 4
 
 
 def cmd_dynamics(doc: dict, cfg: dict, args) -> tuple[Report, int]:
     mode = cfg["dynamics"]["mode"]
     curve = _build_curve(cfg)
     spectrum = _build_spectrum(cfg, curve)
+    entries = spectrum.entries
+    columns = [[e.beta for e in entries], [e.point.kind for e in entries]]
     if mode == "velocity":
         rep = Report("dynamics", doc, ["beta", "kind", "V", "P", "E"])
-        for e in spectrum.entries:
-            v = dynamics.group_velocity(e.point, curve)
-            rep.add(e.beta, e.point.kind, v, e.P, e.E)
+        rep.runs.append(columns + [[dynamics.group_velocity(e.point, curve) for e in entries],
+                                   [e.P for e in entries], [e.E for e in entries]])
     elif mode == "shifts":
-        sched = dynamics.total_shift_schedule(spectrum)
         rep = Report("dynamics", doc, ["beta", "kind", "V", "total_shift"])
-        for e, s in zip(spectrum.entries, sched):
-            rep.add(e.beta, e.point.kind, e.velocity, s)
+        rep.runs.append(columns + [[e.velocity for e in entries],
+                                   dynamics.total_shift_schedule(spectrum)])
     else:
         if len(spectrum) != 1:
             raise ConfigError("track mode needs exactly one soliton")
@@ -346,8 +329,7 @@ def cmd_dynamics(doc: dict, cfg: dict, args) -> tuple[Report, int]:
         phis = dynamics.track_phase(spectrum.entries[0].point, curve,
                                     cfg["dynamics"]["norming"], ts)
         rep = Report("dynamics", doc, ["t", "Phi"])
-        for t, phi in zip(ts, phis):
-            rep.add(float(t), float(phi))
+        rep.runs.append([ts, phis])
     return rep, 0
 
 
@@ -372,9 +354,8 @@ def cmd_gas(doc: dict, cfg: dict, args) -> tuple[Report, int]:
     curve = _build_curve(cfg)
     model = gas.ndr_solve(_gas_model_from_config(cfg, curve, cfg["gas"]["nodes"]))
     rep = Report("gas", doc, ["eta", "u", "v", "s", "s0"])
-    columns = (model.betas, model.solved_u, model.solved_v, model.speeds,
-               gas.free_speeds(model))
-    rep.rows += map(list, zip(*(col.tolist() for col in columns)))
+    rep.runs.append([model.betas, model.solved_u, model.solved_v, model.speeds,
+                     gas.free_speeds(model)])
     rep.footer["k_tilde"], rep.footer["w_tilde"] = gas.carrier_quantities(model)
     rep.footer["eos_residual"] = gas.equation_of_state_residual(model)
     if args.double_nodes:

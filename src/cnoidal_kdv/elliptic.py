@@ -488,6 +488,41 @@ def _table_terms(tau: complex, y: float, m0: float) -> np.ndarray:
     return m0 + np.arange(kept)
 
 
+_KEEP_LOG = -55.451774444795625       # ln 2^-80 and ln 2^-60: see _certified_sum
+_CERTIFIED_LOG = -41.58883083359672
+
+
+def _certified_sum(upper: np.ndarray, peak, kernel, log_least, counter: dict):
+    """kernel(rows) over the rows of an x block that can move a bit, else over every row.
+
+    The one pruning rule of tau's subset sum and riemann's lattice sum.
+    upper[d, r] bounds ln |term r| over the block for draw-row d, some term
+    of which is at least exp(peak[d]) (peak a column, or a scalar for one
+    draw-row).  The rows within 2^-80 of the peak for some draw-row stand if,
+    for every draw-row, ln(dropped rows) + its largest dropped bound <=
+    ln 2^-60 + log_least(sums), the ln of its smallest kept sum over the
+    block (-inf for 0; in logs nothing overflows); otherwise, or if none is
+    kept, every row is summed.  counter["all"] and counter["summed"] grow by
+    rows x draw-rows of the block and of the sums; upper is overwritten.
+    """
+    draws, rows = upper.shape
+    kept = (upper >= peak + _KEEP_LOG).any(axis=0)
+    keep = kept.nonzero()[0]
+    summed = keep.size
+    sums = kernel(keep) if summed else None
+    if keep.size < rows:
+        np.copyto(upper, -np.inf, where=kept)
+        with np.errstate(divide="ignore"):
+            certified = sums is not None and (np.log(rows - keep.size) + upper.max(axis=1)
+                                              <= _CERTIFIED_LOG + log_least(sums)).all()
+        if not certified:
+            sums = kernel(np.arange(rows))
+            summed += rows
+    counter["all"] += rows * draws
+    counter["summed"] += summed * draws
+    return sums
+
+
 def _theta_grid(half_index: bool, a, b, tau: complex, derivative: bool = False):
     """theta1 (half_index) or theta3 at every a_i - b_j, shape (a.size, b.size).
 

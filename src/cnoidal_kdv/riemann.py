@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _HALF_LOG_MAX, _cnoidal_wave, _log_theta1_ratio, theta1, theta3
+from .elliptic import (_HALF_LOG_MAX, _certified_sum, _cnoidal_wave, _log_theta1_ratio,
+                       theta1, theta3)
 from .errors import (
     CoincidentSolitons,
     FactorizationMismatch,
@@ -36,11 +37,9 @@ from .tau import SolitonSpectrum, fredholm_factor
 
 _IDENTITY_GATE = 1e-9
 _LATTICE_MAX = 2e7        # largest lattice box _lattice enumerates
-_KEEP_LOG = -55.451774444795625  # ln 2^-80: Monte Carlo rows this far below the peak are dropped
-_CERTIFIED = 2.0 ** -60          # the dropped rows' share of min |Theta| that a block allows
 
 # lattice rows x draws x t of the Monte Carlo sums: of the whole box, and those summed
-_LATTICE_TERMS = {"box": 0, "summed": 0}
+_LATTICE_TERMS = {"all": 0, "summed": 0}
 
 
 @dataclass(frozen=True)
@@ -178,30 +177,23 @@ def _split_lattice(dim: int, n_solitons: int, radius: int) -> tuple[np.ndarray, 
     return nu[restricted], nu[~restricted]
 
 
-def _half_period_split_sums(x: np.ndarray, omega: np.ndarray, n_solitons: int,
-                            boxes: tuple[np.ndarray, np.ndarray]) -> tuple[complex, complex]:
-    """(restricted, complement) parts of Theta(X - Omega u / 2; Omega), u = (1..1,0).
+def _half_period_split_sums(x: np.ndarray, omegas: list, n: int,
+                            boxes: tuple[np.ndarray, np.ndarray]) -> tuple[complex, list]:
+    """(restricted, complements) parts of Theta(X - Omega u / 2; Omega), u = (1..1,0).
 
-    The restricted part runs over soliton indices n in {0,1}^N, where the
-    diverging diagonal cancels identically; it is evaluated with the diagonal
-    dropped so the cancellation is exact in floating point as well.  The
-    complement is everything else in the box; boxes is the pair of row sets
+    The restricted part runs over soliton indices in {0,1}^n, where the
+    soliton diagonal, the only part in which the omegas differ, cancels
+    identically; it is summed once, with that diagonal dropped, so the
+    cancellation is exact in floating point as well.  The complement, one
+    per Omega, is everything else in the box; boxes is the pair of row sets
     from _split_lattice.
     """
-    dim = omega.shape[0]
-    n = n_solitons
-    u = np.zeros(dim)
+    u = np.zeros(omegas[0].shape[0])
     u[:n] = 1.0
-    restricted_nu, complement_nu = boxes
-
-    # complement: plain summand at X - Omega u / 2
-    complement = _box_sum(complement_nu, omega, x - 0.5 * omega @ u)
-    # restricted: same summand with the soliton diagonal removed analytically
-    om0 = omega.copy()
-    idx = np.arange(n)
-    om0[idx, idx] = 0.0
-    restricted = _box_sum(restricted_nu, om0, x - 0.5 * om0 @ u)
-    return restricted, complement
+    om0 = omegas[0].copy()
+    om0[np.arange(n), np.arange(n)] = 0.0
+    restricted = _box_sum(boxes[0], om0, x - 0.5 * om0 @ u)
+    return restricted, [_box_sum(boxes[1], omega, x - 0.5 * omega @ u) for omega in omegas]
 
 
 def _degeneration_residuals(x_phase, spectrum: SolitonSpectrum, epsilons,
@@ -209,8 +201,9 @@ def _degeneration_residuals(x_phase, spectrum: SolitonSpectrum, epsilons,
     """degeneration_residual at each epsilon, in order.
 
     The epsilons are validated first; the off-diagonal period-matrix
-    blocks, the split lattice box and det(1+G) theta3(beta - A) do not
-    depend on epsilon and are built once.
+    blocks, the split lattice box, the restricted sum and det(1+G)
+    theta3(beta - A) do not depend on epsilon, so they and the
+    factorization check are taken once.
     """
     n = len(spectrum)
     x_phase = np.asarray(x_phase, dtype=complex)
@@ -220,17 +213,13 @@ def _degeneration_residuals(x_phase, spectrum: SolitonSpectrum, epsilons,
     blocks = _pinched_blocks(spectrum)
     omegas = [_pinched_period_matrix(blocks, spec.lam, spectrum.curve.tau).omega
               for spec in specs]
-    boxes = _split_lattice(n + 1, n, radius)
     det_side = fredholm_factor(spectrum, x_phase[:n], float(x_phase[n].real))
-    scale = 1.0 + abs(det_side)
-    resids = []
-    for omega in omegas:
-        restricted, complement = _half_period_split_sums(x_phase, omega, n, boxes)
-        if abs(restricted - det_side) > _IDENTITY_GATE * scale:
-            raise FactorizationMismatch(
-                f"restricted sum {restricted} vs determinant side {det_side}")
-        resids.append(abs(complement))
-    return resids
+    restricted, complements = _half_period_split_sums(x_phase, omegas, n,
+                                                      _split_lattice(n + 1, n, radius))
+    if abs(restricted - det_side) > _IDENTITY_GATE * (1.0 + abs(det_side)):
+        raise FactorizationMismatch(
+            f"restricted sum {restricted} vs determinant side {det_side}")
+    return [abs(complement) for complement in complements]
 
 
 def degeneration_residual(x_phase, spec: DegenerationSpec, radius: int) -> float:
@@ -307,7 +296,7 @@ class _XTables:
     quad: np.ndarray       # (L,) i pi nu.Omega.nu without the soliton diagonal of Omega
     square: np.ndarray     # (L, N) nu_j^2 of the solitons, which that diagonal multiplies
     rate: np.ndarray       # (L,) w = 2 pi i nu.a, the x-derivative of each term's exponent
-    blocks: list           # (index set of xs, block centre x_c, E table of shape (L, size))
+    blocks: list           # (index set of xs, centre x_c, half-width, E table of shape (L, size))
 
 
 def _x_tables(sp: SolitonSpectrum, xs: np.ndarray, radius: int,
@@ -340,7 +329,7 @@ def _x_tables(sp: SolitonSpectrum, xs: np.ndarray, radius: int,
         for a in slope:
             factor = np.exp(2j * np.pi * a * m[:, None] * dx[None, :])
             table = (table[:, None, :] * factor[None, :, :]).reshape(-1, dx.size)
-        x_blocks.append((idx, x_c, table))
+        x_blocks.append((idx, x_c, float(np.max(np.abs(dx))), table))
     return _XTables(nu=nu, quad=1j * np.pi * np.einsum("ij,jk,ik->i", nu, omega, nu),
                     square=nu[:, :-1] ** 2, rate=2j * np.pi * (nu @ slope), blocks=x_blocks)
 
@@ -378,58 +367,39 @@ def _finite_gap_theta(omega: np.ndarray, sp: SolitonSpectrum, draws: np.ndarray,
     first block whose sums are not finite raises PhaseOverflow.
 
     Only the rows that can move a bit are summed.  On a block of half-width
-    hw, |E_nu(x)| = exp(Re w_nu (x - x_c)), so for each draw and t
+    hw, |E_nu(x)| = exp(Re w_nu (x - x_c)), so for each draw and t (a
+    draw-row of elliptic._certified_sum)
         bound[nu] = Re c[nu] + |Re w_nu| hw + 2 ln max(1, |w_nu|)
     bounds ln |C E w^k|, k <= 2, anywhere in the block, while some term is at
-    least exp(peak), peak = max_nu (Re c[nu] - |Re w_nu| hw).  A row is kept
-    if, for some draw and t, its bound comes within 2^-80 of that peak.  The
-    block stands if, for every draw and t, (dropped rows) x exp(largest
-    dropped bound) <= 2^-60 min |Theta| over the block; otherwise it is
-    summed over every row.  Re c is one real product over every row, Im c is
-    formed for the rows summed, and i pi nu.Omega.nu is tables.quad plus the
-    part from omega's soliton diagonal (tables holds the rest of omega).
+    least exp(peak), peak = max_nu (Re c[nu] - |Re w_nu| hw); that rule
+    prunes the rows against the peak and min |Theta| over the block.  Re c
+    is one real product over every row, Im c is formed for the rows summed,
+    and i pi nu.Omega.nu is tables.quad plus the part from omega's soliton
+    diagonal (tables holds the rest of omega).
     """
     n = len(sp)
     u = np.zeros((draws.shape[0], n + 1))
     u[:, :n] = 1.0 - draws
     shift = 0.5 * u @ omega.T
-    nu = tables.nu
     quad = tables.quad + 1j * np.pi * (tables.square @ np.diagonal(omega)[:n])
-    re_w = tables.rate.real
     weight = 2.0 * np.log(np.maximum(1.0, np.abs(tables.rate)))
-    steep = int(np.argmax(np.abs(re_w)))
-    every = np.arange(nu.shape[0])
-
     p = np.array([e.P for e in sp.entries])
     en = np.array([e.E for e in sp.entries])
     xsh = np.array([e.x_shift for e in sp.entries])
-    w3 = 4.0 * abs(sp.curve.varpi3)
-    nx = sum(idx.size for idx, _, _ in tables.blocks)
+    nx = sum(idx.size for idx, _, _, _ in tables.blocks)
     out = np.empty((3, draws.shape[0], ts.size, nx), dtype=complex)
-    for idx, x_c, table in tables.blocks:
+    for idx, x_c, hw, table in tables.blocks:
         big_x = np.empty((ts.size, n + 1), dtype=complex)
         big_x[:, :n] = ((x_c - xsh) * p + ts[:, None] * en) / (2.0 * np.pi)
-        big_x[:, n] = (x_c - sp.x0) / w3
+        big_x[:, n] = (x_c - sp.x0) / (4.0 * abs(sp.curve.varpi3))
         arg = (big_x[None, :, :] - shift[:, None, :]).reshape(-1, n + 1)
-        re_c = quad.real - 2.0 * np.pi * (arg.imag @ nu.T)      # Re c, which decides the rows
-        # the steepest row's table gives hw: ln |E_steep(x)| = Re w_steep (x - x_c)
-        hw = (float(np.max(np.abs(np.log(np.abs(table[steep]))))) / abs(re_w[steep])
-              if re_w[steep] else 0.0)
-        spread = np.abs(re_w) * hw
-        bound = re_c + (spread + weight)
-        peak = np.max(re_c - spread, axis=1, keepdims=True)
-        keep = np.flatnonzero(np.any(bound >= peak + _KEEP_LOG, axis=0))
+        re_c = quad.real - 2.0 * np.pi * (arg.imag @ tables.nu.T)   # Re c, which decides the rows
+        spread = np.abs(tables.rate.real) * hw
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = _row_sums(re_c, quad, arg, keep, tables, table)
-            summed = keep.size
-            if keep.size < every.size:
-                bound[:, keep] = -np.inf
-                dropped = (every.size - keep.size) * np.exp(np.max(bound, axis=1))
-                if not np.all(dropped <= _CERTIFIED * np.min(np.abs(sums[0]), axis=1)):
-                    sums = _row_sums(re_c, quad, arg, every, tables, table)
-                    summed += every.size
-        _LATTICE_TERMS["box"] += every.size * re_c.shape[0]
-        _LATTICE_TERMS["summed"] += summed * re_c.shape[0]
+            sums = _certified_sum(
+                re_c + (spread + weight), np.max(re_c - spread, axis=1, keepdims=True),
+                lambda rows: _row_sums(re_c, quad, arg, rows, tables, table),
+                lambda sums: np.log(np.abs(sums[0]).min(axis=1)), _LATTICE_TERMS)
         out[..., idx] = sums.reshape(out.shape[:3] + (idx.size,))
         if not np.all(np.isfinite(out[..., idx])):
             raise PhaseOverflow("theta lattice sum not finite in double precision")

@@ -25,12 +25,12 @@ this pairing det[1 + G] reproduces the Fredholm expansion of the degenerated
 Riemann theta term by term (the diagonal entries come out positive, matching
 the two-addenda single-soliton form).
 
-tau, det[1 + G] and the u of `eval` are taken from that expansion itself:
-every principal minor of G is a positive Frobenius product times
+tau, det[1 + G] and the u of `eval` and u_grid are taken from that expansion
+itself: every principal minor of G is a positive Frobenius product times
 theta3(y - A + mu_S) / theta3(y - A), summed over the subsets S in logarithms,
 per x block one exponential pass and one matrix product per run of points
-that share a leading subset (see _subset_sums and _subset_block).  u_field,
-u_grid and kdv_residual still difference ln det[1 + G] on a stencil grid.
+that share a leading subset (see _subset_sums and _subset_block).  u_field
+and kdv_residual still difference ln det[1 + G] on a stencil grid.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .elliptic import (
     CurveParams,
     JacobianPoint,
     _HALF_LOG_MAX,
+    _certified_sum,
     _cnoidal_wave,
     _log_theta1_derivatives,
     _table_terms,
@@ -76,8 +77,6 @@ _REALITY_TOL = 1e-9
 # N = 8 0.90-0.93x the time of 2^15, and 2^14 N = 12 1.42-1.54x and N = 8 1.10-1.15x
 _SUBSET_CAP = 16
 _SUBSET_CELLS = 2 ** 16
-_SUBSET_KEEP = -55.451774444795625    # ln 2^-80: subsets this far below a block's peak are dropped
-_SUBSET_CERTIFIED = -41.58883083359672  # ln 2^-60: the dropped subsets' share of the block's sum
 
 # subsets x blocks x t of the subset sums: of every subset, and those summed
 _SUBSET_TERMS = {"all": 0, "summed": 0}
@@ -483,21 +482,19 @@ def _subset_sums(ctx: TauContext, xs: np.ndarray, ts):
     the weights w_S / sum w, f_S = ln w_S.  xs is cut into blocks of at most
     _SUBSET_CELLS / 2^N points.  On a block of centre x_c and half-width hw,
     ln w_S(x) lies within P_S hw of ln K_S + 2 sum_{l in S} expo_l(x_c) plus
-    ln theta3 between its real-line extremes: a subset is summed only if its
-    upper bound comes within 2^-80 of the largest lower bound, the block's
-    certain peak.  The block stands if (dropped subsets) x exp(largest
-    dropped bound) <= 2^-60 of the smallest kept sum over its points, and is
-    otherwise summed over every subset; the dropped weight then moves u by at
-    most 2^-58 (max |f''| + 3 max f'^2) over the subsets.  A non-finite sum
-    raises PhaseOverflow.
+    ln theta3 between its real-line extremes, and the largest lower bound is
+    the block's certain peak.  elliptic._certified_sum prunes the subsets
+    against that peak and the smallest L over the block's points (one
+    draw-row); the dropped weight then moves u by at most 2^-58 (max |f''| +
+    3 max f'^2) over the subsets.  A non-finite sum raises PhaseOverflow.
     """
     sp = ctx.spectrum
     tables = _subset_tables(sp)
-    every = np.arange(tables.mask.shape[0])
+    count = tables.mask.shape[0]
     size, width = max(1, min(xs.size, _SUBSET_CELLS >> len(sp))), tables.left.shape[0]
     # _subset_block's e, left's columns and their multiples, P_S, base_S, pc, h and [-dx, 1]
-    work = tuple(np.empty(cells) for cells in (size * every.size, 3 * width * every.size,
-                                               4 * every.size, 3 * width * size, 2 * size))
+    work = tuple(np.empty(cells) for cells in (size * count, 3 * width * count, 4 * count,
+                                               3 * width * size, 2 * size))
     p = np.array([e.p_abs for e in sp.entries])
     shift = np.array([e.x_shift for e in sp.entries]) * p
     energy = np.array([e.E.imag for e in sp.entries])
@@ -521,29 +518,14 @@ def _subset_sums(ctx: TauContext, xs: np.ndarray, ts):
         for block, x_c, dx in zip(blocks, centres, dxs):
             base = x_free - x_c * tables.p_sum
             spread = tables.p_sum * float(np.max(np.abs(dx)))
-            bound = base + spread + high
-            keep = np.flatnonzero(bound >= np.max(base - spread) + low + _SUBSET_KEEP)
-            _SUBSET_TERMS["summed"] += keep.size
-            cols = right[:, :, block]
-            sums = _subset_block(tables, keep, base, dx, cols, work) if keep.size else None
-            if keep.size < every.size:
-                bound[keep] = -np.inf
-                dropped = np.log(every.size - keep.size) + np.max(bound)
-                if sums is None or not dropped <= _SUBSET_CERTIFIED + np.min(sums[1]):
-                    sums = _subset_block(tables, every, base, dx, cols, work)
-                    _SUBSET_TERMS["summed"] += every.size
-            u[block], log_sum[block] = sums
-        _SUBSET_TERMS["all"] += every.size * len(blocks)
+            u[block], log_sum[block] = _certified_sum(
+                (base + spread + high)[None], np.max(base - spread) + low,
+                lambda rows: _subset_block(tables, rows, base, dx, right[:, :, block], work),
+                lambda sums: sums[1].min(), _SUBSET_TERMS)
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(log_sum))):
             raise PhaseOverflow("subset sum not finite in double precision")
         yield (2.0 * u - 4.0 * ctx.quad_const, log_sum - ctx.quad_const * xs * xs,
                log_sum - log_theta_bg)
-
-
-def _exp_cells(log_tau: np.ndarray, log_det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """tau and det(1+G) from their logarithms: inf where a value exceeds DBL_MAX."""
-    with np.errstate(over="ignore"):
-        return np.exp(log_tau), np.exp(log_det)
 
 
 def tau_grid(ctx: TauContext, xs, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -551,9 +533,7 @@ def tau_grid(ctx: TauContext, xs, t: float) -> tuple[np.ndarray, np.ndarray]:
 
     Both are real arrays, inf where a value exceeds DBL_MAX.
     """
-    xs = np.asarray(xs, dtype=float)
-    _, log_tau, log_det = next(_subset_sums(ctx, xs, [float(t)]))
-    return _exp_cells(log_tau, log_det)
+    return next(_eval_rows(ctx, xs, [t]))[1:]
 
 
 def u_background(ctx: TauContext, xs) -> np.ndarray:
@@ -589,29 +569,17 @@ def logdet_x_analytic(ctx: TauContext, x: float, t: float) -> float:
     return float(val.real)
 
 
-def _stencil_tensor(ctx: TauContext, xs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """The D2 stencil around xs, as its step and grid, and the A tensor on that grid."""
-    h = fd.d2_step(ctx.curve.period_x)
-    grid = fd.d2_grid(xs, h)
-    return h, grid, _a_tensor(ctx.spectrum, _background_phase(ctx, grid))
-
-
-def _u_row(ctx: TauContext, ubg: np.ndarray, h: float, grid: np.ndarray,
-           a: np.ndarray, t: float) -> np.ndarray:
-    """u at time t from _stencil_tensor's stencil, ubg the cnoidal part at its centres."""
-    ld = _logdet_one_plus_g(ctx, grid, t, a=a).reshape(ubg.size, fd.D2_OFFSETS.size)
-    return ubg + 2.0 * fd.second_derivative(ld, h)
-
-
 def _eval_rows(ctx: TauContext, xs, ts):
-    """Yield (u, tau, det(1+G)) per t from the subset sum, tau and det(1+G) as tau_grid gives them."""
-    xs = np.asarray(xs, dtype=float)
-    for u, log_tau, log_det in _subset_sums(ctx, xs, [float(t) for t in ts]):
-        yield (u, *_exp_cells(log_tau, log_det))
+    """Yield (u, tau, det(1+G)) per t from the subset sum, tau and det(1+G) inf above DBL_MAX."""
+    for u, log_tau, log_det in _subset_sums(ctx, np.asarray(xs, dtype=float),
+                                            [float(t) for t in ts]):
+        with np.errstate(over="ignore"):
+            cells = np.exp(log_tau), np.exp(log_det)
+        yield u, *cells
 
 
 def u_field(ctx: TauContext, xs, ts) -> np.ndarray:
-    """u sampled on a (t, x) grid; shape (nt, nx)."""
+    """u sampled on a (t, x) grid; shape (nt, nx), ln det(1 + G) differenced on the D2 stencil."""
     xs = np.asarray(xs, dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     out = np.empty((ts.size, xs.size))
@@ -619,15 +587,18 @@ def u_field(ctx: TauContext, xs, ts) -> np.ndarray:
     if len(ctx.spectrum) == 0:
         out[:] = ubg[None, :]
         return out
-    h, grid, a = _stencil_tensor(ctx, xs)
+    h = fd.d2_step(ctx.curve.period_x)
+    grid = fd.d2_grid(xs, h)
+    a = _a_tensor(ctx.spectrum, _background_phase(ctx, grid))
     for i, t in enumerate(ts):
-        out[i] = _u_row(ctx, ubg, h, grid, a, float(t))
+        ld = _logdet_one_plus_g(ctx, grid, float(t), a=a).reshape(xs.size, fd.D2_OFFSETS.size)
+        out[i] = ubg + 2.0 * fd.second_derivative(ld, h)
     return out
 
 
 def u_grid(ctx: TauContext, xs, t: float) -> np.ndarray:
-    """u(x, t) on an array of x values at fixed t: the row of u_field at t."""
-    return u_field(ctx, xs, t)[0]
+    """u(x, t) on an array of x values at fixed t: eval's u row, from the subset sum."""
+    return next(_subset_sums(ctx, np.asarray(xs, dtype=float), [float(t)]))[0]
 
 
 def kdv_residual(ctx: TauContext, x_span: tuple[float, float], nx: int,

@@ -5,6 +5,7 @@ adaptive quadrature, mpmath theta series) and stays independent of the code
 paths it checks.
 """
 
+import itertools
 import json
 from pathlib import Path
 
@@ -354,6 +355,35 @@ def a_tensor_loop(spectrum, ybg) -> np.ndarray:
             den = theta1(em.beta_star - el.beta, tau_mod)
             a[:, l, m] = num / (den * th_bg)
     return a
+
+
+def render_rows(command: str, cfg: dict, columns: list, rows: list, footer: dict,
+                fmt: str) -> str:
+    """cli.Report's CSV or JSON text for cells handed over row by row.
+
+    Each run of rows whose cells have the same types is one % of a format
+    with a "%.17g" slot per float cell (numpy float64 included) and a "%s"
+    slot, filled through cli._fmt, per other cell.
+    """
+    from cnoidal_kdv import __version__
+    from cnoidal_kdv.cli import _fmt
+
+    if fmt == "json":
+        doc = {"tool": "cnoidal-kdv", "version": __version__, "command": command,
+               "config": cfg, "columns": columns,
+               "rows": [[_fmt(v) for v in row] for row in rows],
+               "footer": {k: _fmt(v) for k, v in footer.items()}}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    lines = [f"# cnoidal-kdv {__version__} command={command}",
+             f"# config: {json.dumps(cfg, sort_keys=True)}", ",".join(columns)]
+    for types, run in itertools.groupby(rows, key=lambda row: tuple(map(type, row))):
+        run = list(run)
+        floats = [issubclass(t, float) for t in types]
+        row_format = ",".join("%.17g" if f else "%s" for f in floats)
+        cells = [v if isinstance(v, float) else _fmt(v) for row in run for v in row]
+        lines.append("\n".join([row_format] * len(run)) % tuple(cells))
+    lines += [f"# {k} = {_fmt(v)}" for k, v in footer.items()]
+    return "\n".join(lines) + "\n"
 
 
 def u_grid_stencil(ctx, xs, t: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from cnoidal_kdv import cli
 from cnoidal_kdv import tau as tu
 from cnoidal_kdv.errors import CnoidalKdvError
-from oracles import eval_oracle_cases
+from oracles import eval_oracle_cases, render_rows
 
 BASE_CURVE = {"e1": 2.0, "e2": 1.0, "e3": -3.0}
 # a CLI subprocess imports the package these tests import, installed or not
@@ -153,8 +153,8 @@ def three_soliton_cfg(nt=2):
 class TestEvalPath:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_rows_match_u_grid_and_tau_grid(self, tmp_path, capsys, n):
-        # tau and det(1+G) are tau_grid's bytes and u the subset sum's; the
-        # stencil u_grid agrees to its own truncation
+        # tau and det(1+G) are tau_grid's bytes and u the subset sum's (u_grid's);
+        # the stencil u_field agrees to its own truncation
         cfg = three_soliton_cfg()
         cfg["solitons"] = cfg["solitons"][:n]
         path = tmp_path / "eval.json"
@@ -167,11 +167,11 @@ class TestEvalPath:
         xs, ts = cli._grid(cfg)
         want = []
         for t in ts:
-            u_row = next(tu._subset_sums(ctx, xs, [float(t)]))[0]
+            u_row = tu.u_grid(ctx, xs, float(t))
             tau_row, det_row = tu.tau_grid(ctx, xs, float(t))
             want += [",".join(cli._fmt(v) for v in (x, float(t), u, tv, dv))
                      for x, u, tv, dv in zip(xs, u_row, tau_row, det_row)]
-            stencil = tu.u_grid(ctx, xs, float(t))
+            stencil = tu.u_field(ctx, xs, [float(t)])[0]
             assert np.max(np.abs(u_row - stencil)) < 1e-7
         assert rows[1:] == want
 
@@ -198,37 +198,53 @@ class TestEvalPath:
         assert len(series_calls) == 2 * spectrum_passes
 
     def test_csv_rows_match_cellwise_fmt(self):
+        values = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e-310,
+                  2.2250738585072014e-308, 0.1, -1.5e300, 1.0 / 3.0]
         rep = cli.Report("eval", {"k": 1}, ["a", "b", "c", "d", "e"])
-        for v in (np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e-310,
-                  2.2250738585072014e-308, 0.1, -1.5e300, 1.0 / 3.0):
-            rep.add(v, np.float64(v), np.float64(-v), 0.5, 2.0)
-        rep.add(np.float32(1.5), 1 + 2j, np.complex128(1 - 1j), True, None)
-        rep.add("pde", "nx=4;nt=2%s", np.float64(3.0), np.int64(7), False)
+        rep.runs.append([values, [np.float64(v) for v in values],
+                         [np.float64(-v) for v in values], [0.5] * 11, [2.0] * 11])
+        rep.runs.append([[np.float32(1.5), "pde"], [1 + 2j, "nx=4;nt=2%s"],
+                         [np.complex128(1 - 1j), np.float64(3.0)], [True, np.int64(7)],
+                         [None, False]])
         rep.footer["k_tilde"] = np.float64(0.25)
         lines = rep.render("csv").splitlines()
-        assert lines[3:3 + len(rep.rows)] == [",".join(cli._fmt(v) for v in row)
-                                              for row in rep.rows]
+        rows = [row for run in rep.runs for row in zip(*run)]
+        assert lines[3:3 + len(rows)] == [",".join(cli._fmt(v) for v in row) for row in rows]
         assert lines[-1] == "# k_tilde = 0.25"
 
     @pytest.mark.parametrize("nt", [1, 2])
     def test_runs_render_as_their_rows(self, nt):
-        # eval hands Report one run of columns per t; CSV and JSON are the bytes
-        # of the same cells added row by row (inf, -0.0, subnormals, and either
-        # side of %g's switches at 1e-5 and 1e17 included)
+        # columns (float arrays, lists of cells, shared cells) give the bytes of
+        # the same cells handed over row by row, in CSV and JSON: inf, -0.0,
+        # subnormals and either side of %g's switches at 1e-5 and 1e17, and
+        # complex, str, bool and None cells
         values = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e-310,
                            2.2250738585072014e-308, 9.999999999999999e-06, 1e-05,
                            1.0000000000000001e-05, 9.999999999999998e16, 1e17,
                            1.0000000000000002e17, 0.1, 1.0 / 3.0, -1.5e300])
-        by_runs, by_rows = (cli.Report("eval", {"k": 1}, ["x", "t", "u", "tau", "detG"])
-                            for _ in range(2))
+        cells = np.empty(values.size, dtype=complex)
+        cells.real, cells.imag = values, values[::-1]
+        words = ["hot", "cool", "100%", "%s", "a,b"]
+        runs = []
         for j, t in enumerate([9.999999999999999e-06, 1e17][:nt]):
             x, u, tv, dv = (np.roll(values, j + shift) for shift in range(4))
-            by_runs.runs.append([x, t, -u, tv, dv])
-            for row in zip(x.tolist(), (-u).tolist(), tv.tolist(), dv.tolist()):
-                by_rows.add(row[0], t, *row[1:])
+            runs.append([x, t, -u, tv, dv])
+            runs.append([x, np.roll(cells, j), [bool(v > 0) for v in u], "50%", dv])
+            runs.append([[words[(k + j) % 5] for k in range(values.size)], np.bool_(j),
+                         (-u).tolist(), [np.float64(v) for v in tv], [None] * values.size])
+        runs.append([[], 1.0, [], [], []])
+        rows = []
+        for run in runs:
+            size = max(len(c) for c in run if isinstance(c, (np.ndarray, list)))
+            rows += zip(*(c.tolist() if isinstance(c, np.ndarray) else
+                          c if isinstance(c, list) else [c] * size for c in run))
+        rep = cli.Report("eval", {"k": 1}, ["x", "t", "u", "tau", "detG"])
+        rep.runs = runs
+        rep.footer["delta"] = -0.0
         for fmt in ("csv", "json"):
-            assert by_runs.render(fmt) == by_rows.render(fmt)
-        assert len(by_runs.render("csv").splitlines()) == 3 + nt * values.size
+            assert rep.render(fmt) == render_rows("eval", {"k": 1}, rep.columns, rows,
+                                                  rep.footer, fmt)
+        assert len(rep.render("csv").splitlines()) == 4 + 3 * nt * values.size
 
 
 class TestVerify:

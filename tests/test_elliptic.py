@@ -577,6 +577,58 @@ EXTREME_CURVES = {"e2 near e3": (1.0, -0.5 + 1e-12, -0.5 - 1e-12),
                   "e2 near e1": (0.5 + 1e-12, 0.5 - 1e-12, -1.0)}
 
 
+class TestCertifiedSum:
+    """The one keep-and-certify rule of tau's subset sum and riemann's lattice sum."""
+
+    @staticmethod
+    def certified(upper, peak, smallest):
+        """(kernel's row sets in call order, counter) of one _certified_sum call.
+
+        smallest is each draw-row's smallest kept sum, whatever the rows kept."""
+        calls, counter = [], {"all": 0, "summed": 0}
+        upper = np.array(upper, dtype=float)
+        sums = el._certified_sum(upper, np.array(peak, dtype=float)[:, None],
+                                 lambda rows: calls.append(rows.tolist()) or len(calls),
+                                 lambda sums: np.log(np.array(smallest, dtype=float)), counter)
+        assert sums == len(calls)           # the last kernel call's sums are returned
+        return calls, counter
+
+    # three draw-rows of four rows: row 0 peaks in the first and last, row 1 in
+    # the second and last; rows 2 and 3 stay at least 100 below every peak
+    UPPER = [[0.0, -100.0, -200.0, -300.0], [-300.0, 0.0, -100.0, -200.0],
+             [0.0, 0.0, -300.0, -300.0]]
+
+    def test_every_row_kept(self):
+        calls, counter = self.certified([[0.0, -1.0, -50.0, -55.0], [-60.0] * 4,
+                                         [-9.0, -8.0, -7.0, -6.0]], [0.0, 0.0, -6.0], [1.0] * 3)
+        assert calls == [[0, 1, 2, 3]]
+        assert counter == {"all": 12, "summed": 12}
+
+    def test_no_row_kept_sums_every_row_once(self):
+        calls, counter = self.certified(self.UPPER, [100.0] * 3, [1.0] * 3)
+        assert calls == [[0, 1, 2, 3]]
+        assert counter == {"all": 12, "summed": 12}
+
+    def test_certified_drop(self):
+        # ln 2 + (largest dropped bound, at most -100) <= ln 2^-60 + ln 1
+        calls, counter = self.certified(self.UPPER, [0.0] * 3, [1.0] * 3)
+        assert calls == [[0, 1]]
+        assert counter == {"all": 12, "summed": 6}
+
+    def test_one_uncertified_draw_row_sums_every_row(self):
+        # the second draw-row drops ln 2 - 100 > ln 2^-60 - 60: it alone fails
+        calls, counter = self.certified(self.UPPER, [0.0] * 3, [1.0, np.exp(-60.0), 1.0])
+        assert calls == [[0, 1], [0, 1, 2, 3]]
+        assert counter == {"all": 12, "summed": 18}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_smallest_sum_fails_without_a_warning(self):
+        # ln 0 is -inf: no dropped row is certified against a zero sum
+        calls, counter = self.certified(self.UPPER, [0.0] * 3, [1.0, 0.0, 1.0])
+        assert calls == [[0, 1], [0, 1, 2, 3]]
+        assert counter == {"all": 12, "summed": 18}
+
+
 class TestThetaTables:
     """The exponential-table theta grid against the adaptive series."""
 

@@ -1,10 +1,13 @@
 """The random-phase lattice sum over all draws at once, and the pair arrays."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cnoidal_kdv import cli
 from cnoidal_kdv import elliptic as el
 from cnoidal_kdv import riemann as rm
 from cnoidal_kdv import tau as tu
@@ -143,9 +146,9 @@ class TestPrunedRows:
     def test_genus4_sums_fewer_rows_than_the_box(self, spectrum3):
         before = dict(rm._LATTICE_TERMS)
         rm.random_phase_mc(spectrum3, [1e-2, 1e-4], 10, 5, np.linspace(-5, 5, 41), [0.0], 3)
-        box, summed = (rm._LATTICE_TERMS[key] - before[key] for key in ("box", "summed"))
-        assert box == 7 ** 4 * 10 * 2         # rows x draws x epsilons, one block, one t
-        assert 0 < summed < box
+        every, summed = (rm._LATTICE_TERMS[key] - before[key] for key in ("all", "summed"))
+        assert every == 7 ** 4 * 10 * 2       # rows x draws x epsilons, one block, one t
+        assert 0 < summed < every
 
     def test_failed_certificate_sums_every_row(self, spectrum3, monkeypatch):
         xs = np.linspace(-5, 5, 41)
@@ -154,9 +157,9 @@ class TestPrunedRows:
         phis = np.random.default_rng(8).uniform(-1.0, 1.0, size=(4, 3))
         ts = np.array([0.0, 0.2])
         pruned = rm._finite_gap_theta(omega, spectrum3, phis, ts, tables)
-        monkeypatch.setattr(rm, "_KEEP_LOG", -np.inf)        # every row kept
+        monkeypatch.setattr(el, "_KEEP_LOG", -np.inf)        # every row kept
         every = rm._finite_gap_theta(omega, spectrum3, phis, ts, tables)
-        monkeypatch.setattr(rm, "_KEEP_LOG", np.inf)         # none kept, so none certified
+        monkeypatch.setattr(el, "_KEEP_LOG", np.inf)         # none kept, so none certified
         before = rm._LATTICE_TERMS["summed"]
         fallback = rm._finite_gap_theta(omega, spectrum3, phis, ts, tables)
         assert rm._LATTICE_TERMS["summed"] - before == 7 ** 4 * 4 * 2
@@ -165,6 +168,31 @@ class TestPrunedRows:
         for k in range(3):
             err = np.abs(pruned[k] - every[k]) / (np.abs(every[0]) * rate ** k)
             assert np.max(err) < 1e-14
+
+    # rows x draws x epsilons of _LATTICE_TERMS over each Monte Carlo pool
+    # member's op, as the pruned lattice sum summed them when its block
+    # half-width came from the steepest row's E table (one block each)
+    MC_SUMMED = {"mc_g4r3-0": 19830, "mc_g4r3-1": 10510, "mc_g4r3-2": 9110,
+                 "mc_g4r3-3": 10560, "mc_g4r3-4": 11920, "mc_g4r3-5": 15520,
+                 "mc_g4r3-6": 8160, "mc_g4r3-7": 12180, "mc_g3r4-0": 2940,
+                 "mc_g3r4-1": 3500, "mc_g3r4-2": 3330, "mc_g3r4-3": 3500,
+                 "mc_g3r4-4": 2840, "mc_g3r4-5": 3520, "mc_g2r6-0": 2020,
+                 "mc_g2r6-1": 2760, "mc_g2r6-2": 2760, "mc_g2r6-3": 2020,
+                 "mc_g2r6-4": 2340, "mc_g2r6-5": 2220}
+    MC_ALL = {"mc_g4r3": 7 ** 4 * 10 * 3, "mc_g3r4": 9 ** 3 * 10 * 3, "mc_g2r6": 13 ** 2 * 20 * 3}
+
+    @pytest.mark.parametrize("label", sorted(MC_SUMMED))
+    def test_mc_members_sum_the_recorded_rows(self, label, tmp_path, capsys):
+        pool = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "mc_riemann.json"
+        cls, j = label.rsplit("-", 1)
+        member = json.loads(pool.read_text())["classes"][cls][int(j)]
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps(member["cfg"]))
+        before = dict(rm._LATTICE_TERMS)
+        cli.main([member["command"], "--config", str(path), *member.get("args", [])])
+        capsys.readouterr()
+        counts = {key: rm._LATTICE_TERMS[key] - before[key] for key in ("all", "summed")}
+        assert counts == {"all": self.MC_ALL[cls], "summed": self.MC_SUMMED[label]}
 
     def test_radius_below_one_refused(self, spectrum2):
         spec = rm.DegenerationSpec(1e-2, spectrum2)

@@ -133,7 +133,7 @@ class TestDegeneration:
             psis = 1j * rng.uniform(-0.5, 0.5, n)
             beta = rng.uniform(0, 1)
             x = np.concatenate([psis, [beta]])
-            restricted, _ = rm._half_period_split_sums(x, pm.omega, n,
+            restricted, _ = rm._half_period_split_sums(x, [pm.omega], n,
                                                        rm._split_lattice(n + 1, n, 6))
             det_side = tu.fredholm_factor(sp, psis, beta)
             assert abs(restricted - det_side) <= 1e-11 * (1 + abs(det_side))
@@ -168,6 +168,18 @@ class TestDegeneration:
         alone = [rm.degeneration_residual(x, rm.DegenerationSpec(eps, spectrum2), radius=6)
                  for eps in epsilons]
         assert together == alone
+
+    def test_restricted_sum_is_epsilon_free(self, spectrum2):
+        # with the soliton diagonal dropped the {0,1}^N rows read the same bits
+        # at every epsilon, so one restricted sum serves them all
+        x = np.array([0.13j, -0.27j, 0.61])
+        boxes = rm._split_lattice(3, 2, 6)
+        omegas = [rm.degenerate_period_matrix(rm.DegenerationSpec(eps, spectrum2)).omega
+                  for eps in (1e-2, 1e-4, 1e-6)]
+        restricted, complements = rm._half_period_split_sums(x, omegas, 2, boxes)
+        for omega, complement in zip(omegas, complements):
+            assert rm._half_period_split_sums(x, [omega], 2, boxes) == (restricted, [complement])
+        assert len(set(complements)) == 3
 
     def test_residuals_reject_bad_epsilon(self, spectrum2):
         with pytest.raises(ValueError, match="epsilon"):

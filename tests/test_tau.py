@@ -287,12 +287,24 @@ class TestBatchedThetaKeepsBits:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
     def test_u_grid_keeps_the_per_t_stencil_bits(self, curve, n):
-        # u_grid is u_field's row; the per-t stencil formula gave the same bytes
+        # u_field's row at t, which the verify pde gate reads, keeps the bytes of
+        # the per-t stencil formula (u_grid, once that row, is the subset sum's)
         sp = tu.spectrum_from_points(curve, [(p, 0.5 - k) for k, p in enumerate(mixed_points(curve, n))])
         ctx = tu.build_context(curve, sp)
         xs = np.linspace(-6.0, 6.0, 97)
         for t in (0.0, 0.3):
-            assert tu.u_grid(ctx, xs, t).tobytes() == u_grid_stencil(ctx, xs, t).tobytes()
+            assert tu.u_field(ctx, xs, [t])[0].tobytes() == u_grid_stencil(ctx, xs, t).tobytes()
+
+    def test_u_grid_on_a_hot_n6_spectrum_is_the_oracle_u(self, curve):
+        # the dense stencil read u = 1.4605592 at x = -2.55, t = 0.3 on this
+        # spectrum, without an error; the values are perfbench/oracle.py's
+        hot = [(0.175695, -2.631895), (0.390382, 0.82162), (0.178239, -0.668731),
+               (0.293715, -3.402611), (0.370373, -3.86328), (0.267368, 0.167402)]
+        sp = tu.spectrum_from_points(curve, [(el.JacobianPoint(b + 0j, 0), s) for b, s in hot])
+        xs = np.array([-2.55, -1.0, 0.0])
+        want = np.array([1.4603098673588768, 0.6314098123733747, 2.2002249516122516])
+        u = tu.u_grid(tu.build_context(curve, sp), xs, 0.3)
+        assert np.max(np.abs(u - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_a_tensor(self, curve, n):
@@ -345,9 +357,9 @@ class TestPrunedSubsets:
         ctx, xs, _ = member12
         ts = [0.0, 0.5]
         pruned = list(tu._subset_sums(ctx, xs, ts))
-        monkeypatch.setattr(tu, "_SUBSET_KEEP", -np.inf)       # every subset kept
+        monkeypatch.setattr(el, "_KEEP_LOG", -np.inf)          # every subset kept
         every = list(tu._subset_sums(ctx, xs, ts))
-        monkeypatch.setattr(tu, "_SUBSET_KEEP", np.inf)        # none kept, so none certified
+        monkeypatch.setattr(el, "_KEEP_LOG", np.inf)           # none kept, so none certified
         before = tu._SUBSET_TERMS["summed"]
         fallback = list(tu._subset_sums(ctx, xs, ts))
         assert tu._SUBSET_TERMS["summed"] - before == 2 ** 12 * 25 * 2

@@ -5,10 +5,13 @@
 
 DIR is another checkout of the repository, e.g. the parent commit made with
 `git clone` or `git archive <rev> | tar -x -C DIR`.  For each workload and
-seed, `perfbench/run.py --workload W --seed S --seconds T` runs once in each
+seed, `perfbench/run.py --workload W --seed S --seconds T` runs once for each
 checkout, one after the other, as a subprocess with BLAS and OpenMP pinned to
 one thread; the side that goes first alternates from pair to pair, so a drift
-in the host's speed does not favour either side.  Each run has
+in the host's speed does not favour either side.  Each run starts from a fresh
+copy of the files run.py reads (its checkout's `src/` and `perfbench/`, without
+bytecode caches) in a new temporary directory, so neither side runs from the
+working tree and both run from paths of the same length.  Each run has
 PYTHONDONTWRITEBYTECODE=1 and a fresh, empty PYTHONPYCACHEPREFIX, so neither
 side reads a bytecode cache that its checkout happens to hold: both compile
 their sources at import, and setup_s compares like with like.  Nothing of the
@@ -25,7 +28,7 @@ class (an op's label without its trailing member number) it prints each side's
 median op time, taken over the per-op medians (`op_median_ms` of run.py's
 diagnostics line) of every run, and their ratio, so a report shows where a
 change in throughput lands.  The pairs, medians, quartiles, per-class times,
-seeds, host and bytecode setting go to the JSON file named by --out.
+seeds, host, bytecode setting and copy setting go to the JSON file named by --out.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import argparse
 import datetime
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,16 +47,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BYTECODE = "PYTHONDONTWRITEBYTECODE=1 and a fresh empty PYTHONPYCACHEPREFIX per run"
+COPIED = ("src", "perfbench")           # what run.py reads of a checkout
+CHECKOUT = "src/ and perfbench/ of each side copied into a fresh temporary directory per run"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in checkout: its result object plus the run's environment and op times."""
-    cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache,
+    """One benchmark run from a fresh copy of checkout: its result object plus the run's
+    environment and op times."""
+    with tempfile.TemporaryDirectory(prefix="bench-run-") as tmp:
+        copy, cache = Path(tmp) / "checkout", Path(tmp) / "pycache"
+        for name in COPIED:
+            shutil.copytree(checkout / name, copy / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        cmd = [sys.executable, str(copy / "perfbench" / "run.py"), "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds)]
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(cache),
                    **{name: "1" for name in PINNED})
-        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+        proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"run.py failed in {checkout} ({workload}, seed {seed}):\n{proc.stderr}")
@@ -163,7 +174,7 @@ def main(argv=None) -> int:
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     out = {"created": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
            "change_revision": git_revision(ROOT), "parent_revision": git_revision(parent),
-           "seconds_per_run": seconds, "bytecode": BYTECODE,
+           "seconds_per_run": seconds, "bytecode": BYTECODE, "checkout": CHECKOUT,
            "host": None, "workloads": {}}
     for workload in args.workload:
         result = measure(parent, workload, args.seeds, seconds, spec["end_to_end"])
