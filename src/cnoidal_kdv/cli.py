@@ -312,22 +312,20 @@ def cmd_dynamics(doc: dict, cfg: dict, args) -> tuple[Report, int]:
     mode = cfg["dynamics"]["mode"]
     curve = _build_curve(cfg)
     spectrum = _build_spectrum(cfg, curve)
-    entries = spectrum.entries
-    columns = [[e.beta for e in entries], [e.point.kind for e in entries]]
+    columns = [spectrum.beta, [pt.kind for pt in spectrum.points]]
     if mode == "velocity":
         rep = Report("dynamics", doc, ["beta", "kind", "V", "P", "E"])
-        rep.runs.append(columns + [[dynamics.group_velocity(e.point, curve) for e in entries],
-                                   [e.P for e in entries], [e.E for e in entries]])
+        # P and E with +0.0 real parts (1j * energy alone gives -0.0 where energy < 0)
+        rep.runs.append(columns + [[dynamics.group_velocity(pt, curve) for pt in spectrum.points],
+                                   1j * spectrum.p, 0.0 + 1j * spectrum.energy])
     elif mode == "shifts":
         rep = Report("dynamics", doc, ["beta", "kind", "V", "total_shift"])
-        rep.runs.append(columns + [[e.velocity for e in entries],
-                                   dynamics.total_shift_schedule(spectrum)])
+        rep.runs.append(columns + [spectrum.velocity, dynamics.total_shift_schedule(spectrum)])
     else:
         if len(spectrum) != 1:
             raise ConfigError("track mode needs exactly one soliton")
         _, ts = _grid(cfg)
-        phis = dynamics.track_phase(spectrum.entries[0].point, curve,
-                                    cfg["dynamics"]["norming"], ts)
+        phis = dynamics.track_phase(spectrum.points[0], curve, cfg["dynamics"]["norming"], ts)
         rep = Report("dynamics", doc, ["t", "Phi"])
         rep.runs.append([ts, phis])
     return rep, 0

@@ -200,28 +200,25 @@ def pair_shifts(point1: JacobianPoint, point2: JacobianPoint,
 
 
 def total_shift_schedule(spectrum: SolitonSpectrum) -> np.ndarray:
-    """Averaged total shift of each soliton, aligned with spectrum.entries.
+    """Averaged total shift of each soliton, aligned with the spectrum's arrays.
 
     <Phi_j^+> - <Phi_j^-> = (2/|P_j|) [ sum_{k slower} - sum_{k faster} ]
                             ln|theta1(beta_j - beta_k^star)/theta1(beta_j - beta_k)|.
     """
-    entries = spectrum.entries
-    n = len(entries)
-    vs = np.array([e.velocity for e in entries])
+    n, vs = len(spectrum), spectrum.velocity
     low, high = np.triu_indices(n, 1)           # pairs i < j, row by row
     same = np.abs(vs[low] - vs[high]) < 1e-12 * np.maximum(1.0, np.abs(vs[low]))
     if np.any(same):
         first = int(np.argmax(same))
         raise EqualVelocities(f"V_{low[first]} = V_{high[first]} = {vs[low[first]]}")
-    betas = np.array([e.beta for e in entries])
-    stars = np.array([e.beta_star for e in entries])
+    betas, stars = spectrum.beta, spectrum.beta_star
     # off-diagonal pairs only: the diagonal would be theta1(0) = 0
     j, k = np.nonzero(~np.eye(n, dtype=bool))
     log_mod = np.zeros((n, n))
     log_mod[j, k] = _log_theta1_ratio(betas[j] - stars[k], betas[j] - betas[k],
                                       spectrum.curve.tau)
     signed = np.where(vs[None, :] < vs[:, None], log_mod, -log_mod)
-    return 2.0 * signed.sum(axis=1) / np.array([e.p_abs for e in entries])
+    return 2.0 * signed.sum(axis=1) / spectrum.p
 
 
 # ----------------------------------------------------------------------------

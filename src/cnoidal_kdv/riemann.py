@@ -83,10 +83,7 @@ class DegenerationSpec:
 
 def _pinched_blocks(sp: SolitonSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """(B with a zero diagonal, mu): the epsilon-independent blocks of the period matrix."""
-    curve = sp.curve
-    n = len(sp)
-    betas = np.array([e.beta for e in sp.entries], dtype=complex)
-    stars = np.array([e.beta_star for e in sp.entries], dtype=complex)
+    n, betas = len(sp), sp.beta
     b = np.zeros((n, n), dtype=complex)
     low, high = np.triu_indices(n, 1)           # pairs l < j, row by row
     close = np.abs(betas[high] - betas[low]) < 1e-10
@@ -94,9 +91,8 @@ def _pinched_blocks(sp: SolitonSpectrum) -> tuple[np.ndarray, np.ndarray]:
         first = int(np.argmax(close))
         raise CoincidentSolitons(f"beta_{high[first]} and beta_{low[first]} coincide")
     b[low, high] = b[high, low] = _log_theta1_ratio(
-        betas[high] - betas[low], betas[high] - stars[low], curve.tau) / (1j * np.pi)
-    mu = np.array([e.point.mu() for e in sp.entries], dtype=float)
-    return b, mu
+        betas[high] - betas[low], betas[high] - sp.beta_star[low], sp.curve.tau) / (1j * np.pi)
+    return b, sp.mu
 
 
 def _pinched_period_matrix(blocks: tuple[np.ndarray, np.ndarray], lam: float,
@@ -312,12 +308,11 @@ def _x_tables(sp: SolitonSpectrum, xs: np.ndarray, radius: int,
     imaginary, so E is a real exponential; the blocks keep its exponent within
     _HALF_LOG_MAX, so E never overflows.
     """
-    p = np.array([e.P for e in sp.entries])
-    slope = np.append(p / (2.0 * np.pi), 1.0 / (4.0 * abs(sp.curve.varpi3)))
+    slope = np.append(1j * sp.p / (2.0 * np.pi), 1.0 / (4.0 * abs(sp.curve.varpi3)))
     nu = _lattice(len(sp) + 1, radius)
     b, mu = blocks                                          # b's diagonal is zero
     omega = np.block([[b, mu[:, None]], [mu[None, :], np.full((1, 1), sp.curve.tau)]])
-    growth = radius * float(np.sum(np.abs(p.imag)))      # max |Re log E| per unit |x - x_c|
+    growth = radius * float(np.sum(sp.p))                # max |Re log E| per unit |x - x_c|
     reach = _HALF_LOG_MAX / growth if growth > 0.0 else np.inf
     m = np.arange(-radius, radius + 1, dtype=float)
     x_blocks = []
@@ -383,14 +378,13 @@ def _finite_gap_theta(omega: np.ndarray, sp: SolitonSpectrum, draws: np.ndarray,
     shift = 0.5 * u @ omega.T
     quad = tables.quad + 1j * np.pi * (tables.square @ np.diagonal(omega)[:n])
     weight = 2.0 * np.log(np.maximum(1.0, np.abs(tables.rate)))
-    p = np.array([e.P for e in sp.entries])
-    en = np.array([e.E for e in sp.entries])
-    xsh = np.array([e.x_shift for e in sp.entries])
+    # P and E with +0.0 real parts (1j * energy alone gives -0.0 where energy < 0)
+    p, en = 1j * sp.p, 0.0 + 1j * sp.energy
     nx = sum(idx.size for idx, _, _, _ in tables.blocks)
     out = np.empty((3, draws.shape[0], ts.size, nx), dtype=complex)
     for idx, x_c, hw, table in tables.blocks:
         big_x = np.empty((ts.size, n + 1), dtype=complex)
-        big_x[:, :n] = ((x_c - xsh) * p + ts[:, None] * en) / (2.0 * np.pi)
+        big_x[:, :n] = ((x_c - sp.x_shift) * p + ts[:, None] * en) / (2.0 * np.pi)
         big_x[:, n] = (x_c - sp.x0) / (4.0 * abs(sp.curve.varpi3))
         arg = (big_x[None, :, :] - shift[:, None, :]).reshape(-1, n + 1)
         re_c = quad.real - 2.0 * np.pi * (arg.imag @ tables.nu.T)   # Re c, which decides the rows

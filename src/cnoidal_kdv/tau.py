@@ -36,6 +36,7 @@ and kdv_residual still difference ln det[1 + G] on a stencil grid.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,47 +83,58 @@ _SUBSET_CELLS = 2 ** 16
 _SUBSET_TERMS = {"all": 0, "summed": 0}
 
 
-@dataclass(frozen=True)
-class SpectralEntry:
-    """One soliton: spectral point, Jacobian data, phase rates, norming."""
-
-    b: float
-    point: JacobianPoint
-    beta: complex
-    beta_star: complex
-    P: complex            # quasi-momentum, in i*R_+
-    E: complex            # quasi-energy, purely imaginary
-    C_norm: float         # positive norming constant
-    x_shift: float
-
-    @property
-    def p_abs(self) -> float:
-        return self.P.imag
-
-    @property
-    def velocity(self) -> float:
-        return -self.E.imag / self.P.imag
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolitonSpectrum:
+    """N solitons on the curve: one read-only length-N array per soliton quantity.
+
+    b = wp(2 varpi3 beta), p = |P_j| and energy = Im E_j (P and E are purely
+    imaginary), norming = C_j > 0, x_shift = x_j; points holds the JacobianPoints.
+    """
+
     curve: CurveParams
-    entries: tuple[SpectralEntry, ...]
+    points: tuple[JacobianPoint, ...]
+    beta: np.ndarray
+    beta_star: np.ndarray
+    b: np.ndarray
+    p: np.ndarray
+    energy: np.ndarray
+    norming: np.ndarray
+    x_shift: np.ndarray
     x0: float
     background_shift_A: float
 
+    def __post_init__(self):
+        # own read-only copies, also of what dataclasses.replace hands in
+        for name in ("beta", "beta_star", "b", "p", "energy", "norming", "x_shift"):
+            cells = np.array(getattr(self, name), dtype=complex if "beta" in name else float)
+            cells.setflags(write=False)
+            object.__setattr__(self, name, cells)
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.points)
+
+    @property
+    def velocity(self) -> np.ndarray:
+        """V_j = -E_j / P_j."""
+        return -self.energy / self.p
+
+    @property
+    def mu(self) -> np.ndarray:
+        """beta - beta_star as the real numbers 2 Re(beta) - 1."""
+        return 2.0 * self.beta.real - 1.0
 
 
 @dataclass(frozen=True)
 class TauContext:
     """Everything needed to evaluate tau(x, t)."""
 
-    curve: CurveParams
     spectrum: SolitonSpectrum
     quad_const: float     # C = zeta(varpi3) / (8 varpi3), real
     P_carrier: float      # -i pi / (2 varpi3), positive real
+
+    @property
+    def curve(self) -> CurveParams:
+        return self.spectrum.curve
 
 
 def quasi_momentum(point: JacobianPoint, curve: CurveParams) -> complex:
@@ -142,85 +154,78 @@ def quasi_energy(point: JacobianPoint, curve: CurveParams) -> complex:
     return _wp_and_energy(point, curve)[1]
 
 
-def norming_constants(points: list[JacobianPoint], curve: CurveParams) -> np.ndarray:
-    n = len(points)
-    betas = np.array([p.beta for p in points], dtype=complex)
-    stars = np.array([p.star(curve.tau) for p in points], dtype=complex)
+def norming_constants(beta: np.ndarray, beta_star: np.ndarray, tau: complex) -> np.ndarray:
+    """The positive norming constants C_l of the module docstring."""
+    n = beta.size
     # theta1(beta_k - beta_l*) for all k, l and theta1(beta_k - beta_l) for k != l, one
-    # series each in one pass; the products below run on Python complex scalars
-    args = np.concatenate([np.subtract.outer(betas, stars).ravel(),
-                           np.subtract.outer(betas, betas)[~np.eye(n, dtype=bool)]])
-    vals = _theta_sum(True, args, curve.tau, 0, rows=True).tolist()
+    # series each in one pass; the products, in k order, run on Python complex scalars
+    args = np.concatenate([np.subtract.outer(beta, beta_star).ravel(),
+                           np.subtract.outer(beta, beta)[~np.eye(n, dtype=bool)]])
+    vals = _theta_sum(True, args, tau, 0, rows=True).tolist()
     th_star = [vals[k * n:(k + 1) * n] for k in range(n)]
     off = iter(vals[n * n:])
     th_diff = [[None if k == l else next(off) for l in range(n)] for k in range(n)]
-    out = np.empty(n)
-    for l in range(n):
-        c = abs(th_star[l][l])
-        for k in range(n):
-            if k == l:
-                continue
-            c *= abs(th_star[k][l] / th_diff[k][l])
-        out[l] = c
-    return out
+    return np.array([math.prod([abs(th_star[l][l]), *(abs(th_star[k][l] / th_diff[k][l])
+                                                      for k in range(n) if k != l)])
+                     for l in range(n)], dtype=float)
 
 
 def spectrum_from_points(curve: CurveParams, points: list[tuple[JacobianPoint, float]],
                          x0: float = 0.0) -> SolitonSpectrum:
     """Assemble a SolitonSpectrum from Jacobian points with x-shifts."""
-    jps = [p for p, _ in points]
-    half_im = curve.tau.imag / 2.0
-    for p in jps:
-        if not 0.0 < p.beta.real < 0.5:
-            raise ValueError(f"Re(beta) = {p.beta.real} outside (0, 1/2)")
-        if abs(p.beta.imag - p.chi * half_im) > 1e-12:
-            raise ValueError(f"Im(beta) = {p.beta.imag} off the {p.kind} segment")
-    for i in range(len(jps)):
-        for j in range(i + 1, len(jps)):
-            if abs(jps[i].beta - jps[j].beta) < 1e-10:
-                raise DuplicateSpectralPoint(f"beta_{i} and beta_{j} coincide")
-    cs = norming_constants(jps, curve)
-    entries = []
-    for (pt, x_shift), c in zip(points, cs):
+    jps = tuple(pt for pt, _ in points)
+    beta = np.array([pt.beta for pt in jps], dtype=complex)
+    chi = np.array([pt.chi for pt in jps], dtype=int)
+    outside = ~((0.0 < beta.real) & (beta.real < 0.5))
+    bad = outside | (np.abs(beta.imag - chi * (curve.tau.imag / 2.0)) > 1e-12)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"Re(beta) = {beta.real[i]} outside (0, 1/2)" if outside[i] else
+                         f"Im(beta) = {beta.imag[i]} off the {jps[i].kind} segment")
+    close = np.abs(np.subtract.outer(beta, beta)) < 1e-10
+    close.flat[::beta.size + 1] = False
+    if close.any():
+        i, j = divmod(int(close.argmax()), beta.size)     # close is symmetric: i < j
+        raise DuplicateSpectralPoint(f"beta_{i} and beta_{j} coincide")
+    beta_star = np.array([pt.star(curve.tau) for pt in jps], dtype=complex)
+    norming = norming_constants(beta, beta_star, curve.tau)
+    cells = []
+    for pt in jps:
         P = quasi_momentum(pt, curve)
         if abs(P.real) > 1e-12 * abs(P) or P.imag <= 0.0:
             raise NonRealTau(f"quasi-momentum {P} not in i*R_+")
         wp, E = _wp_and_energy(pt, curve)
-        entries.append(SpectralEntry(
-            b=float(wp.real),
-            point=pt,
-            beta=pt.beta,
-            beta_star=pt.star(curve.tau),
-            P=complex(0.0, P.imag),
-            E=complex(0.0, E.imag),
-            C_norm=float(c),
-            x_shift=x_shift,
-        ))
-    shift_a = 0.5 * sum(e.point.mu() for e in entries)
-    return SolitonSpectrum(curve=curve, entries=tuple(entries), x0=x0,
-                           background_shift_A=shift_a)
+        cells.append((wp.real, P.imag, E.imag))
+    b, p, energy = np.reshape(cells, (-1, 3)).T
+    return SolitonSpectrum(
+        curve=curve, points=jps, beta=beta, beta_star=beta_star, b=b, p=p, energy=energy,
+        norming=norming, x_shift=[xs for _, xs in points], x0=x0,
+        background_shift_A=0.5 * sum(pt.mu() for pt in jps))
 
 
 def build_spectrum(curve: CurveParams, points: list[tuple[float, float]],
                    x0: float = 0.0) -> SolitonSpectrum:
     """SolitonSpectrum from physical spectral points (b, x_shift)."""
-    bs = [b for b, _ in points]
-    for i in range(len(bs)):
-        for j in range(i + 1, len(bs)):
-            if abs(bs[i] - bs[j]) < 1e-10 * max(1.0, abs(bs[i])):
-                raise DuplicateSpectralPoint(f"b_{i} = b_{j} = {bs[i]}")
+    bs = np.array([b for b, _ in points], dtype=float)
+    low, high = np.triu_indices(bs.size, 1)               # pairs i < j, row by row
+    close = np.abs(bs[low] - bs[high]) < 1e-10 * np.maximum(1.0, np.abs(bs[low]))
+    if np.any(close):
+        first = int(np.argmax(close))
+        raise DuplicateSpectralPoint(f"b_{low[first]} = b_{high[first]} = {points[low[first]][0]}")
     jac = [(invert_wp(b, curve), xs) for b, xs in points]
     return spectrum_from_points(curve, jac, x0=x0)
 
 
 def build_context(curve: CurveParams, spectrum: SolitonSpectrum) -> TauContext:
+    if curve != spectrum.curve:
+        raise ValueError("curve is not the spectrum's curve")
     z3 = zeta_half_period(curve)
     quad = z3 / (8.0 * curve.varpi3)
     if abs(quad.imag) > 1e-12 * max(1.0, abs(quad)):
         raise NonRealTau(f"quadratic constant {quad} not real")
     p_carrier = -1j * np.pi / (2.0 * curve.varpi3)
-    return TauContext(curve=curve, spectrum=spectrum,
-                      quad_const=float(quad.real), P_carrier=float(p_carrier.real))
+    return TauContext(spectrum=spectrum, quad_const=float(quad.real),
+                      P_carrier=float(p_carrier.real))
 
 
 # ----------------------------------------------------------------------------
@@ -240,23 +245,21 @@ def _a_tensor(spectrum: SolitonSpectrum, ybg: np.ndarray) -> np.ndarray:
     th_bg = theta3(ybg, tau_mod)
     if np.min(np.abs(th_bg)) < 1e-13:
         raise BackgroundThetaZero("theta3 of the background phase vanished")
-    betas = np.array([e.beta for e in spectrum.entries], dtype=complex)
-    stars = np.array([e.beta_star for e in spectrum.entries], dtype=complex)
     # theta1(beta_m* - beta_l): one series per (l, m) in one pass
-    den = _theta_sum(True, (stars[None, :] - betas[:, None]).ravel(), tau_mod, 0,
-                     rows=True).reshape(n, n)
+    den = _theta_sum(True, (spectrum.beta_star[None, :] - spectrum.beta[:, None]).ravel(),
+                     tau_mod, 0, rows=True).reshape(n, n)
     # two solitons of the same kind often give bit-equal c_lm and c_ml, whose
     # numerators are then one theta3 pass
-    c = [[el.beta - em.beta_star for em in spectrum.entries] for el in spectrum.entries]
+    c = np.subtract.outer(spectrum.beta, spectrum.beta_star)
     a = np.empty((ybg.size, n, n), dtype=complex)
     for l in range(n):
         for m in range(l, n):
-            num = theta3(c[l][m] + ybg, tau_mod)
+            num = theta3(c[l, m] + ybg, tau_mod)
             a[:, l, m] = num / (den[l, m] * th_bg)
             if m == l:
                 continue
-            if c[m][l] != c[l][m]:
-                num = theta3(c[m][l] + ybg, tau_mod)
+            if c[m, l] != c[l, m]:
+                num = theta3(c[m, l] + ybg, tau_mod)
             a[:, m, l] = num / (den[m, l] * th_bg)
     return a
 
@@ -264,10 +267,8 @@ def _a_tensor(spectrum: SolitonSpectrum, ybg: np.ndarray) -> np.ndarray:
 def _phase_exponents(ctx: TauContext, xs: np.ndarray, t: float) -> np.ndarray:
     """Real exponents of exp(i pi psi_j) at each x: shape (nx, N)."""
     sp = ctx.spectrum
-    p = np.array([e.p_abs for e in sp.entries])
-    ei = np.array([e.E.imag for e in sp.entries])
-    xsh = np.array([e.x_shift for e in sp.entries])
-    expo = -0.5 * (np.subtract.outer(np.asarray(xs, dtype=float), xsh) * p + t * ei)
+    expo = -0.5 * (np.subtract.outer(np.asarray(xs, dtype=float), sp.x_shift) * sp.p
+                   + t * sp.energy)
     if expo.size and not float(np.max(np.abs(expo))) <= _EXP_GUARD:
         raise PhaseOverflow("soliton phase exponent exceeds double-precision range")
     return expo
@@ -286,7 +287,7 @@ def g_matrix_from_phases(spectrum: SolitonSpectrum, psis, beta_phase: float) -> 
     """
     a = _a_tensor(spectrum, np.array([beta_phase - spectrum.background_shift_A]))[0]
     psis = np.asarray(psis, dtype=complex)
-    d = np.sqrt([e.C_norm for e in spectrum.entries]) * np.exp(1j * np.pi * psis)
+    d = np.sqrt(spectrum.norming) * np.exp(1j * np.pi * psis)
     return a * d[:, None] * d[None, :]
 
 
@@ -305,8 +306,7 @@ def _g_stack(ctx: TauContext, xs: np.ndarray, t: float,
     if a is None:
         a = _a_tensor(ctx.spectrum, _background_phase(ctx, xs))
     expo = _phase_exponents(ctx, xs, t)
-    sqrt_c = np.sqrt([e.C_norm for e in ctx.spectrum.entries])
-    d = sqrt_c[None, :] * np.exp(expo)
+    d = np.sqrt(ctx.spectrum.norming)[None, :] * np.exp(expo)
     g = np.multiply(a, d[:, :, None])
     g *= d[:, None, :]
     return g
@@ -391,13 +391,11 @@ def _subset_tables(spectrum: SolitonSpectrum) -> _SubsetTables:
         raise TooManySolitons(f"{n} solitons; the subset sum takes at most {_SUBSET_CAP}")
     curve = spectrum.curve
     mask = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(float)
-    betas = np.array([e.beta for e in spectrum.entries], dtype=complex)
-    stars = np.array([e.beta_star for e in spectrum.entries], dtype=complex)
-    both = np.concatenate([betas, stars])
+    both = np.concatenate([spectrum.beta, spectrum.beta_star])
     th = _theta_grid(True, both, both, curve.tau)         # theta1(both_i - both_j)
     cross = th[n:, :n]                                    # theta1(beta_l* - beta_m)
     factor = th[:n, :n] * th[n:, n:].T / (cross.T * cross)
-    np.fill_diagonal(factor, [e.C_norm for e in spectrum.entries] / np.diag(cross))
+    np.fill_diagonal(factor, spectrum.norming / np.diag(cross))
     # ((mask @ M) * mask).sum(axis=1) sums M_lm over l, m in S; a lower
     # triangle of ones leaves the products over l <= m
     factor = np.where(np.triu(np.ones((n, n), dtype=bool)), factor, 1.0)
@@ -408,15 +406,14 @@ def _subset_tables(spectrum: SolitonSpectrum) -> _SubsetTables:
         raise NonRealTau("a principal minor of G is not positive")
     m = _table_terms(curve.tau, 0.0, 0.0)[1:]
     weight = 2.0 * np.exp(-np.pi * curve.tau.imag * m * m)
-    mu = np.array([e.point.mu() for e in spectrum.entries])
-    angle = 2.0 * np.pi * np.multiply.outer(m, mask @ mu)
+    angle = 2.0 * np.pi * np.multiply.outer(m, mask @ spectrum.mu)
     left = np.concatenate([np.ones((1, mask.shape[0])), weight[:, None] * np.cos(angle),
                            weight[:, None] * np.sin(angle)])
     signs = (-1.0) ** m
     return _SubsetTables(
         mask=mask,
         log_k=((mask @ np.log(np.abs(factor.real))) * mask).sum(axis=1),
-        p_sum=mask @ np.array([e.p_abs for e in spectrum.entries]),
+        p_sum=mask @ spectrum.p,
         left=left,
         index=m,
         rate=2.0 * np.pi * m / (4.0 * abs(curve.varpi3)),
@@ -495,9 +492,6 @@ def _subset_sums(ctx: TauContext, xs: np.ndarray, ts):
     # _subset_block's e, left's columns and their multiples, P_S, base_S, pc, h and [-dx, 1]
     work = tuple(np.empty(cells) for cells in (size * count, 3 * width * count, 4 * count,
                                                3 * width * size, 2 * size))
-    p = np.array([e.p_abs for e in sp.entries])
-    shift = np.array([e.x_shift for e in sp.entries]) * p
-    energy = np.array([e.E.imag for e in sp.entries])
     low, high = tables.log_theta
     phase = 2.0 * np.pi * np.multiply.outer(tables.index, _background_phase(ctx, xs))
     cos, sin, rate, m = np.cos(phase), np.sin(phase), tables.rate[:, None], tables.index.size
@@ -513,7 +507,7 @@ def _subset_sums(ctx: TauContext, xs: np.ndarray, ts):
     dxs = [xs[block] - x_c for block, x_c in zip(blocks, centres)]
     for t in ts:
         # ln K_S + 2 sum_{l in S} expo_l(x) + P_S x
-        x_free = tables.log_k + tables.mask @ (shift - t * energy)
+        x_free = tables.log_k + tables.mask @ (sp.x_shift * sp.p - t * sp.energy)
         u, log_sum = np.empty((2, xs.size))
         for block, x_c, dx in zip(blocks, centres, dxs):
             base = x_free - x_c * tables.p_sum
@@ -557,12 +551,9 @@ def logdet_x_analytic(ctx: TauContext, x: float, t: float) -> float:
     y = (x - sp.x0) / w4 - sp.background_shift_A
     ld_bg = (theta3(y, curve.tau, 1) / theta3(y, curve.tau)) / w4
     g = g_matrix(ctx, x, t)
-    betas = np.array([e.beta for e in sp.entries])
-    stars = np.array([e.beta_star for e in sp.entries])
-    p_abs = np.array([e.p_abs for e in sp.entries])
-    args = betas[:, None] - stars[None, :] + y
+    args = sp.beta[:, None] - sp.beta_star[None, :] + y
     ld_num = (theta3(args, curve.tau, 1) / theta3(args, curve.tau)) / w4
-    rates = ld_num - ld_bg - 0.5 * (p_abs[:, None] + p_abs[None, :])
+    rates = ld_num - ld_bg - 0.5 * (sp.p[:, None] + sp.p[None, :])
     val = np.trace(np.linalg.solve(np.eye(n) + g, g * rates))
     if abs(val.imag) > _REALITY_TOL * (1.0 + abs(val)):
         raise NonRealTau(f"analytic log-derivative {val} not real")

@@ -204,9 +204,7 @@ def finite_gap_theta_loop(spec, phi, x, t: float, radius: int, order: int = 0) -
     nu = _lattice(n + 1, radius)
     quad = 1j * np.pi * np.einsum("ij,jk,ik->i", nu, pm.omega, nu)
     x = np.asarray(x, dtype=float)
-    p = np.array([e.P for e in sp.entries])
-    en = np.array([e.E for e in sp.entries])
-    xsh = np.array([e.x_shift for e in sp.entries])
+    p, en, xsh = 1j * sp.p, 0.0 + 1j * sp.energy, sp.x_shift
     big_x = np.empty((n + 1, x.size), dtype=complex)
     big_x[:n] = ((x[None, :] - xsh[:, None]) * p[:, None] + t * en[:, None]) / (2.0 * np.pi)
     big_x[n] = (x - sp.x0) / (4.0 * abs(sp.curve.varpi3))
@@ -238,9 +236,7 @@ def finite_gap_u_mp(spec, phi, x: float, t: float, radius: int, dps: int = 40) -
     n = len(sp)
     omega = degenerate_period_matrix(spec).omega
     shift = 0.5 * omega @ np.concatenate([1.0 - np.asarray(phi, dtype=float), [0.0]])
-    p = np.array([e.P for e in sp.entries])
-    en = np.array([e.E for e in sp.entries])
-    xsh = np.array([e.x_shift for e in sp.entries])
+    p, en, xsh = 1j * sp.p, 0.0 + 1j * sp.energy, sp.x_shift
     w3 = 4.0 * abs(sp.curve.varpi3)
     big_x = np.append(((x - xsh) * p + t * en) / (2.0 * np.pi), (x - sp.x0) / w3) - shift
     slope = np.append(p / (2.0 * np.pi), 1.0 / w3)
@@ -349,10 +345,10 @@ def a_tensor_loop(spectrum, ybg) -> np.ndarray:
     n = len(spectrum)
     th_bg = theta3(ybg, tau_mod)
     a = np.empty((ybg.size, n, n), dtype=complex)
-    for l, el in enumerate(spectrum.entries):
-        for m, em in enumerate(spectrum.entries):
-            num = theta3(el.beta - em.beta_star + ybg, tau_mod)
-            den = theta1(em.beta_star - el.beta, tau_mod)
+    for l in range(n):
+        for m in range(n):
+            num = theta3(spectrum.beta[l] - spectrum.beta_star[m] + ybg, tau_mod)
+            den = theta1(spectrum.beta_star[m] - spectrum.beta[l], tau_mod)
             a[:, l, m] = num / (den * th_bg)
     return a
 

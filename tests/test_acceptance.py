@@ -133,13 +133,13 @@ def test_criterion_7_fay(curve):
 
 
 def test_criterion_8_trace_envelope(curve, ctx_dim):
-    c_val = ctx_dim.spectrum.entries[0].b
+    c_val = ctx_dim.spectrum.b[0]
     far = np.concatenate([np.linspace(-130, -80, 8001), np.linspace(80, 130, 8001)])
     u_far = tu.u_grid(ctx_dim, far, 0.0)
     err_max = abs(np.max(u_far) - curve.e1 / 2.0)
     err_min = abs(np.min(u_far) - curve.e2 / 2.0)
 
-    v = ctx_dim.spectrum.entries[0].velocity
+    v = ctx_dim.spectrum.velocity[0]
     extrema = []
     for t in np.linspace(0.0, curve.period_x / abs(v), 60):
         xs = np.linspace(v * t - 2.5, v * t + 2.5, 1500)

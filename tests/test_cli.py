@@ -70,7 +70,7 @@ class TestEval:
         assert np.max(np.abs(shifted - base)) < 1e-4
 
     def test_bright_travels_ten_units(self, tmp_path, curve, ctx_bright):
-        v = ctx_bright.spectrum.entries[0].velocity
+        v = ctx_bright.spectrum.velocity[0]
         cfg = {
             "curve": BASE_CURVE,
             "solitons": [{"beta": 0.30, "kind": "hot"}],
@@ -93,8 +93,9 @@ class TestEval:
         assert abs((centers[2] - centers[1]) - 10.0) < 1.5
 
     def test_dimbright_opposite_directions(self, tmp_path, ctx_dimbright):
-        by_kind = {e.point.kind: e for e in ctx_dimbright.spectrum.entries}
-        v_hot = by_kind["hot"].velocity
+        sp = ctx_dimbright.spectrum
+        by_kind = {pt.kind: v for pt, v in zip(sp.points, sp.velocity)}
+        v_hot = by_kind["hot"]
         t_end = 30.0 / v_hot
         cfg = {
             "curve": BASE_CURVE,
@@ -107,7 +108,7 @@ class TestEval:
         _, rows = parse_csv(res.stdout)
         data = np.array([[float(c) for c in r] for r in rows])
         ts = sorted(set(data[:, 1]))
-        v_cool = by_kind["cool"].velocity
+        v_cool = by_kind["cool"]
         for t, sign in ((ts[0], -1.0), (ts[1], 1.0)):
             block = data[data[:, 1] == t]
             hot_core = block[np.argmax(block[:, 2]), 0]
@@ -332,6 +333,20 @@ class TestDynamics:
         assert rows[0][1] == "cool"
         assert abs(float(rows[0][2]) - (-8.99139)) < 1e-3
 
+    def test_velocity_mode_p_and_e_bytes(self, tmp_path):
+        # P and E print with a +0.0 real part: a hot soliton's E lies in i R_-,
+        # where 1j * Im E alone would print -0-10.508789300754623j
+        cfg = {"curve": BASE_CURVE, "solitons": ONE_HOT, "dynamics": {"mode": "velocity"}}
+        row = ["0.29999999999999999+0j", "hot", "6.8273864540001536",
+               "0+1.5392111420025947j", "0-10.508789300754623j"]
+        code, out, _ = run_main(tmp_path / "config.json", "dynamics", cfg)
+        assert code == 0 and out.splitlines()[3:] == [",".join(row)]
+        path = tmp_path / "config.json"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["dynamics", "--config", str(path), "--format", "json"]) == 0
+        assert json.loads(out.getvalue())["rows"] == [row]
+
     def test_shifts_mode(self, tmp_path):
         cfg = {"curve": BASE_CURVE,
                "solitons": [{"beta": 0.25, "kind": "cool"}, {"beta": 0.36, "kind": "cool"}],
@@ -345,7 +360,7 @@ class TestDynamics:
         assert abs(shifts[0.36] - 22.878) < 1e-2
 
     def test_track_mode_zero_mean(self, tmp_path, curve, ctx_bright):
-        v = ctx_bright.spectrum.entries[0].velocity
+        v = ctx_bright.spectrum.velocity[0]
         period = curve.period_x / v
         n = 64
         cfg = {"curve": BASE_CURVE,

@@ -243,8 +243,7 @@ class TestSchedule:
         import dataclasses
         other = el.JacobianPoint(0.41 + 0j, 0)
         sp = tu.spectrum_from_points(curve, [(bright_point, 0.0), (other, 0.0)])
-        clone = dataclasses.replace(sp.entries[1], E=sp.entries[0].E, P=sp.entries[0].P)
-        sp_bad = dataclasses.replace(sp, entries=(sp.entries[0], clone))
+        sp_bad = dataclasses.replace(sp, energy=sp.energy[[0, 0]], p=sp.p[[0, 0]])
         with pytest.raises(EqualVelocities):
             dy.total_shift_schedule(sp_bad)
 
@@ -284,8 +283,8 @@ class TestBackgroundProbe:
             assert dy.phase_distance_mod1(p, phases[0]) < 1e-6
 
     def test_single_hot_jump(self, curve, ctx_bright):
-        mu1 = ctx_bright.spectrum.entries[0].point.mu()
-        v = ctx_bright.spectrum.entries[0].velocity
+        mu1 = ctx_bright.spectrum.mu[0]
+        v = ctx_bright.spectrum.velocity[0]
         t = 15.0 / v
         phases = dy.background_shift_probe(ctx_bright, t, [(30, 36), (-36, -30)])
         jump = phases[1] - phases[0]  # left minus right
@@ -301,10 +300,10 @@ class TestBackgroundProbe:
         # decaying cool core (|P_cool| ~ 0.118), so probe late
         sp = ctx_dimbright.spectrum
         shift_a = sp.background_shift_A
-        by_kind = {e.point.kind: e for e in sp.entries}
-        v_hot = by_kind["hot"].velocity
-        v_cool = by_kind["cool"].velocity
-        mu_hot = by_kind["hot"].point.mu()
+        by_kind = {pt.kind: k for k, pt in enumerate(sp.points)}
+        v_hot = sp.velocity[by_kind["hot"]]
+        v_cool = sp.velocity[by_kind["cool"]]
+        mu_hot = sp.mu[by_kind["hot"]]
         t = 100.0 / v_hot
         x_hot, x_cool = v_hot * t, v_cool * t
         windows = [(x_hot + 100, x_hot + 106),

@@ -33,7 +33,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 curve = elliptic.half_periods(2.0, 1.0, -3.0)
 point = elliptic.JacobianPoint(beta=0.30 + 0j, chi=0)
 ctx = tau.build_context(curve, tau.spectrum_from_points(curve, [(point, 0.0)]))
-dynamics.background_shift_probe(ctx, 15.0 / ctx.spectrum.entries[0].velocity, [(30, 36)])
+dynamics.background_shift_probe(ctx, 15.0 / ctx.spectrum.velocity[0], [(30, 36)])
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

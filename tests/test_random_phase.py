@@ -226,9 +226,8 @@ class TestPairArrays:
         b = rm.degenerate_period_matrix(rm.DegenerationSpec(1e-3, sp)).block_b
         for l in range(4):
             for j in range(l + 1, 4):
-                e_l, e_j = sp.entries[l], sp.entries[j]
-                ratio = abs(el.theta1(e_j.beta - e_l.beta, curve.tau)
-                            / el.theta1(e_j.beta - e_l.beta_star, curve.tau))
+                ratio = abs(el.theta1(sp.beta[j] - sp.beta[l], curve.tau)
+                            / el.theta1(sp.beta[j] - sp.beta_star[l], curve.tau))
                 want = np.log(ratio) / (1j * np.pi)
                 # absolute: an ulp of the ratio near 1 is an ulp of its log
                 assert abs(b[l, j] - want) <= 1e-15
@@ -238,9 +237,8 @@ class TestPairArrays:
         # pairs (0, 3) and (1, 2) coincide; the row-by-row scan meets (0, 3) first
         betas = (0.15, 0.22, 0.31, 0.38)
         sp = tu.spectrum_from_points(curve, [(el.JacobianPoint(b + 0j, 0), 0.0) for b in betas])
-        e = sp.entries
-        bad = (e[0], e[1], dataclasses.replace(e[2], beta=e[1].beta + 5e-11),
-               dataclasses.replace(e[3], beta=e[0].beta - 5e-11))
+        b = sp.beta
+        bad = [b[0], b[1], b[1] + 5e-11, b[0] - 5e-11]
         with pytest.raises(CoincidentSolitons, match="beta_3 and beta_0"):
             rm.degenerate_period_matrix(
-                rm.DegenerationSpec(1e-3, dataclasses.replace(sp, entries=bad)))
+                rm.DegenerationSpec(1e-3, dataclasses.replace(sp, beta=bad)))

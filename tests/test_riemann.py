@@ -41,8 +41,7 @@ class TestPeriodMatrix:
     def test_offdiagonal_vs_hotcool_display(self, curve, spectrum2):
         spec = rm.DegenerationSpec(epsilon=1e-3, spectrum=spectrum2)
         pm = rm.degenerate_period_matrix(spec)
-        beta_hot = spectrum2.entries[0].beta
-        beta_cool = spectrum2.entries[1].beta
+        beta_hot, beta_cool = spectrum2.beta
         oracle = hotcool_offdiagonal(beta_hot, beta_cool, curve)
         assert abs(pm.block_b[1, 0] - oracle) < 1e-12
         assert abs(pm.block_b[0, 1] - pm.block_b[1, 0]) == 0.0
@@ -53,8 +52,7 @@ class TestPeriodMatrix:
         import dataclasses
         other = el.JacobianPoint(beta=0.35 + 0j, chi=0)
         sp = tu.spectrum_from_points(curve, [(bright_point, 0.0), (other, 0.0)])
-        bad = dataclasses.replace(sp.entries[1], beta=bright_point.beta + 5e-11)
-        sp_bad = dataclasses.replace(sp, entries=(sp.entries[0], bad))
+        sp_bad = dataclasses.replace(sp, beta=[sp.beta[0], bright_point.beta + 5e-11])
         with pytest.raises(CoincidentSolitons):
             rm.degenerate_period_matrix(rm.DegenerationSpec(1e-3, sp_bad))
 

@@ -34,13 +34,15 @@ class TestSpectrum:
         assert abs(ctx_cnoidal.quad_const - quad.real) == 0.0
 
     def test_momentum_classes(self, ctx_dimbright):
-        for e in ctx_dimbright.spectrum.entries:
-            assert abs(e.P.real) <= 1e-12 and e.P.imag > 0
-            assert abs(e.E.real) <= 1e-12
+        sp = ctx_dimbright.spectrum
+        for pt, p, energy in zip(sp.points, sp.p, sp.energy):
+            P, E = tu.quasi_momentum(pt, sp.curve), tu.quasi_energy(pt, sp.curve)
+            assert abs(P.real) <= 1e-12 and P.imag > 0 and P.imag == p
+            assert abs(E.real) <= 1e-12 and E.imag == energy
         # measured energy sign classes: hot in i R_-, cool in i R_+
-        by_kind = {e.point.kind: e for e in ctx_dimbright.spectrum.entries}
-        assert by_kind["hot"].E.imag < 0
-        assert by_kind["cool"].E.imag > 0
+        by_kind = {pt.kind: energy for pt, energy in zip(sp.points, sp.energy)}
+        assert by_kind["hot"] < 0
+        assert by_kind["cool"] > 0
 
     def test_momentum_two_forms_agree(self, curve):
         rng = np.random.default_rng(7)
@@ -54,23 +56,62 @@ class TestSpectrum:
     def test_single_soliton_norming(self, curve, bright_point):
         sp = tu.spectrum_from_points(curve, [(bright_point, 0.0)])
         c_expected = abs(el.theta1(bright_point.mu(), curve.tau))
-        assert abs(sp.entries[0].C_norm - c_expected) < 1e-14
-        assert sp.entries[0].C_norm > 0
+        assert abs(sp.norming[0] - c_expected) < 1e-14
+        assert sp.norming[0] > 0
 
     def test_background_shift(self, ctx_dimbright):
         sp = ctx_dimbright.spectrum
-        mus = [e.point.mu() for e in sp.entries]
+        mus = [pt.mu() for pt in sp.points]
         assert abs(sp.background_shift_A - 0.5 * sum(mus)) < 1e-15
+        assert sp.mu.tolist() == mus
 
     def test_duplicate_rejected(self, curve):
         with pytest.raises(DuplicateSpectralPoint):
             tu.build_spectrum(curve, [(-5.0, 0.0), (-5.0, 1.0)])
 
+    def test_first_offending_point_named(self, curve):
+        # pairs (0, 3) and (1, 2) coincide; the row-by-row scan meets (0, 3) first
+        with pytest.raises(DuplicateSpectralPoint, match=r"^b_0 = b_3 = -5.0$"):
+            tu.build_spectrum(curve, [(-5.0, 0.0), (-4.0, 0.0), (-4.0, 0.0), (-5.0, 0.0)])
+        pts = [el.JacobianPoint(b + 0j, 0) for b in (0.15, 0.22, 0.22, 0.15)]
+        with pytest.raises(DuplicateSpectralPoint, match="^beta_0 and beta_3 coincide$"):
+            tu.spectrum_from_points(curve, [(pt, 0.0) for pt in pts])
+        # the first point off its segment is named, whichever check it fails
+        pts = [el.JacobianPoint(0.2 + 0j, 0), el.JacobianPoint(0.3 + 0.1j, 0),
+               el.JacobianPoint(0.7 + 0j, 0)]
+        with pytest.raises(ValueError, match=r"^Im\(beta\) = 0.1 off the hot segment$"):
+            tu.spectrum_from_points(curve, [(pt, 0.0) for pt in pts])
+        with pytest.raises(ValueError, match=r"^Re\(beta\) = 0.7 outside"):
+            tu.spectrum_from_points(curve, [(pt, 0.0) for pt in pts[::-1]])
+
+    def test_arrays_are_read_only(self, ctx_dimbright):
+        sp = ctx_dimbright.spectrum
+        names = ("beta", "beta_star", "b", "p", "energy", "norming", "x_shift")
+        for name in names:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sp, name)[0] = 1.0
+        # dataclasses.replace hands over arrays that the spectrum copies
+        handed = np.array([2.0, 3.0])
+        copy = dataclasses.replace(sp, p=handed)
+        handed[0] = 5.0
+        assert copy.p.tolist() == [2.0, 3.0] and not copy.p.flags.writeable
+        assert [getattr(copy, name).dtype.kind for name in names] == ["c", "c"] + ["f"] * 5
+
+    def test_context_on_another_curve_raises(self, curve, bright_point):
+        # u_grid read x - x0 through the context's curve and the subset
+        # tables through the spectrum's: 1.5597 instead of 1.6798 at x = 0
+        sp = tu.spectrum_from_points(curve, [(bright_point, 0.0)])
+        with pytest.raises(ValueError, match="curve"):
+            tu.build_context(el.half_periods(1.5, 1.0, -2.5), sp)
+        ctx = tu.build_context(el.half_periods(2.0, 1.0, -3.0), sp)     # an equal curve
+        assert ctx.curve is sp.curve
+        assert abs(tu.u_grid(ctx, np.array([0.0]), 0.0)[0] - 1.6798) < 1e-4
+
     def test_build_from_physical_points(self, curve):
         sp = tu.build_spectrum(curve, [(-5.3595, 0.0), (1.50356, 0.0)], x0=0.0)
-        assert sp.entries[0].point.kind == "hot"
-        assert sp.entries[1].point.kind == "cool"
-        assert abs(sp.entries[0].beta.real - 0.30) < 1e-3
+        assert sp.points[0].kind == "hot"
+        assert sp.points[1].kind == "cool"
+        assert abs(sp.beta[0].real - 0.30) < 1e-3
 
 
 class TestGMatrix:
@@ -81,13 +122,12 @@ class TestGMatrix:
         assert np.max(np.abs(np.diag(g).imag)) < 1e-12
 
     def test_single_soliton_two_term_form(self, curve, ctx_dim):
-        e = ctx_dim.spectrum.entries[0]
+        sp = ctx_dim.spectrum
         xs = np.linspace(-8, 8, 100)
         for x in xs:
             lhs = 1.0 + tu.g_matrix(ctx_dim, float(x), 0.0)[0, 0]
             rhs = single_soliton_two_term(
-                curve, e.point.mu(), e.p_abs, e.E.imag,
-                ctx_dim.spectrum.background_shift_A, float(x), 0.0)
+                curve, sp.mu[0], sp.p[0], sp.energy[0], sp.background_shift_A, float(x), 0.0)
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
     def test_diagonal_decay_right(self, ctx_dimbright):
@@ -168,13 +208,13 @@ class TestUField:
     def test_dim_envelope_critical_values(self, curve, ctx_dim):
         # the four critical values of the dented cnoidal wave: background
         # extremes far away, dip envelope values near the core
-        c_val = ctx_dim.spectrum.entries[0].b
+        c_val = ctx_dim.spectrum.b[0]
         far = np.concatenate([np.linspace(-130, -80, 8001), np.linspace(80, 130, 8001)])
         u_far = tu.u_grid(ctx_dim, far, 0.0)
         assert abs(np.max(u_far) - curve.e1 / 2.0) < 1e-3
         assert abs(np.min(u_far) - curve.e2 / 2.0) < 1e-3
 
-        v = ctx_dim.spectrum.entries[0].velocity
+        v = ctx_dim.spectrum.velocity[0]
         period_t = curve.period_x / abs(v)
         extrema = []
         for t in np.linspace(0.0, period_t, 60):
@@ -194,9 +234,7 @@ class TestUField:
         delta = 0.37
         sp_shift = tu.spectrum_from_points(curve, [(bright_point, delta)])
         base = tu.spectrum_from_points(curve, [(bright_point, 0.0)])
-        e = base.entries[0]
-        scaled = dataclasses.replace(e, C_norm=e.C_norm * np.exp(e.p_abs * delta))
-        sp_scaled = dataclasses.replace(base, entries=(scaled,))
+        sp_scaled = dataclasses.replace(base, norming=base.norming * np.exp(base.p * delta))
         ctx_a = tu.build_context(curve, sp_shift)
         ctx_b = tu.build_context(curve, sp_scaled)
         xs = np.linspace(-5, 5, 50)
@@ -210,7 +248,7 @@ class TestUField:
         # -A + mu_1 on the left (conveyer-belt remark), windows |x| in [20, 30]
         sp = ctx_bright.spectrum
         shift_a = sp.background_shift_A
-        mu1 = sp.entries[0].point.mu()
+        mu1 = sp.mu[0]
         w3a = abs(curve.varpi3)
 
         def cnoidal(xs, phase):
@@ -233,7 +271,7 @@ class TestUField:
         b = -3000.0
         sp = tu.build_spectrum(curve, [(b, 0.0)])
         ctx = tu.build_context(curve, sp)
-        p = sp.entries[0].p_abs
+        p = sp.p[0]
         xs = np.linspace(-0.15, 0.15, 1001)
         u = tu.u_grid(ctx, xs, 0.0)
         u_bg = tu.u_background(ctx, xs)
@@ -275,7 +313,7 @@ class TestBatchedThetaKeepsBits:
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_norming_constants(self, curve, dim_point, bright_point, n):
         for points in (mixed_points(curve, n), [dim_point, bright_point][:n]):
-            got = tu.norming_constants(points, curve)
+            got = tu.spectrum_from_points(curve, [(p, 0.0) for p in points]).norming
             assert got.tobytes() == norming_constants_loop(points, curve).tobytes()
 
     def test_quasi_momentum(self, curve, dim_point, bright_point):
@@ -315,10 +353,10 @@ class TestBatchedThetaKeepsBits:
     def test_spectrum_b_and_e_keep_their_bits(self, curve):
         # b and E share one weierstrass pass; b was wp_on_segment's, E quasi_energy's
         for pt in mixed_points(curve, 6):
-            entry = tu.spectrum_from_points(curve, [(pt, 0.0)]).entries[0]
-            assert np.float64(entry.b).tobytes() == np.float64(el.wp_on_segment(pt, curve)).tobytes()
+            sp = tu.spectrum_from_points(curve, [(pt, 0.0)])
+            assert sp.b.tobytes() == np.float64(el.wp_on_segment(pt, curve)).tobytes()
             wpp = el.weierstrass(2.0 * curve.varpi3 * pt.beta, curve)[1]
-            assert np.complex128(entry.E).tobytes() == np.complex128(complex(0.0, (-0.5 * wpp).imag)).tobytes()
+            assert sp.energy.tobytes() == np.float64((-0.5 * wpp).imag).tobytes()
 
     def test_spectrum_makes_one_norming_pass(self, curve, series_orders, theta_calls):
         points = mixed_points(curve, 3)
@@ -481,7 +519,7 @@ class TestThreeSolitons:
         xs = np.linspace(-3.0, 3.0, 25)
         a = tu._a_tensor(sp, tu._background_phase(ctx, xs))
         for t in (0.0, 0.3):
-            d = np.sqrt([e.C_norm for e in sp.entries])[None, :] * np.exp(tu._phase_exponents(ctx, xs, t))
+            d = np.sqrt(sp.norming)[None, :] * np.exp(tu._phase_exponents(ctx, xs, t))
             want = np.linalg.slogdet(np.eye(n)[None] + a * d[:, :, None] * d[:, None, :])[1]
             assert tu._logdet_one_plus_g(ctx, xs, t).tobytes() == want.tobytes()
             assert tu._logdet_one_plus_g(ctx, xs, t, a=a).tobytes() == want.tobytes()

@@ -28,13 +28,17 @@ class (an op's label without its trailing member number) it prints each side's
 median op time, taken over the per-op medians (`op_median_ms` of run.py's
 diagnostics line) of every run, and their ratio, so a report shows where a
 change in throughput lands.  The pairs, medians, quartiles, per-class times,
-seeds, host, bytecode setting and copy setting go to the JSON file named by --out.
+seeds, host, bytecode setting and copy setting go to the JSON file named by --out,
+with each side's git revision (null outside a git checkout, as in a `git archive`
+copy) and the SHA-256 digest of the files a run copies, which names the code
+measured either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import json
 import os
 import shutil
@@ -87,6 +91,17 @@ def git_revision(checkout: Path) -> str | None:
     dirty = subprocess.run(["git", "-C", str(checkout), "status", "--porcelain"],
                            capture_output=True, text=True).stdout.strip()
     return proc.stdout.strip() + ("+uncommitted" if dirty else "")
+
+
+def tree_digest(checkout: Path) -> str:
+    """SHA-256 over the files run_once copies of checkout (COPIED, without __pycache__):
+    each file's path relative to checkout, then the SHA-256 of its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(path for name in COPIED for path in (checkout / name).rglob("*")):
+        rel = path.relative_to(checkout)
+        if path.is_file() and "__pycache__" not in rel.parts:
+            digest.update(rel.as_posix().encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
 
 
 def measure(parent: Path, workload: str, seeds: list[int], seconds: float, gated: list) -> dict:
@@ -173,7 +188,8 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     out = {"created": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-           "change_revision": git_revision(ROOT), "parent_revision": git_revision(parent),
+           "change_revision": git_revision(ROOT), "change_digest": tree_digest(ROOT),
+           "parent_revision": git_revision(parent), "parent_digest": tree_digest(parent),
            "seconds_per_run": seconds, "bytecode": BYTECODE, "checkout": CHECKOUT,
            "host": None, "workloads": {}}
     for workload in args.workload:

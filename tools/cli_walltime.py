@@ -6,13 +6,17 @@ DIR is another checkout of the repository, e.g. the parent commit made with
 `git clone` or `git archive <rev> | tar -x -C DIR`.  Each command of the
 README's CLI examples, plus `verify` on verify_all.json, runs as
 `python -m cnoidal_kdv.cli ...` with that checkout's `src/` alone on
-PYTHONPATH and BLAS and OpenMP pinned to one thread.  Both sides read this
-checkout's demo configs, and `eval` writes to stdout rather than to --out,
-so every command's output can be compared.  Each command runs PAIRS times
-on each side, and the side that goes first alternates from pair to pair.
-Per command it prints each side's median [quartiles] wall time in seconds,
-the number of pairs in which this checkout was faster, and whether stdout
-and the exit code were identical on every run.  Nothing of the benchmark is imported.
+PYTHONPATH, BLAS and OpenMP pinned to one thread, PYTHONDONTWRITEBYTECODE=1
+and a fresh, empty PYTHONPYCACHEPREFIX, so each run compiles its side's
+sources whatever bytecode caches the checkouts or the shell's setting hold,
+as in tools/bench_pairs.py; the first printed line says so.  Both sides read
+this checkout's demo configs, and `eval` writes to stdout rather than to
+--out, so every command's output can be compared.  Each command runs PAIRS
+times on each side, and the side that goes first alternates from pair to
+pair.  Per command it prints each side's median [quartiles] wall time in
+seconds, the number of pairs in which this checkout was faster, and whether
+stdout and the exit code were identical on every run.  Nothing of the
+benchmark is imported.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -41,12 +46,15 @@ PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def run_once(checkout: Path, command: tuple) -> tuple[float, int, bytes]:
     """(seconds, exit code, stdout) of one CLI process on checkout's src/."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), **{name: "1" for name in PINNED})
     cmd = [sys.executable, "-m", "cnoidal_kdv.cli", command[0],
            "--config", str(CONFIGS / command[1]), *command[2:]]
-    start = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True)
-    return time.perf_counter() - start, proc.returncode, proc.stdout
+    with tempfile.TemporaryDirectory(prefix="cli-walltime-") as cache:
+        env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPYCACHEPREFIX=cache, **{name: "1" for name in PINNED})
+        start = time.perf_counter()
+        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True)
+        seconds = time.perf_counter() - start
+    return seconds, proc.returncode, proc.stdout
 
 
 def main() -> int:
@@ -54,6 +62,8 @@ def main() -> int:
     ap.add_argument("--parent", required=True, type=Path)
     args = ap.parse_args()
     sides = {"change": ROOT, "parent": args.parent.resolve()}
+    print("# each run: PYTHONDONTWRITEBYTECODE=1, a fresh empty PYTHONPYCACHEPREFIX, "
+          f"{', '.join(PINNED)}=1")
     print(f"{'command':<36} {'parent_s [q1, q3]':>22} {'change_s [q1, q3]':>22} "
           f"{'ratio':>6} {'wins':>5}  identical")
     for command in COMMANDS:
