@@ -15,7 +15,7 @@ print(f"half periods : varpi1 = {curve.varpi1:.6f}, varpi3 = {curve.varpi3:.6f}"
 print(f"modulus      : tau = {curve.tau:.6f}, nome q = {curve.nome_q.real:.6f}")
 print(f"spatial period X = 4 i varpi3 = {curve.period_x:.6f}")
 
-ctx = build_context(curve, build_spectrum(curve, []))
+ctx = build_context(build_spectrum(curve, []))
 xs = np.linspace(-2 * curve.period_x, 2 * curve.period_x, 4001)
 u = u_grid(ctx, xs, 0.0)
 

@@ -28,7 +28,7 @@ for name, beta, chi in (("bright/hot", 0.30 + 0j, 0),
     pt = JacobianPoint(beta=beta, chi=chi)
     b = wp_on_segment(pt, curve)
     v = group_velocity(pt, curve)
-    ctx = build_context(curve, spectrum_from_points(curve, [(pt, 0.0)]))
+    ctx = build_context(spectrum_from_points(curve, [(pt, 0.0)]))
     print(f"{name}: spectral point b = {b:.5f}, group velocity V = {v:.5f}")
 
     t1 = 10.0 / abs(v)

@@ -35,7 +35,7 @@ print(f"schedule (same numbers through the N-soliton formula): "
 hot = JacobianPoint(0.30 + 0j, 0)
 cool = JacobianPoint(0.24 + curve.tau / 2, 1)
 sp2 = spectrum_from_points(curve, [(cool, 0.0), (hot, 0.0)])
-ctx = build_context(curve, sp2)
+ctx = build_context(sp2)
 v_hot = group_velocity(hot, curve)
 v_cool = group_velocity(cool, curve)
 t = 100.0 / v_hot

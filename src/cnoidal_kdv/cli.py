@@ -220,9 +220,7 @@ class Report:
 
 
 def cmd_eval(doc: dict, cfg: dict, args) -> tuple[Report, int]:
-    curve = _build_curve(cfg)
-    spectrum = _build_spectrum(cfg, curve)
-    ctx = tau.build_context(curve, spectrum)
+    ctx = tau.build_context(_build_spectrum(cfg, _build_curve(cfg)))
     xs, ts = _grid(cfg)
     rep = Report("eval", doc, ["x", "t", "u", "tau", "detG"])
     rep.runs += [[xs, t, *rows] for t, rows in zip(ts.tolist(), tau._eval_rows(ctx, xs, ts))]
@@ -296,8 +294,7 @@ def cmd_verify(doc: dict, cfg: dict, args) -> tuple[Report, int]:
     which = cfg["verify"]["which"]
     if which is None:
         raise ConfigError("config needs verify.which")
-    curve = _build_curve(cfg)
-    ctx = tau.build_context(curve, _build_spectrum(cfg, curve))
+    ctx = tau.build_context(_build_spectrum(cfg, _build_curve(cfg)))
     seed = _flag_or_key(cfg, args, "seed")
     tol = args.tol if args.tol is not None else _DEFAULT_TOL.get(which, 1e-9)
     rep = Report("verify", doc, ["check", "parameters", "residual", "tolerance", "pass"])
@@ -316,8 +313,8 @@ def cmd_dynamics(doc: dict, cfg: dict, args) -> tuple[Report, int]:
     if mode == "velocity":
         rep = Report("dynamics", doc, ["beta", "kind", "V", "P", "E"])
         # P and E with +0.0 real parts (1j * energy alone gives -0.0 where energy < 0)
-        rep.runs.append(columns + [[dynamics.group_velocity(pt, curve) for pt in spectrum.points],
-                                   1j * spectrum.p, 0.0 + 1j * spectrum.energy])
+        rep.runs.append(columns + [spectrum.velocity, 1j * spectrum.p,
+                                   0.0 + 1j * spectrum.energy])
     elif mode == "shifts":
         rep = Report("dynamics", doc, ["beta", "kind", "V", "total_shift"])
         rep.runs.append(columns + [spectrum.velocity, dynamics.total_shift_schedule(spectrum)])

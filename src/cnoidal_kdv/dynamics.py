@@ -2,10 +2,11 @@
 
 A solitary disturbance at Jacobian point beta travels with
 
-    V(beta) = wp'(2 varpi3 beta) / (2 [zeta(2 varpi3 beta) - 2 beta zeta(varpi3)
-                                       + chi i pi / (2 varpi3)])
+    V(beta) = -E/P = wp'(2 varpi3 beta) / (2 P),
+    P = theta1'(beta) / (2 varpi3 theta1(beta)) + chi i pi / (2 varpi3)
 
-(positive for hot, negative for cool points).  Its instantaneous position
+(positive for hot, negative for cool points), P and E from
+elliptic._quasi_terms as in the soliton spectrum.  Its instantaneous position
 relative to the ballistic line x = V t is the unique solution Phi(t) of the
 equal-addenda condition
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import CurveParams, JacobianPoint
-from .elliptic import _cnoidal_wave, _log_theta1_ratio, _theta_grid, _zeta_form
+from .elliptic import _cnoidal_wave, _log_theta1_ratio, _quasi_terms, _theta_grid
 from .errors import (
     BracketFailure,
     BranchPointLimit,
@@ -32,7 +33,7 @@ from .errors import (
     InvalidNorming,
     UnorderedVelocities,
 )
-from .tau import SolitonSpectrum, TauContext, quasi_energy, quasi_momentum, u_grid
+from .tau import SolitonSpectrum, TauContext, u_grid
 
 _EDGE_TOL = 1e-8
 
@@ -48,32 +49,28 @@ class TrackedSoliton:
 
 
 def track_soliton(point: JacobianPoint, curve: CurveParams) -> TrackedSoliton:
-    """Build TrackedSoliton, enforcing the sign and V = -E/P invariants."""
-    v = group_velocity(point, curve)
+    """Build TrackedSoliton, enforcing the sign invariant of V."""
+    v, p_abs = _velocity(point, curve)
     if (v <= 0.0 and point.chi == 0) or (v >= 0.0 and point.chi == 1):
         raise BranchPointLimit(f"velocity {v} has the wrong sign for {point.kind}")
-    p = quasi_momentum(point, curve)
-    e = quasi_energy(point, curve)
-    ratio = -e.imag / p.imag
-    if abs(v - ratio) > 1e-12 * max(1.0, abs(v)):
-        raise BranchPointLimit(f"velocity routes disagree: {v} vs {ratio}")
-    return TrackedSoliton(point=point, V=v, P_abs=p.imag,
-                          period_T=curve.period_x / v)
+    return TrackedSoliton(point=point, V=v, P_abs=p_abs, period_T=curve.period_x / v)
 
 
-def _check_interior(point: JacobianPoint) -> None:
+def _velocity(point: JacobianPoint, curve: CurveParams) -> tuple[float, float]:
+    """(V, |P|) at a point inside its segment, V = -Im E / Im P as the spectrum's velocity."""
     r = point.beta.real
     if min(abs(r), abs(r - 0.5)) < _EDGE_TOL:
         raise BranchPointLimit(f"beta = {point.beta} too close to a half period")
+    p, e, _ = _quasi_terms(point.beta, point.chi, curve)
+    v = -e / p
+    if abs(v.imag) > 1e-10 * max(1.0, abs(v)):
+        raise BranchPointLimit(f"velocity {v} not real at beta = {point.beta}")
+    return -e.imag / p.imag, p.imag
 
 
 def group_velocity(point: JacobianPoint, curve: CurveParams) -> float:
     """Asymptotic speed V(beta) = -E/P of the solitary disturbance."""
-    _check_interior(point)
-    _, _, v = _zeta_form(point.beta, point.chi, curve)
-    if abs(v.imag) > 1e-10 * max(1.0, abs(v)):
-        raise BranchPointLimit(f"velocity {v} not real at beta = {point.beta}")
-    return float(v.real)
+    return _velocity(point, curve)[0]
 
 
 def _log_theta3_ratio(w, mu: float, tau: complex):
@@ -95,8 +92,7 @@ def _tracker_rhs(point: JacobianPoint, curve: CurveParams, norming: float):
     """
     if not (np.isfinite(norming) and norming > 0.0):
         raise InvalidNorming(f"norming constant {norming} is not a finite positive number")
-    p_abs = quasi_momentum(point, curve).imag
-    v = group_velocity(point, curve)
+    v, p_abs = _velocity(point, curve)
     mu = point.mu()
     x_period = curve.period_x
 
@@ -188,12 +184,9 @@ def mean_track_phase(point: JacobianPoint, curve: CurveParams, norming: float) -
 def pair_shifts(point1: JacobianPoint, point2: JacobianPoint,
                 curve: CurveParams) -> tuple[float, float]:
     """Averaged scattering shifts (Delta1, Delta2); requires V(beta1) > V(beta2)."""
-    v1 = group_velocity(point1, curve)
-    v2 = group_velocity(point2, curve)
+    (v1, p1), (v2, p2) = _velocity(point1, curve), _velocity(point2, curve)
     if not v1 > v2:
         raise UnorderedVelocities(f"V(beta1) = {v1} must exceed V(beta2) = {v2}")
-    p1 = quasi_momentum(point1, curve).imag
-    p2 = quasi_momentum(point2, curve).imag
     log_mod = float(_log_theta1_ratio(point1.beta - point2.star(curve.tau),
                                       point1.beta - point2.beta, curve.tau))
     return 2.0 * log_mod / p1, -2.0 * log_mod / p2

@@ -613,8 +613,9 @@ def _lattice_distance(s, curve: CurveParams):
     return abs(da * 2.0 * w1 + db * 2.0 * w3)
 
 
-def _weierstrass(s, curve: CurveParams, count: int) -> list:
-    """The first count (1 to 3) of zeta, wp, wp' at s, from the first count theta1 log-derivatives."""
+def _weierstrass(s, curve: CurveParams, count: int) -> tuple[list, object, list]:
+    """The first count (1 to 3) of zeta, wp, wp' at s, with the beta = s/(2 varpi3) and the
+    first count theta1 log-derivatives at beta that they come from."""
     scalar = isinstance(s, (complex, float, int)) or np.ndim(s) == 0
     s = complex(s) if scalar else np.asarray(s, dtype=np.complex128)
     near = _lattice_distance(s, curve) < 1e-10
@@ -630,7 +631,7 @@ def _weierstrass(s, curve: CurveParams, count: int) -> list:
         out.append(-(d[1] + 4.0 * w3 * z3) / (4.0 * w3 * w3))
     if count >= 3:
         out.append(-d[2] / (8.0 * w3 ** 3))
-    return out
+    return out, beta, d
 
 
 def weierstrass(s, curve: CurveParams):
@@ -644,21 +645,24 @@ def weierstrass(s, curve: CurveParams):
     per-element calls in the last bits.
     LatticePoint names the first offending element.
     """
-    zeta_w, wp, wp_prime = _weierstrass(s, curve, 3)
+    (zeta_w, wp, wp_prime), _, _ = _weierstrass(s, curve, 3)
     return wp, wp_prime, zeta_w
 
 
-def _zeta_form(beta, chi, curve: CurveParams):
-    """(P, wp', V) at Jacobian points beta on segments chi, scalars or arrays.
+def _quasi_terms(beta, chi, curve: CurveParams):
+    """(P, E, b) at Jacobian points beta on segments chi, scalars or arrays, all complex.
 
-    One weierstrass call gives the quasi-momentum in its zeta form
-    P = zeta(2 varpi3 beta) - 2 zeta(varpi3) beta + chi i pi/(2 varpi3),
-    wp'(2 varpi3 beta), and the velocity V = wp'/(2 P), left complex for the
-    caller's reality check.
+    E = -wp'/2 and b = wp come from one series pass at weierstrass's own
+    argument, 2 varpi3 beta over 2 varpi3.  The quasi-momentum
+    P = theta1'(beta)/theta1(beta)/(2 varpi3) + chi i pi/(2 varpi3) takes the
+    same pass where that argument is beta bit for bit at every point (most
+    single points; an array seldom), else a pass at beta itself.  The group
+    velocity is V = -E/P.
     """
-    _, wpp, zw = weierstrass(2.0 * curve.varpi3 * beta, curve)
-    p = zw - 2.0 * zeta_half_period(curve) * beta + chi * 1j * np.pi / (2.0 * curve.varpi3)
-    return p, wpp, 0.5 * wpp / p
+    (_, wp, wpp), at, (d1, _, _) = _weierstrass(2.0 * curve.varpi3 * beta, curve, 3)
+    if np.any(at != beta):
+        (d1,) = _log_theta1_derivatives(beta, curve.tau, 1)
+    return d1 / (2.0 * curve.varpi3) + chi * 1j * np.pi / (2.0 * curve.varpi3), -0.5 * wpp, wp
 
 
 def _log_theta1_ratio(a, b, tau: complex):
@@ -676,7 +680,7 @@ def _cnoidal_wave(y, curve: CurveParams):
 def wp_on_segment(point: JacobianPoint | complex, curve: CurveParams) -> float:
     """Real value of wp(2 varpi3 beta) for beta on a hot or cool segment."""
     beta = point.beta if isinstance(point, JacobianPoint) else complex(point)
-    _, wp = _weierstrass(2.0 * curve.varpi3 * beta, curve, 2)
+    (_, wp), _, _ = _weierstrass(2.0 * curve.varpi3 * beta, curve, 2)
     return float(wp.real)
 
 

@@ -3,12 +3,12 @@
 The solitonic NDR pair couples the density of states u and flux v on a
 spectral support Gamma in the Jacobian coordinate:
 
-    int K(eta, beta) u(beta) dbeta + sigma(eta) u(eta) = -(i/2) [zeta(2 varpi3 eta)
-        - 2 zeta(varpi3) eta + i pi chi(eta)/(2 varpi3)]
-    int K(eta, beta) v(beta) dbeta + sigma(eta) v(eta) = (i/4) wp'(2 varpi3 eta)
+    int K(eta, beta) u(beta) dbeta + sigma(eta) u(eta) = -(i/2) P(eta)
+    int K(eta, beta) v(beta) dbeta + sigma(eta) v(eta) = -(i/2) E(eta) = (i/4) wp'(2 varpi3 eta)
 
-with interaction kernel K(eta, beta) = ln|theta1(eta - beta)/theta1(eta - beta^star)|.
-Both right-hand sides are real (the brackets are purely imaginary); the kernel
+with interaction kernel K(eta, beta) = ln|theta1(eta - beta)/theta1(eta - beta^star)|
+and the quasi-momentum P and quasi-energy E of elliptic._quasi_terms.
+Both right-hand sides are real (P and E are purely imaginary); the kernel
 has an integrable ln|eta - beta| singularity on the diagonal, handled by a
 Nystrom discretization in which the logarithmic part is integrated exactly
 against piecewise-linear hat functions and the smooth remainder by the
@@ -29,15 +29,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .elliptic import CurveParams, JacobianPoint, weierstrass, zeta_half_period
-from .elliptic import _log_theta1_ratio, _theta_grid, _zeta_form
+from .elliptic import CurveParams, JacobianPoint, zeta_half_period
+from .elliptic import _log_theta1_ratio, _quasi_terms, _theta_grid
 from .errors import (
     DiagonalSingularity,
     NegativeDensityWarning,
     SingularSystem,
     ZeroDensityNode,
 )
-from .tau import quasi_momentum
 
 # Cap on the 1-norm condition number k1 of the NDR matrix.  LU with partial
 # pivoting is backward stable, so the solution's relative 1-norm error is at
@@ -74,7 +73,7 @@ class GasModel:
     sigma: np.ndarray
     solved_u: np.ndarray | None = None
     solved_v: np.ndarray | None = None
-    # kernel_matrix and the _zeta_form terms (P, wp', V) of these nodes, kept by
+    # kernel_matrix and the _quasi_terms (P, E, b) of these nodes, kept by
     # ndr_solve for the equation of state and the free speeds;
     # dataclasses.replace copies them, so reset them when replacing curve or nodes
     kernel: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -162,15 +161,16 @@ def interaction_kernel(eta: JacobianPoint, beta: JacobianPoint, curve: CurvePara
 
 
 def _node_terms(model: GasModel):
-    """(P, wp', V) at the nodes: those ndr_solve kept, else one _zeta_form call."""
+    """(P, E, b) at the nodes: those ndr_solve kept, else one _quasi_terms call."""
     if model.node_terms is not None:
         return model.node_terms
-    return _zeta_form(model.betas, model.nodes_chi, model.curve)
+    return _quasi_terms(model.betas, model.nodes_chi, model.curve)
 
 
 def free_speeds(model: GasModel) -> np.ndarray:
-    """Free tracer speed s0 = wp'/(2 P) at every node, the group velocity formula."""
-    return _node_terms(model)[2].real
+    """Free tracer speed s0 = -E/P at every node, the group velocity formula."""
+    p, e, _ = _node_terms(model)
+    return -e.imag / p.imag
 
 
 def _hat_log_integrals(nodes: np.ndarray, x0) -> np.ndarray:
@@ -239,9 +239,9 @@ def kernel_matrix(model: GasModel) -> np.ndarray:
 
 
 def _rhs_vectors(model: GasModel) -> np.ndarray:
-    """Real right-hand sides as columns (p/2 for u, (i/4) wp' for v), reality asserted."""
-    p, wpp, _ = _node_terms(model)
-    vals = np.stack([-0.5j * p, 0.25j * wpp], axis=1)
+    """Real right-hand sides as columns (-(i/2) P for u, -(i/2) E for v), reality asserted."""
+    p, e, _ = _node_terms(model)
+    vals = -0.5j * np.stack([p, e], axis=1)
     bad = np.abs(vals.imag) > 1e-10 * np.maximum(1.0, np.abs(vals))
     if bad.any():
         raise SingularSystem(f"NDR right-hand side {complex(vals[bad][0])} not real")
@@ -272,7 +272,7 @@ def ndr_solve(model: GasModel) -> GasModel:
     """
     a = kernel_matrix(model)
     m = a + np.diag(model.sigma)
-    model = replace(model, node_terms=_zeta_form(model.betas, model.nodes_chi, model.curve))
+    model = replace(model, node_terms=_quasi_terms(model.betas, model.nodes_chi, model.curve))
     rhs = _rhs_vectors(model)
     try:
         if _cond_bound(m) <= _COND_LIMIT:
@@ -318,10 +318,9 @@ def equation_of_state_residual(model: GasModel) -> float:
     """
     s = model.speeds
     a = kernel_matrix(model) if model.kernel is None else model.kernel
-    p, _, s0 = _node_terms(model)
     g = (s[:, None] - s) * model.solved_u
-    integral = (2.0 / p.imag) * np.sum(a * g, axis=1)
-    return float(np.max(np.abs(s - s0.real - integral)))
+    integral = (2.0 / _node_terms(model)[0].imag) * np.sum(a * g, axis=1)
+    return float(np.max(np.abs(s - free_speeds(model) - integral)))
 
 
 def tracer_shift(model: GasModel, density: np.ndarray, eta: JacobianPoint) -> float:
@@ -333,16 +332,14 @@ def tracer_shift(model: GasModel, density: np.ndarray, eta: JacobianPoint) -> fl
     kernel integral reuses the log-subtracted row quadrature, applied to the
     sign-weighted density (slower partners push forward, faster ones back).
     """
-    curve = model.curve
     density = np.asarray(density, dtype=float)
-    p_abs = quasi_momentum(eta, curve).imag
-    b_eta = weierstrass(2.0 * curve.varpi3 * eta.beta, curve)[0].real
+    p, _, b_eta = _quasi_terms(eta.beta, eta.chi, model.curve)
     # velocity decreases monotonically with b on both segments, so b_eta > b
     # flags a faster partner; faster partners carry +K (push the tracer back,
     # K <= 0), matching the per-partner terms of the total-shift schedule
-    signs = np.sign(b_eta - weierstrass(2.0 * curve.varpi3 * model.betas, curve)[0].real)
+    signs = np.sign(b_eta.real - _node_terms(model)[2].real)
     row = kernel_row(model, eta)
-    return float((2.0 / p_abs) * (row @ (signs * density)))
+    return float((2.0 / p.imag) * (row @ (signs * density)))
 
 
 def background_shift_rate(model: GasModel, density: np.ndarray) -> float:
@@ -354,10 +351,9 @@ def background_shift_rate(model: GasModel, density: np.ndarray) -> float:
 def density_from_physical(model: GasModel, phys_density) -> np.ndarray:
     """Convert a density in the physical variable b to the beta coordinate.
 
-    Applies the Jacobian factor 2 varpi3 wp'(2 varpi3 beta), which is real
-    on both segments.
+    Applies the Jacobian factor 2 varpi3 wp'(2 varpi3 beta) = -4 varpi3 E,
+    which is real on both segments.
     """
-    curve = model.curve
-    wp, wpp, _ = weierstrass(2.0 * curve.varpi3 * model.betas, curve)
-    jac = np.abs((2.0 * curve.varpi3 * wpp).real)
+    _, e, wp = _node_terms(model)
+    jac = np.abs((4.0 * model.curve.varpi3 * e).real)
     return np.array([phys_density(b) * j for b, j in zip(wp.real, jac)])

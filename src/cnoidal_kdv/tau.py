@@ -48,13 +48,12 @@ from .elliptic import (
     _HALF_LOG_MAX,
     _certified_sum,
     _cnoidal_wave,
-    _log_theta1_derivatives,
+    _quasi_terms,
     _table_terms,
     _theta_grid,
     _theta_sum,
     invert_wp,
     theta3,
-    weierstrass,
     zeta_half_period,
 )
 from .errors import (
@@ -88,7 +87,8 @@ class SolitonSpectrum:
     """N solitons on the curve: one read-only length-N array per soliton quantity.
 
     b = wp(2 varpi3 beta), p = |P_j| and energy = Im E_j (P and E are purely
-    imaginary), norming = C_j > 0, x_shift = x_j; points holds the JacobianPoints.
+    imaginary), each point's from one elliptic._quasi_terms call, norming = C_j > 0,
+    x_shift = x_j; points holds the JacobianPoints.
     """
 
     curve: CurveParams
@@ -130,28 +130,10 @@ class TauContext:
 
     spectrum: SolitonSpectrum
     quad_const: float     # C = zeta(varpi3) / (8 varpi3), real
-    P_carrier: float      # -i pi / (2 varpi3), positive real
 
     @property
     def curve(self) -> CurveParams:
         return self.spectrum.curve
-
-
-def quasi_momentum(point: JacobianPoint, curve: CurveParams) -> complex:
-    """P(beta) = theta1'(beta)/theta1(beta)/(2 varpi3) + chi i pi/(2 varpi3)."""
-    (d1,) = _log_theta1_derivatives(point.beta, curve.tau, 1)
-    return d1 / (2.0 * curve.varpi3) + point.chi * 1j * np.pi / (2.0 * curve.varpi3)
-
-
-def _wp_and_energy(point: JacobianPoint, curve: CurveParams) -> tuple[complex, complex]:
-    """(wp, E) at 2 varpi3 beta from one weierstrass call, E(beta) = -wp'(2 varpi3 beta) / 2."""
-    wp, wpp, _ = weierstrass(2.0 * curve.varpi3 * point.beta, curve)
-    return wp, -0.5 * wpp
-
-
-def quasi_energy(point: JacobianPoint, curve: CurveParams) -> complex:
-    """E(beta) = -wp'(2 varpi3 beta) / 2."""
-    return _wp_and_energy(point, curve)[1]
 
 
 def norming_constants(beta: np.ndarray, beta_star: np.ndarray, tau: complex) -> np.ndarray:
@@ -191,10 +173,9 @@ def spectrum_from_points(curve: CurveParams, points: list[tuple[JacobianPoint, f
     norming = norming_constants(beta, beta_star, curve.tau)
     cells = []
     for pt in jps:
-        P = quasi_momentum(pt, curve)
+        P, E, wp = _quasi_terms(pt.beta, pt.chi, curve)
         if abs(P.real) > 1e-12 * abs(P) or P.imag <= 0.0:
             raise NonRealTau(f"quasi-momentum {P} not in i*R_+")
-        wp, E = _wp_and_energy(pt, curve)
         cells.append((wp.real, P.imag, E.imag))
     b, p, energy = np.reshape(cells, (-1, 3)).T
     return SolitonSpectrum(
@@ -216,16 +197,12 @@ def build_spectrum(curve: CurveParams, points: list[tuple[float, float]],
     return spectrum_from_points(curve, jac, x0=x0)
 
 
-def build_context(curve: CurveParams, spectrum: SolitonSpectrum) -> TauContext:
-    if curve != spectrum.curve:
-        raise ValueError("curve is not the spectrum's curve")
-    z3 = zeta_half_period(curve)
-    quad = z3 / (8.0 * curve.varpi3)
+def build_context(spectrum: SolitonSpectrum) -> TauContext:
+    curve = spectrum.curve
+    quad = zeta_half_period(curve) / (8.0 * curve.varpi3)
     if abs(quad.imag) > 1e-12 * max(1.0, abs(quad)):
         raise NonRealTau(f"quadratic constant {quad} not real")
-    p_carrier = -1j * np.pi / (2.0 * curve.varpi3)
-    return TauContext(spectrum=spectrum, quad_const=float(quad.real),
-                      P_carrier=float(p_carrier.real))
+    return TauContext(spectrum=spectrum, quad_const=float(quad.real))
 
 
 # ----------------------------------------------------------------------------

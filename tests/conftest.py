@@ -29,23 +29,23 @@ def bright_point():
 
 @pytest.fixture(scope="session")
 def ctx_cnoidal(curve):
-    return tu.build_context(curve, tu.build_spectrum(curve, []))
+    return tu.build_context(tu.build_spectrum(curve, []))
 
 
 @pytest.fixture(scope="session")
 def ctx_dim(curve, dim_point):
-    return tu.build_context(curve, tu.spectrum_from_points(curve, [(dim_point, 0.0)]))
+    return tu.build_context(tu.spectrum_from_points(curve, [(dim_point, 0.0)]))
 
 
 @pytest.fixture(scope="session")
 def ctx_bright(curve, bright_point):
-    return tu.build_context(curve, tu.spectrum_from_points(curve, [(bright_point, 0.0)]))
+    return tu.build_context(tu.spectrum_from_points(curve, [(bright_point, 0.0)]))
 
 
 @pytest.fixture(scope="session")
 def ctx_dimbright(curve, dim_point, bright_point):
     spectrum = tu.spectrum_from_points(curve, [(dim_point, 0.0), (bright_point, 0.0)])
-    return tu.build_context(curve, spectrum)
+    return tu.build_context(spectrum)
 
 
 def _count_calls(monkeypatch, names, entry=None):
@@ -94,8 +94,9 @@ def grid_calls(monkeypatch):
 
 @pytest.fixture
 def weierstrass_calls(monkeypatch):
-    """One entry per weierstrass call made from any package module."""
-    return _count_calls(monkeypatch, ("weierstrass",))
+    """One entry per Weierstrass pass (_weierstrass, behind weierstrass, wp_on_segment
+    and _quasi_terms) made from any package module."""
+    return _count_calls(monkeypatch, ("_weierstrass",))
 
 
 @pytest.fixture

@@ -64,6 +64,38 @@ def mp_theta(kind: int, order: int, beta: complex, tau: complex) -> complex:
     return complex(val) * np.pi ** order
 
 
+def zeta_form_momentum(beta, chi, curve) -> complex:
+    """Quasi-momentum in its zeta form, from one weierstrass call:
+
+    P = zeta(2 varpi3 beta) - 2 zeta(varpi3) beta + chi i pi/(2 varpi3).
+    """
+    from cnoidal_kdv.elliptic import weierstrass, zeta_half_period
+
+    zw = weierstrass(2.0 * curve.varpi3 * beta, curve)[2]
+    return zw - 2.0 * zeta_half_period(curve) * beta + chi * 1j * np.pi / (2.0 * curve.varpi3)
+
+
+def mp_group_velocity(e1: float, e2: float, e3: float, r: float, chi: int, dps: int = 40) -> float:
+    """V = wp'(2 varpi3 beta) / (2 P) at beta = r + chi tau/2, by mpmath at dps digits.
+
+    The half periods come from mpmath's K, the theta1 log-derivatives from
+    mpmath's jtheta, all at the exact beta of the curve (e1, e2, e3).
+    """
+    with mpmath.workdps(dps):
+        e1, e2, e3 = (mpmath.mpf(e) for e in (e1, e2, e3))
+        m, root = (e2 - e3) / (e1 - e3), mpmath.sqrt(e1 - e3)
+        w3 = -1j * mpmath.ellipk(1 - m) / root
+        tau = mpmath.ellipk(m) / root / w3
+        beta = mpmath.mpf(r) + chi * tau / 2
+        q = mpmath.exp(1j * mpmath.pi * tau)
+        t0, t1, t2, t3 = (mpmath.jtheta(1, mpmath.pi * beta, q, derivative=k) * mpmath.pi ** k
+                          for k in range(4))
+        d1 = t1 / t0
+        d3 = t3 / t0 - 3 * t2 * t1 / t0 ** 2 + 2 * d1 ** 3
+        p = (d1 + chi * 1j * mpmath.pi) / (2 * w3)
+        return float(mpmath.re(-d3 / (8 * w3 ** 3) / (2 * p)))
+
+
 def single_soliton_two_term(curve, mu: float, p_abs: float, e_imag: float,
                             shift_a: float, x: float, t: float,
                             x0: float = 0.0, x1: float = 0.0) -> complex:
@@ -293,12 +325,10 @@ def track_phase_bisection(point, curve, norming: float, ts) -> np.ndarray:
     The series theta3 gives R(Phi, t); the bracket [-m, m] holds every value
     of R, with m from a 512-point scan of the theta3 log-ratio over a period.
     """
-    from cnoidal_kdv.dynamics import group_velocity
-    from cnoidal_kdv.elliptic import theta3
-    from cnoidal_kdv.tau import quasi_momentum
+    from cnoidal_kdv.elliptic import _quasi_terms, theta3
 
-    p_abs = quasi_momentum(point, curve).imag
-    v = group_velocity(point, curve)
+    p, e, _ = _quasi_terms(point.beta, point.chi, curve)
+    p_abs, v = p.imag, -e.imag / p.imag
     mu = point.mu()
 
     def log_ratio(w):

@@ -164,7 +164,7 @@ class TestEvalPath:
         rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
         _, cfg = cli._load_config(str(path))
         curve = cli._build_curve(cfg)
-        ctx = tu.build_context(curve, cli._build_spectrum(cfg, curve))
+        ctx = tu.build_context(cli._build_spectrum(cfg, curve))
         xs, ts = cli._grid(cfg)
         want = []
         for t in ts:
@@ -183,7 +183,7 @@ class TestEvalPath:
         path.write_text(json.dumps(cfg))
         _, cfg = cli._load_config(str(path))
         curve = cli._build_curve(cfg)
-        tu.build_context(curve, cli._build_spectrum(cfg, curve))
+        tu.build_context(cli._build_spectrum(cfg, curve))
         spectrum_passes = len(series_calls)
         setups = []
         original = tu._subset_tables
@@ -337,7 +337,7 @@ class TestDynamics:
         # P and E print with a +0.0 real part: a hot soliton's E lies in i R_-,
         # where 1j * Im E alone would print -0-10.508789300754623j
         cfg = {"curve": BASE_CURVE, "solitons": ONE_HOT, "dynamics": {"mode": "velocity"}}
-        row = ["0.29999999999999999+0j", "hot", "6.8273864540001536",
+        row = ["0.29999999999999999+0j", "hot", "6.8273864540001545",
                "0+1.5392111420025947j", "0-10.508789300754623j"]
         code, out, _ = run_main(tmp_path / "config.json", "dynamics", cfg)
         assert code == 0 and out.splitlines()[3:] == [",".join(row)]
@@ -346,6 +346,19 @@ class TestDynamics:
         with contextlib.redirect_stdout(out):
             assert cli.main(["dynamics", "--config", str(path), "--format", "json"]) == 0
         assert json.loads(out.getvalue())["rows"] == [row]
+
+    @pytest.mark.parametrize("soliton", [{"beta": 0.30, "kind": "hot"},
+                                         {"beta": 0.24, "kind": "cool"}])
+    def test_velocity_and_shifts_modes_print_one_v(self, tmp_path, soliton):
+        # both modes print the spectrum's V = -E/P, digit for digit
+        texts = {}
+        for mode in ("velocity", "shifts"):
+            cfg = {"curve": BASE_CURVE, "solitons": [soliton], "dynamics": {"mode": mode}}
+            code, out, _ = run_main(tmp_path / f"{mode}.json", "dynamics", cfg)
+            header, rows = parse_csv(out)
+            assert code == 0 and header[2] == "V"
+            texts[mode] = rows[0][2]
+        assert texts["velocity"] == texts["shifts"]
 
     def test_shifts_mode(self, tmp_path):
         cfg = {"curve": BASE_CURVE,
@@ -478,7 +491,7 @@ class TestExitCodes:
         assert not np.any(np.isnan(data))
         _, cfg = cli._load_config(str(path))
         curve = cli._build_curve(cfg)
-        ctx = tu.build_context(curve, cli._build_spectrum(cfg, curve))
+        ctx = tu.build_context(cli._build_spectrum(cfg, curve))
         xs, ts = cli._grid(cfg)
         log_max = np.log(np.finfo(float).max)
         for k, t in enumerate(ts):

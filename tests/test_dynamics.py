@@ -75,7 +75,7 @@ class TestTrackPhase:
             assert abs(phi - rhs(phi, float(t))[0]) <= 1e-10
 
     def test_mean_is_log_norming(self, curve, bright_point):
-        p_abs = tu.quasi_momentum(bright_point, curve).imag
+        p_abs = dy.track_soliton(bright_point, curve).P_abs
         assert abs(dy.mean_track_phase(bright_point, curve, 1.0)) < 1e-8
         for k in (0.4, 2.5):
             mean = dy.mean_track_phase(bright_point, curve, k)

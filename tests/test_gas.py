@@ -68,7 +68,7 @@ class TestKernel:
             if abs(eta.beta - beta.beta) < 5e-3:
                 continue
             k = gas.interaction_kernel(eta, beta, curve)
-            p = tu.quasi_momentum(eta, curve).imag
+            p = el._quasi_terms(eta.beta, eta.chi, curve)[0].imag
             if dy.group_velocity(eta, curve) > dy.group_velocity(beta, curve):
                 d1, _ = dy.pair_shifts(eta, beta, curve)
                 assert abs(k + 0.5 * p * d1) < 1e-10

@@ -263,7 +263,7 @@ class TestRandomPhase:
         spec = rm.DegenerationSpec(epsilon=1e-6, spectrum=spectrum2)
         xs = np.linspace(-3, 3, 25)
         u_big = rm.finite_gap_solution(spec, np.zeros(2), xs, [0.2], radius=6)[0]
-        ctx = tu.build_context(curve, spectrum2)
+        ctx = tu.build_context(spectrum2)
         u_det = tu.u_grid(ctx, xs, 0.2) + 4.0 * ctx.quad_const  # same constant gauge
         assert np.max(np.abs(u_big - u_det)) < 1e-6
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.signal import argrelextrema
 
 from cnoidal_kdv import cli
+from cnoidal_kdv import dynamics as dy
 from cnoidal_kdv import elliptic as el
 from cnoidal_kdv import fd
 from cnoidal_kdv import riemann as rm
@@ -17,16 +18,12 @@ from cnoidal_kdv.errors import (
     PhaseOverflow,
     TooManySolitons,
 )
-from oracles import (a_tensor_loop, eval_oracle_cases, norming_constants_loop,
-                     single_soliton_two_term, subset_block_cells, u_grid_stencil)
+from oracles import (a_tensor_loop, eval_oracle_cases, mp_group_velocity, norming_constants_loop,
+                     single_soliton_two_term, subset_block_cells, u_grid_stencil,
+                     zeta_form_momentum)
 
 
 class TestSpectrum:
-    def test_carrier_momentum(self, ctx_cnoidal):
-        # -i pi / (2 varpi3) with varpi3 ~ -0.742206 i
-        assert ctx_cnoidal.P_carrier > 0
-        assert abs(ctx_cnoidal.P_carrier - np.pi / (2 * 0.7422062367)) < 1e-6
-
     def test_quad_const_real(self, ctx_cnoidal):
         z3 = el.zeta_half_period(ctx_cnoidal.curve)
         quad = z3 / (8.0 * ctx_cnoidal.curve.varpi3)
@@ -36,7 +33,7 @@ class TestSpectrum:
     def test_momentum_classes(self, ctx_dimbright):
         sp = ctx_dimbright.spectrum
         for pt, p, energy in zip(sp.points, sp.p, sp.energy):
-            P, E = tu.quasi_momentum(pt, sp.curve), tu.quasi_energy(pt, sp.curve)
+            P, E, _ = el._quasi_terms(pt.beta, pt.chi, sp.curve)
             assert abs(P.real) <= 1e-12 and P.imag > 0 and P.imag == p
             assert abs(E.real) <= 1e-12 and E.imag == energy
         # measured energy sign classes: hot in i R_-, cool in i R_+
@@ -44,14 +41,24 @@ class TestSpectrum:
         assert by_kind["hot"] < 0
         assert by_kind["cool"] > 0
 
-    def test_momentum_two_forms_agree(self, curve):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            chi = int(rng.integers(0, 2))
-            pt = el.JacobianPoint(rng.uniform(0.05, 0.45) + chi * curve.tau / 2, chi)
-            a = tu.quasi_momentum(pt, curve)
-            b = el._zeta_form(pt.beta, pt.chi, curve)[0]
-            assert abs(a - b) < 1e-10
+    @pytest.mark.parametrize("roots", [(2.0, 1.0, -3.0), (1.5, 1.0, -2.5), (1.0, 0.5, -1.5),
+                                       (3.0, -1.0, -2.0), (0.7, 0.2, -0.9)])
+    def test_momentum_two_forms_agree(self, roots):
+        # the theta1 log-derivative P against the zeta form, within 8 ulps of the
+        # larger of |P| and the carrier term pi/(2 |varpi3|), which a cool P near
+        # the half period cancels (measured: 1 ulp at these points, 10.6 over
+        # r = 0.02-0.48); V = -E/P within 64 ulps of 40-digit mpmath at the exact
+        # beta (measured: 15 here, 46 over r = 0.02-0.48)
+        curve = el.half_periods(*roots)
+        carrier = np.pi / (2.0 * abs(curve.varpi3))
+        for chi in (0, 1):
+            for r in np.linspace(0.05, 0.45, 5).tolist():
+                pt = el.JacobianPoint(r + chi * curve.tau / 2.0, chi)
+                p = el._quasi_terms(pt.beta, chi, curve)[0]
+                gap = abs(p - zeta_form_momentum(pt.beta, chi, curve))
+                assert gap <= 8 * 2.0 ** -52 * max(abs(p), carrier)
+                want = mp_group_velocity(*roots, r, chi)
+                assert abs(dy.group_velocity(pt, curve) - want) <= 2.0 ** -46 * abs(want)
 
     def test_single_soliton_norming(self, curve, bright_point):
         sp = tu.spectrum_from_points(curve, [(bright_point, 0.0)])
@@ -96,16 +103,6 @@ class TestSpectrum:
         handed[0] = 5.0
         assert copy.p.tolist() == [2.0, 3.0] and not copy.p.flags.writeable
         assert [getattr(copy, name).dtype.kind for name in names] == ["c", "c"] + ["f"] * 5
-
-    def test_context_on_another_curve_raises(self, curve, bright_point):
-        # u_grid read x - x0 through the context's curve and the subset
-        # tables through the spectrum's: 1.5597 instead of 1.6798 at x = 0
-        sp = tu.spectrum_from_points(curve, [(bright_point, 0.0)])
-        with pytest.raises(ValueError, match="curve"):
-            tu.build_context(el.half_periods(1.5, 1.0, -2.5), sp)
-        ctx = tu.build_context(el.half_periods(2.0, 1.0, -3.0), sp)     # an equal curve
-        assert ctx.curve is sp.curve
-        assert abs(tu.u_grid(ctx, np.array([0.0]), 0.0)[0] - 1.6798) < 1e-4
 
     def test_build_from_physical_points(self, curve):
         sp = tu.build_spectrum(curve, [(-5.3595, 0.0), (1.50356, 0.0)], x0=0.0)
@@ -154,7 +151,7 @@ class TestGMatrix:
         # a NaN exponent fails every comparison; it must not pass the guard
         sp = tu.spectrum_from_points(curve, [(bright_point, float("nan"))])
         with pytest.raises(PhaseOverflow):
-            tu.u_grid(tu.build_context(curve, sp), np.linspace(-1.0, 1.0, 5), 0.0)
+            tu.u_grid(tu.build_context(sp), np.linspace(-1.0, 1.0, 5), 0.0)
 
 
 class TestTau:
@@ -235,8 +232,8 @@ class TestUField:
         sp_shift = tu.spectrum_from_points(curve, [(bright_point, delta)])
         base = tu.spectrum_from_points(curve, [(bright_point, 0.0)])
         sp_scaled = dataclasses.replace(base, norming=base.norming * np.exp(base.p * delta))
-        ctx_a = tu.build_context(curve, sp_shift)
-        ctx_b = tu.build_context(curve, sp_scaled)
+        ctx_a = tu.build_context(sp_shift)
+        ctx_b = tu.build_context(sp_scaled)
         xs = np.linspace(-5, 5, 50)
         _, det_a = tu.tau_grid(ctx_a, xs, 0.4)
         _, det_b = tu.tau_grid(ctx_b, xs, 0.4)
@@ -270,7 +267,7 @@ class TestUField:
         # a very energetic hot soliton approaches the sech^2 profile
         b = -3000.0
         sp = tu.build_spectrum(curve, [(b, 0.0)])
-        ctx = tu.build_context(curve, sp)
+        ctx = tu.build_context(sp)
         p = sp.p[0]
         xs = np.linspace(-0.15, 0.15, 1001)
         u = tu.u_grid(ctx, xs, 0.0)
@@ -316,19 +313,26 @@ class TestBatchedThetaKeepsBits:
             got = tu.spectrum_from_points(curve, [(p, 0.0) for p in points]).norming
             assert got.tobytes() == norming_constants_loop(points, curve).tobytes()
 
-    def test_quasi_momentum(self, curve, dim_point, bright_point):
-        # orders (0, 1) only; the previous form read d1 of the four-order pass
-        for pt in [dim_point, bright_point, *mixed_points(curve, 8)]:
+    def test_quasi_momentum(self, curve, dim_point, bright_point, series_orders):
+        # P is d1 at beta itself: of weierstrass's pass where 2 varpi3 beta / (2 varpi3)
+        # is beta, else of a pass at beta (r = 0.37 and 0.43 come back off beta)
+        off = [el.JacobianPoint(r + chi * curve.tau / 2.0, chi)
+               for r in (0.37, 0.43) for chi in (0, 1)]
+        el.zeta_half_period(curve)          # cached on the curve
+        for pt in [dim_point, bright_point, *mixed_points(curve, 8), *off]:
             d1, _, _ = el.log_theta1_derivatives(pt.beta, curve.tau)
             before = d1 / (2.0 * curve.varpi3) + pt.chi * 1j * np.pi / (2.0 * curve.varpi3)
-            assert tu.quasi_momentum(pt, curve) == before
+            series_orders.clear()
+            assert el._quasi_terms(pt.beta, pt.chi, curve)[0] == before
+            if pt in off:
+                assert series_orders == [(0, 1, 2, 3), (0, 1)]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
     def test_u_grid_keeps_the_per_t_stencil_bits(self, curve, n):
         # u_field's row at t, which the verify pde gate reads, keeps the bytes of
         # the per-t stencil formula (u_grid, once that row, is the subset sum's)
         sp = tu.spectrum_from_points(curve, [(p, 0.5 - k) for k, p in enumerate(mixed_points(curve, n))])
-        ctx = tu.build_context(curve, sp)
+        ctx = tu.build_context(sp)
         xs = np.linspace(-6.0, 6.0, 97)
         for t in (0.0, 0.3):
             assert tu.u_field(ctx, xs, [t])[0].tobytes() == u_grid_stencil(ctx, xs, t).tobytes()
@@ -341,7 +345,7 @@ class TestBatchedThetaKeepsBits:
         sp = tu.spectrum_from_points(curve, [(el.JacobianPoint(b + 0j, 0), s) for b, s in hot])
         xs = np.array([-2.55, -1.0, 0.0])
         want = np.array([1.4603098673588768, 0.6314098123733747, 2.2002249516122516])
-        u = tu.u_grid(tu.build_context(curve, sp), xs, 0.3)
+        u = tu.u_grid(tu.build_context(sp), xs, 0.3)
         assert np.max(np.abs(u - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 4])
@@ -351,7 +355,7 @@ class TestBatchedThetaKeepsBits:
         assert tu._a_tensor(sp, ybg).tobytes() == a_tensor_loop(sp, ybg).tobytes()
 
     def test_spectrum_b_and_e_keep_their_bits(self, curve):
-        # b and E share one weierstrass pass; b was wp_on_segment's, E quasi_energy's
+        # b and E share one weierstrass pass; b was wp_on_segment's, E weierstrass's
         for pt in mixed_points(curve, 6):
             sp = tu.spectrum_from_points(curve, [(pt, 0.0)])
             assert sp.b.tobytes() == np.float64(el.wp_on_segment(pt, curve)).tobytes()
@@ -365,8 +369,8 @@ class TestBatchedThetaKeepsBits:
         theta_calls.clear()
         tu.spectrum_from_points(curve, [(p, 0.0) for p in points])
         # one order-0 pass over all N(2N - 1) norming theta1 values, then per
-        # point quasi_momentum (0, 1) and one weierstrass pass (0..3) for b and E
-        assert series_orders == [0] + [(0, 1), (0, 1, 2, 3)] * 3
+        # point one weierstrass pass (0..3) for P, b and E
+        assert series_orders == [0] + [(0, 1, 2, 3)] * 3
         assert theta_calls == []
 
 
@@ -375,7 +379,7 @@ def pool_context(label: str):
     cfg = next(cfg for name, cfg, _ in eval_oracle_cases() if name == label)
     cfg = cli._check(cfg, cli._SCHEMA)
     curve = cli._build_curve(cfg)
-    return tu.build_context(curve, cli._build_spectrum(cfg, curve)), *cli._grid(cfg)
+    return tu.build_context(cli._build_spectrum(cfg, curve)), *cli._grid(cfg)
 
 
 class TestPrunedSubsets:
@@ -456,7 +460,7 @@ class TestPrunedSubsets:
         if given == "b":
             points = [el.invert_wp(el.wp_on_segment(p, curve) + 0.01, curve) for p in points]
         sp = tu.spectrum_from_points(curve, [(p, 1.5 - 0.6 * k) for k, p in enumerate(points)])
-        ctx = tu.build_context(curve, sp)
+        ctx = tu.build_context(sp)
         xs = np.linspace(-3.0, 3.0, 25)
         for t in (0.0, 0.3):
             _, det = tu.tau_grid(ctx, xs, t)
@@ -477,7 +481,7 @@ class TestPrunedSubsets:
 
     def test_cap_refused_before_any_work(self, curve, monkeypatch):
         sp = tu.spectrum_from_points(curve, [(p, 0.0) for p in mixed_points(curve, 17)])
-        ctx = tu.build_context(curve, sp)
+        ctx = tu.build_context(sp)
         monkeypatch.setattr(tu, "_theta_grid", lambda *args: pytest.fail("theta table built"))
         with pytest.raises(TooManySolitons, match="at most 16"):
             tu.tau_grid(ctx, np.linspace(-1.0, 1.0, 5), 0.0)
@@ -489,7 +493,7 @@ def ctx3(curve):
     pts = [(el.JacobianPoint(0.28 + 0j, 0), 0.0),
            (el.JacobianPoint(0.42 + 0j, 0), 0.0),
            (el.JacobianPoint(0.27 + curve.tau / 2, 1), 0.0)]
-    return tu.build_context(curve, tu.spectrum_from_points(curve, pts))
+    return tu.build_context(tu.spectrum_from_points(curve, pts))
 
 
 class TestThreeSolitons:
@@ -515,7 +519,7 @@ class TestThreeSolitons:
         if given == "b":
             points = [el.invert_wp(el.wp_on_segment(p, curve) + 0.01, curve) for p in points]
         sp = tu.spectrum_from_points(curve, [(p, 1.5 - 0.6 * k) for k, p in enumerate(points)])
-        ctx = tu.build_context(curve, sp)
+        ctx = tu.build_context(sp)
         xs = np.linspace(-3.0, 3.0, 25)
         a = tu._a_tensor(sp, tu._background_phase(ctx, xs))
         for t in (0.0, 0.3):
