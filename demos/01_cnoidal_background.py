@@ -8,22 +8,22 @@ range is [e2/2, e1/2] as the trace formula predicts.
 
 import numpy as np
 
-from cnoidal_kdv import build_context, build_spectrum, half_periods, u_grid
+from cnoidal_kdv import build_spectrum, half_periods, u_grid
 
 curve = half_periods(2.0, 1.0, -3.0)
 print(f"half periods : varpi1 = {curve.varpi1:.6f}, varpi3 = {curve.varpi3:.6f}")
 print(f"modulus      : tau = {curve.tau:.6f}, nome q = {curve.nome_q.real:.6f}")
 print(f"spatial period X = 4 i varpi3 = {curve.period_x:.6f}")
 
-ctx = build_context(build_spectrum(curve, []))
+cnoidal = build_spectrum(curve, [])
 xs = np.linspace(-2 * curve.period_x, 2 * curve.period_x, 4001)
-u = u_grid(ctx, xs, 0.0)
+u = u_grid(cnoidal, xs, 0.0)
 
 print(f"\ncnoidal wave over four periods:")
 print(f"  max u = {u.max():.6f}   (trace formula: e1/2 = {curve.e1 / 2})")
 print(f"  min u = {u.min():.6f}   (trace formula: e2/2 = {curve.e2 / 2})")
 
-shift = u_grid(ctx, xs + curve.period_x, 0.0)
+shift = u_grid(cnoidal, xs + curve.period_x, 0.0)
 print(f"  periodicity defect max|u(x+X) - u(x)| = {np.max(np.abs(u - shift)):.2e}")
 
 try:

@@ -12,7 +12,6 @@ from scipy.ndimage import maximum_filter1d
 
 from cnoidal_kdv import (
     JacobianPoint,
-    build_context,
     group_velocity,
     half_periods,
     spectrum_from_points,
@@ -28,13 +27,13 @@ for name, beta, chi in (("bright/hot", 0.30 + 0j, 0),
     pt = JacobianPoint(beta=beta, chi=chi)
     b = wp_on_segment(pt, curve)
     v = group_velocity(pt, curve)
-    ctx = build_context(spectrum_from_points(curve, [(pt, 0.0)]))
+    spectrum = spectrum_from_points(curve, [(pt, 0.0)])
     print(f"{name}: spectral point b = {b:.5f}, group velocity V = {v:.5f}")
 
     t1 = 10.0 / abs(v)
     for t in (0.0, t1):
         xs = np.linspace(v * t - 12, v * t + 12, 2401)
-        u = u_grid(ctx, xs, t)
+        u = u_grid(spectrum, xs, t)
         # upper envelope over one background period: the hot soliton lifts
         # it, the dim one dents it
         win = int(round(curve.period_x / (xs[1] - xs[0])))

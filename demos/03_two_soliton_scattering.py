@@ -10,7 +10,6 @@ window fit recovers directly from the field.
 from cnoidal_kdv import (
     JacobianPoint,
     background_shift_probe,
-    build_context,
     group_velocity,
     half_periods,
     pair_shifts,
@@ -35,13 +34,12 @@ print(f"schedule (same numbers through the N-soliton formula): "
 hot = JacobianPoint(0.30 + 0j, 0)
 cool = JacobianPoint(0.24 + curve.tau / 2, 1)
 sp2 = spectrum_from_points(curve, [(cool, 0.0), (hot, 0.0)])
-ctx = build_context(sp2)
 v_hot = group_velocity(hot, curve)
 v_cool = group_velocity(cool, curve)
 t = 100.0 / v_hot
 windows = [(v_hot * t + 100, v_hot * t + 106), (-20.0, -14.0),
            (v_cool * t - 116, v_cool * t - 110)]
-right, middle, left = background_shift_probe(ctx, t, windows)
+right, middle, left = background_shift_probe(sp2, t, windows)
 shift_a = sp2.background_shift_A
 mu_hot = hot.mu()
 print(f"\nbackground phases at t = 100/V_hot (window fits, mod 1):")

@@ -21,8 +21,6 @@ from .elliptic import (
 )
 from .tau import (
     SolitonSpectrum,
-    TauContext,
-    build_context,
     build_spectrum,
     g_matrix,
     kdv_residual,
@@ -68,9 +66,8 @@ from .gas import (
 __all__ = [
     "CurveParams", "JacobianPoint", "half_periods", "invert_wp", "theta1", "theta3",
     "weierstrass", "wp_on_segment", "zeta_half_period", "SolitonSpectrum",
-    "TauContext", "build_context", "build_spectrum", "g_matrix", "kdv_residual",
-    "logdet_x_analytic", "spectrum_from_points", "tau_grid",
-    "u_field", "u_grid", "DegenerationSpec", "PeriodMatrix",
+    "build_spectrum", "g_matrix", "kdv_residual", "logdet_x_analytic",
+    "spectrum_from_points", "tau_grid", "u_field", "u_grid", "DegenerationSpec", "PeriodMatrix",
     "degenerate_period_matrix", "degeneration_residual", "fay_residual",
     "random_phase_mc", "random_phase_trial", "theta_lattice_sum", "TrackedSoliton",
     "background_shift_probe", "group_velocity", "mean_track_phase", "pair_shifts",

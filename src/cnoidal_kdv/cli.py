@@ -220,18 +220,18 @@ class Report:
 
 
 def cmd_eval(doc: dict, cfg: dict, args) -> tuple[Report, int]:
-    ctx = tau.build_context(_build_spectrum(cfg, _build_curve(cfg)))
+    spectrum = _build_spectrum(cfg, _build_curve(cfg))
     xs, ts = _grid(cfg)
     rep = Report("eval", doc, ["x", "t", "u", "tau", "detG"])
-    rep.runs += [[xs, t, *rows] for t, rows in zip(ts.tolist(), tau._eval_rows(ctx, xs, ts))]
+    rep.runs += [[xs, t, *rows] for t, rows in zip(ts.tolist(), tau._eval_rows(spectrum, xs, ts))]
     return rep, 0
 
 
-def _verify_pde(cfg, ctx, tol, seed, args):
+def _verify_pde(cfg, spectrum, tol, seed, args):
     xs, ts = _grid(cfg)
     if ts.size < 2:
         raise ConfigError("pde verification needs grid.nt >= 2")
-    resid = tau.kdv_residual(ctx, (xs[0], xs[-1]), xs.size, (ts[0], ts[-1]), ts.size)
+    resid = tau.kdv_residual(spectrum, (xs[0], xs[-1]), xs.size, (ts[0], ts[-1]), ts.size)
     ok = resid < tol
     return [("pde", f"nx={xs.size};nt={ts.size}", resid, tol, ok)], ok
 
@@ -248,8 +248,7 @@ def _lattice_inputs(cfg: dict, args, n: int) -> tuple[list, int]:
     return eps_list, radius
 
 
-def _verify_degeneration(cfg, ctx, tol, seed, args):
-    spectrum = ctx.spectrum
+def _verify_degeneration(cfg, spectrum, tol, seed, args):
     n = len(spectrum)
     eps_list, radius = _lattice_inputs(cfg, args, n)
     rng = np.random.default_rng(seed)
@@ -264,7 +263,7 @@ def _verify_degeneration(cfg, ctx, tol, seed, args):
     return rows, monotone and resids[-1] < tol
 
 
-def _verify_fay(cfg, ctx, tol, seed, args):
+def _verify_fay(cfg, spectrum, tol, seed, args):
     n = cfg["verify"]["fay_n"]
     trials = cfg["verify"]["trials"] or 50
     rng = np.random.default_rng(seed)
@@ -272,16 +271,16 @@ def _verify_fay(cfg, ctx, tol, seed, args):
               rng.uniform(0, 1, n) + 1j * rng.uniform(0, 0.3, n),
               rng.uniform(0, 1) + 0.1j) for _ in range(trials)]
     xs, xh, e_pts = (np.array(side) for side in zip(*draws))
-    worst = max([0.0, *riemann._fay_residuals(n, xs, xh, e_pts, ctx.curve).tolist()])
+    worst = max([0.0, *riemann._fay_residuals(n, xs, xh, e_pts, spectrum.curve).tolist()])
     ok = worst < tol
     return [("fay", f"n={n};trials={trials}", worst, tol, ok)], ok
 
 
-def _verify_montecarlo(cfg, ctx, tol, seed, args):
-    eps_list, radius = _lattice_inputs(cfg, args, len(ctx.spectrum))
+def _verify_montecarlo(cfg, spectrum, tol, seed, args):
+    eps_list, radius = _lattice_inputs(cfg, args, len(spectrum))
     trials = cfg["verify"]["trials"] or 200
     xs, ts = _grid(cfg)
-    means = riemann.random_phase_mc(ctx.spectrum, eps_list, trials, seed,
+    means = riemann.random_phase_mc(spectrum, eps_list, trials, seed,
                                     xs, [float(ts[0])], radius)
     rows = [("montecarlo", f"epsilon={_fmt(eps)};trials={trials}", float(mean), np.inf, True)
             for eps, mean in zip(eps_list, means)]
@@ -294,13 +293,14 @@ def cmd_verify(doc: dict, cfg: dict, args) -> tuple[Report, int]:
     which = cfg["verify"]["which"]
     if which is None:
         raise ConfigError("config needs verify.which")
-    ctx = tau.build_context(_build_spectrum(cfg, _build_curve(cfg)))
+    tol = (_DEFAULT_TOL.get(which, 1e-9) if args.tol is None
+           else _check(args.tol, _number(0.0), "--tol"))
+    spectrum = _build_spectrum(cfg, _build_curve(cfg))
     seed = _flag_or_key(cfg, args, "seed")
-    tol = args.tol if args.tol is not None else _DEFAULT_TOL.get(which, 1e-9)
     rep = Report("verify", doc, ["check", "parameters", "residual", "tolerance", "pass"])
     check = {"pde": _verify_pde, "degeneration": _verify_degeneration,
              "fay": _verify_fay, "montecarlo": _verify_montecarlo}[which]
-    rows, ok = check(cfg, ctx, tol, seed, args)
+    rows, ok = check(cfg, spectrum, tol, seed, args)
     rep.runs.append([list(column) for column in zip(*rows)])
     return rep, 0 if ok else 4
 

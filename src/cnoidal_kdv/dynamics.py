@@ -33,7 +33,7 @@ from .errors import (
     InvalidNorming,
     UnorderedVelocities,
 )
-from .tau import SolitonSpectrum, TauContext, u_grid
+from .tau import SolitonSpectrum, u_grid
 
 _EDGE_TOL = 1e-8
 
@@ -237,7 +237,7 @@ def _golden_section(cost, lo: float, hi: float, xatol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def background_shift_probe(ctx: TauContext, t: float,
+def background_shift_probe(spectrum: SolitonSpectrum, t: float,
                            windows: list[tuple[float, float]],
                            samples_per_window: int = 160) -> list[float]:
     """Fit a phase-shifted cnoidal wave to u on each window; return phases mod 1.
@@ -246,14 +246,15 @@ def background_shift_probe(ctx: TauContext, t: float,
     from the group velocities).  The returned phase is the additive one:
     u ~ 2 d^2/dx^2 ln theta3(y + phase) + const on the window.
     """
+    quad = spectrum.curve.quad_const    # NonRealTau before any theta work
     phases = []
     for lo, hi in windows:
         xs = np.linspace(lo, hi, samples_per_window)
-        u_w = u_grid(ctx, xs, t)
-        y = (xs - ctx.spectrum.x0) / (4.0 * abs(ctx.curve.varpi3))
+        u_w = u_grid(spectrum, xs, t)
+        y = (xs - spectrum.x0) / (4.0 * abs(spectrum.curve.varpi3))
 
         def cost(phase: float) -> float:
-            fit = _cnoidal_wave(y + phase, ctx.curve) - 4.0 * ctx.quad_const
+            fit = _cnoidal_wave(y + phase, spectrum.curve) - 4.0 * quad
             return float(np.mean((u_w - fit) ** 2))
 
         coarse = np.linspace(0.0, 1.0, 256, endpoint=False)

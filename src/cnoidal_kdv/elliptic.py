@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (
     LatticePoint,
     NonDistinctBranchPoints,
+    NonRealTau,
     SpectrumInGap,
     ThetaConvergenceError,
     TooCloseToBranchPoint,
@@ -128,6 +129,14 @@ class CurveParams:
     @functools.cached_property
     def _zeta_varpi3(self) -> complex:
         return -self._theta1_odd0[1] / (12.0 * self.varpi3 * self._theta1_prime0)
+
+    @functools.cached_property
+    def quad_const(self) -> float:
+        """C = zeta(varpi3) / (8 varpi3) of tau's factor exp(-C x^2); NonRealTau if not real."""
+        quad = self._zeta_varpi3 / (8.0 * self.varpi3)
+        if abs(quad.imag) > 1e-12 * max(1.0, abs(quad)):
+            raise NonRealTau(f"quadratic constant {quad} not real")
+        return float(quad.real)
 
 
 @dataclass(frozen=True)
@@ -600,30 +609,30 @@ def zeta_half_period(curve: CurveParams) -> complex:
     return curve._zeta_varpi3
 
 
-def _lattice_distance(s, curve: CurveParams):
-    """Distance from s to the period lattice: on Python floats for a complex s, elementwise for an array."""
+def _lattice_beta(s, curve: CurveParams):
+    """beta = s/(2 varpi3) for a scalar s (on Python complex) or an array; LatticePoint names
+    the first s within 1e-10 of the period lattice (distances on Python floats for a scalar)."""
+    scalar = isinstance(s, (complex, float, int)) or np.ndim(s) == 0
+    s = complex(s) if scalar else np.asarray(s, dtype=np.complex128)
     w1, w3 = curve.varpi1, curve.varpi3
     a = s.real / (2.0 * w1)
     b = s.imag / (2.0 * w3.imag)
-    if isinstance(s, complex):
+    if scalar:
         # round(v, 0) rounds half to even and passes nan and inf, as np.round does
         da, db = a - round(a, 0), b - round(b, 0)
     else:
         da, db = a - np.round(a), b - np.round(b)
-    return abs(da * 2.0 * w1 + db * 2.0 * w3)
-
-
-def _weierstrass(s, curve: CurveParams, count: int) -> tuple[list, object, list]:
-    """The first count (1 to 3) of zeta, wp, wp' at s, with the beta = s/(2 varpi3) and the
-    first count theta1 log-derivatives at beta that they come from."""
-    scalar = isinstance(s, (complex, float, int)) or np.ndim(s) == 0
-    s = complex(s) if scalar else np.asarray(s, dtype=np.complex128)
-    near = _lattice_distance(s, curve) < 1e-10
+    near = abs(da * 2.0 * w1 + db * 2.0 * w3) < 1e-10
     if (near if scalar else near.any()):
         bad = s if scalar else complex(s[near][0])
         raise LatticePoint(f"s = {bad} within 1e-10 of the period lattice")
+    return s / (2.0 * w3)
+
+
+def _weierstrass(beta, curve: CurveParams, count: int) -> tuple[list, list]:
+    """The first count (1 to 3) of zeta, wp, wp' at 2 varpi3 beta, with the first count
+    theta1 log-derivatives at beta that they come from, from one series pass."""
     w3 = curve.varpi3
-    beta = s / (2.0 * w3)
     d = _log_theta1_derivatives(beta, curve.tau, count)
     z3 = zeta_half_period(curve)
     out = [(d[0] + 4.0 * w3 * z3 * beta) / (2.0 * w3)]
@@ -631,7 +640,7 @@ def _weierstrass(s, curve: CurveParams, count: int) -> tuple[list, object, list]
         out.append(-(d[1] + 4.0 * w3 * z3) / (4.0 * w3 * w3))
     if count >= 3:
         out.append(-d[2] / (8.0 * w3 ** 3))
-    return out, beta, d
+    return out, d
 
 
 def weierstrass(s, curve: CurveParams):
@@ -645,22 +654,23 @@ def weierstrass(s, curve: CurveParams):
     per-element calls in the last bits.
     LatticePoint names the first offending element.
     """
-    (zeta_w, wp, wp_prime), _, _ = _weierstrass(s, curve, 3)
+    (zeta_w, wp, wp_prime), _ = _weierstrass(_lattice_beta(s, curve), curve, 3)
     return wp, wp_prime, zeta_w
 
 
 def _quasi_terms(beta, chi, curve: CurveParams):
     """(P, E, b) at Jacobian points beta on segments chi, scalars or arrays, all complex.
 
-    E = -wp'/2 and b = wp come from one series pass at weierstrass's own
-    argument, 2 varpi3 beta over 2 varpi3.  The quasi-momentum
+    E = -wp'/2 and b = wp come from one series pass, at beta itself for an
+    array (the gas nodes), at weierstrass's own argument 2 varpi3 beta over
+    2 varpi3 for a single point.  The quasi-momentum
     P = theta1'(beta)/theta1(beta)/(2 varpi3) + chi i pi/(2 varpi3) takes the
-    same pass where that argument is beta bit for bit at every point (most
-    single points; an array seldom), else a pass at beta itself.  The group
-    velocity is V = -E/P.
+    same pass where that argument is beta, else a pass at beta.  V = -E/P.
     """
-    (_, wp, wpp), at, (d1, _, _) = _weierstrass(2.0 * curve.varpi3 * beta, curve, 3)
-    if np.any(at != beta):
+    single = np.ndim(beta) == 0
+    at = _lattice_beta(2.0 * curve.varpi3 * beta, curve)
+    (_, wp, wpp), (d1, _, _) = _weierstrass(at if single else beta, curve, 3)
+    if single and at != beta:
         (d1,) = _log_theta1_derivatives(beta, curve.tau, 1)
     return d1 / (2.0 * curve.varpi3) + chi * 1j * np.pi / (2.0 * curve.varpi3), -0.5 * wpp, wp
 
@@ -680,7 +690,7 @@ def _cnoidal_wave(y, curve: CurveParams):
 def wp_on_segment(point: JacobianPoint | complex, curve: CurveParams) -> float:
     """Real value of wp(2 varpi3 beta) for beta on a hot or cool segment."""
     beta = point.beta if isinstance(point, JacobianPoint) else complex(point)
-    (_, wp), _, _ = _weierstrass(2.0 * curve.varpi3 * beta, curve, 2)
+    (_, wp), _ = _weierstrass(_lattice_beta(2.0 * curve.varpi3 * beta, curve), curve, 2)
     return float(wp.real)
 
 

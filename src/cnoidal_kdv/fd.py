@@ -14,7 +14,6 @@ D1_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
 D2_OFFSETS = np.array([-2, -1, 0, 1, 2])
 D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-D2_CENTRE = D2_OFFSETS.size // 2        # index of the offset 0
 
 D3_OFFSETS = np.array([-3, -2, -1, 1, 2, 3])
 D3_WEIGHTS = np.array([1.0, -8.0, 13.0, -13.0, 8.0, -1.0]) / 8.0

@@ -30,7 +30,9 @@ itself: every principal minor of G is a positive Frobenius product times
 theta3(y - A + mu_S) / theta3(y - A), summed over the subsets S in logarithms,
 per x block one exponential pass and one matrix product per run of points
 that share a leading subset (see _subset_sums and _subset_block).  u_field
-and kdv_residual still difference ln det[1 + G] on a stencil grid.
+and kdv_residual still difference ln det[1 + G] on a stencil grid.  Every
+routine takes the SolitonSpectrum; C = zeta(varpi3) / (8 varpi3) of the
+factor exp(-C x^2) is its curve's quad_const.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .elliptic import (
     _theta_sum,
     invert_wp,
     theta3,
-    zeta_half_period,
 )
 from .errors import (
     BackgroundThetaZero,
@@ -124,18 +125,6 @@ class SolitonSpectrum:
         return 2.0 * self.beta.real - 1.0
 
 
-@dataclass(frozen=True)
-class TauContext:
-    """Everything needed to evaluate tau(x, t)."""
-
-    spectrum: SolitonSpectrum
-    quad_const: float     # C = zeta(varpi3) / (8 varpi3), real
-
-    @property
-    def curve(self) -> CurveParams:
-        return self.spectrum.curve
-
-
 def norming_constants(beta: np.ndarray, beta_star: np.ndarray, tau: complex) -> np.ndarray:
     """The positive norming constants C_l of the module docstring."""
     n = beta.size
@@ -197,22 +186,14 @@ def build_spectrum(curve: CurveParams, points: list[tuple[float, float]],
     return spectrum_from_points(curve, jac, x0=x0)
 
 
-def build_context(spectrum: SolitonSpectrum) -> TauContext:
-    curve = spectrum.curve
-    quad = zeta_half_period(curve) / (8.0 * curve.varpi3)
-    if abs(quad.imag) > 1e-12 * max(1.0, abs(quad)):
-        raise NonRealTau(f"quadratic constant {quad} not real")
-    return TauContext(spectrum=spectrum, quad_const=float(quad.real))
-
-
 # ----------------------------------------------------------------------------
 # G matrix and determinant evaluation
 # ----------------------------------------------------------------------------
 
-def _background_phase(ctx: TauContext, xs) -> np.ndarray:
+def _background_phase(spectrum: SolitonSpectrum, xs) -> np.ndarray:
     """Real theta argument y - A of the background at each x."""
-    y = (np.asarray(xs, dtype=float) - ctx.spectrum.x0) / (4j * ctx.curve.varpi3)
-    return y.real - ctx.spectrum.background_shift_A
+    y = (np.asarray(xs, dtype=float) - spectrum.x0) / (4j * spectrum.curve.varpi3)
+    return y.real - spectrum.background_shift_A
 
 
 def _a_tensor(spectrum: SolitonSpectrum, ybg: np.ndarray) -> np.ndarray:
@@ -241,9 +222,8 @@ def _a_tensor(spectrum: SolitonSpectrum, ybg: np.ndarray) -> np.ndarray:
     return a
 
 
-def _phase_exponents(ctx: TauContext, xs: np.ndarray, t: float) -> np.ndarray:
+def _phase_exponents(sp: SolitonSpectrum, xs: np.ndarray, t: float) -> np.ndarray:
     """Real exponents of exp(i pi psi_j) at each x: shape (nx, N)."""
-    sp = ctx.spectrum
     expo = -0.5 * (np.subtract.outer(np.asarray(xs, dtype=float), sp.x_shift) * sp.p
                    + t * sp.energy)
     if expo.size and not float(np.max(np.abs(expo))) <= _EXP_GUARD:
@@ -251,9 +231,9 @@ def _phase_exponents(ctx: TauContext, xs: np.ndarray, t: float) -> np.ndarray:
     return expo
 
 
-def g_matrix(ctx: TauContext, x: float, t: float) -> np.ndarray:
+def g_matrix(spectrum: SolitonSpectrum, x: float, t: float) -> np.ndarray:
     """The N x N matrix G(x, t) of the Fredholm determinant."""
-    return _g_stack(ctx, np.array([x]), t)[0]
+    return _g_stack(spectrum, np.array([x]), t)[0]
 
 
 def g_matrix_from_phases(spectrum: SolitonSpectrum, psis, beta_phase: float) -> np.ndarray:
@@ -278,25 +258,25 @@ def fredholm_factor(spectrum: SolitonSpectrum, psis, beta_phase: float) -> compl
     return complex(np.linalg.det(np.eye(n) + g) * th_bg)
 
 
-def _g_stack(ctx: TauContext, xs: np.ndarray, t: float,
+def _g_stack(spectrum: SolitonSpectrum, xs: np.ndarray, t: float,
              a: np.ndarray | None = None) -> np.ndarray:
     if a is None:
-        a = _a_tensor(ctx.spectrum, _background_phase(ctx, xs))
-    expo = _phase_exponents(ctx, xs, t)
-    d = np.sqrt(ctx.spectrum.norming)[None, :] * np.exp(expo)
+        a = _a_tensor(spectrum, _background_phase(spectrum, xs))
+    expo = _phase_exponents(spectrum, xs, t)
+    d = np.sqrt(spectrum.norming)[None, :] * np.exp(expo)
     g = np.multiply(a, d[:, :, None])
     g *= d[:, None, :]
     return g
 
 
-def _det_one_plus_g(ctx: TauContext, xs: np.ndarray, t: float,
+def _det_one_plus_g(spectrum: SolitonSpectrum, xs: np.ndarray, t: float,
                     a: np.ndarray | None = None) -> np.ndarray:
     """det(1 + G) at each x, asserted real; returns a real array."""
-    n = len(ctx.spectrum)
+    n = len(spectrum)
     xs = np.asarray(xs, dtype=float)
     if n == 0:
         return np.ones(xs.size)
-    g = _g_stack(ctx, xs, t, a)
+    g = _g_stack(spectrum, xs, t, a)
     if n == 1:
         det = 1.0 + g[:, 0, 0]
     elif n == 2:
@@ -309,18 +289,18 @@ def _det_one_plus_g(ctx: TauContext, xs: np.ndarray, t: float,
     return det.real
 
 
-def _logdet_one_plus_g(ctx: TauContext, xs: np.ndarray, t: float,
+def _logdet_one_plus_g(spectrum: SolitonSpectrum, xs: np.ndarray, t: float,
                        a: np.ndarray | None = None) -> np.ndarray:
     """ln det(1 + G); goes through slogdet for N > 2 so wide phase ranges
     cannot overflow the determinant value itself."""
-    n = len(ctx.spectrum)
+    n = len(spectrum)
     xs = np.asarray(xs, dtype=float)
     if n <= 2:
-        det = _det_one_plus_g(ctx, xs, t, a)
+        det = _det_one_plus_g(spectrum, xs, t, a)
         if np.min(det) <= 0.0:
             raise NonRealTau("det(1 + G) not positive on the evaluation grid")
         return np.log(det)
-    g = _g_stack(ctx, xs, t, a)
+    g = _g_stack(spectrum, xs, t, a)
     g.reshape(xs.size, -1)[:, ::n + 1] += 1.0            # 1 + G, built in place
     sign, logabs = np.linalg.slogdet(g)
     if float(np.max(np.abs(sign - 1.0))) > _REALITY_TOL:
@@ -447,7 +427,7 @@ def _subset_block(tables: _SubsetTables, rows: np.ndarray, base: np.ndarray,
     return (r2h0 - 2.0 * r1h1 + r0h2) / r0h0 - slope * slope, top + np.log(r0h0)
 
 
-def _subset_sums(ctx: TauContext, xs: np.ndarray, ts):
+def _subset_sums(sp: SolitonSpectrum, xs: np.ndarray, ts):
     """Yield (u, ln tau, ln det(1+G)) at xs for each t, from the positive subset sum.
 
     det(1 + G) theta3(y - A) = sum_S w_S over the 2^N subsets S (see
@@ -462,7 +442,7 @@ def _subset_sums(ctx: TauContext, xs: np.ndarray, ts):
     draw-row); the dropped weight then moves u by at most 2^-58 (max |f''| +
     3 max f'^2) over the subsets.  A non-finite sum raises PhaseOverflow.
     """
-    sp = ctx.spectrum
+    quad = sp.curve.quad_const          # NonRealTau before any theta work
     tables = _subset_tables(sp)
     count = tables.mask.shape[0]
     size, width = max(1, min(xs.size, _SUBSET_CELLS >> len(sp))), tables.left.shape[0]
@@ -470,7 +450,7 @@ def _subset_sums(ctx: TauContext, xs: np.ndarray, ts):
     work = tuple(np.empty(cells) for cells in (size * count, 3 * width * count, 4 * count,
                                                3 * width * size, 2 * size))
     low, high = tables.log_theta
-    phase = 2.0 * np.pi * np.multiply.outer(tables.index, _background_phase(ctx, xs))
+    phase = 2.0 * np.pi * np.multiply.outer(tables.index, _background_phase(sp, xs))
     cos, sin, rate, m = np.cos(phase), np.sin(phase), tables.rate[:, None], tables.index.size
     # right[k].T @ left_S is the k-th x-derivative of theta3(y - A + mu_S)
     right = np.zeros((3, 2 * m + 1, xs.size))
@@ -495,81 +475,80 @@ def _subset_sums(ctx: TauContext, xs: np.ndarray, ts):
                 lambda sums: sums[1].min(), _SUBSET_TERMS)
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(log_sum))):
             raise PhaseOverflow("subset sum not finite in double precision")
-        yield (2.0 * u - 4.0 * ctx.quad_const, log_sum - ctx.quad_const * xs * xs,
-               log_sum - log_theta_bg)
+        yield 2.0 * u - 4.0 * quad, log_sum - quad * xs * xs, log_sum - log_theta_bg
 
 
-def tau_grid(ctx: TauContext, xs, t: float) -> tuple[np.ndarray, np.ndarray]:
+def tau_grid(spectrum: SolitonSpectrum, xs, t: float) -> tuple[np.ndarray, np.ndarray]:
     """(tau, det(1+G)) on an array of x values at fixed t, from the subset sum.
 
     Both are real arrays, inf where a value exceeds DBL_MAX.
     """
-    return next(_eval_rows(ctx, xs, [t]))[1:]
+    return next(_eval_rows(spectrum, xs, [t]))[1:]
 
 
-def u_background(ctx: TauContext, xs) -> np.ndarray:
+def u_background(spectrum: SolitonSpectrum, xs) -> np.ndarray:
     """Cnoidal part 2 d^2/dx^2 ln theta3(y - A) - zeta(varpi3)/(2 varpi3)."""
-    return _cnoidal_wave(_background_phase(ctx, xs), ctx.curve) - 4.0 * ctx.quad_const
+    quad = spectrum.curve.quad_const    # NonRealTau before any theta work
+    return _cnoidal_wave(_background_phase(spectrum, xs), spectrum.curve) - 4.0 * quad
 
 
-def logdet_x_analytic(ctx: TauContext, x: float, t: float) -> float:
+def logdet_x_analytic(spectrum: SolitonSpectrum, x: float, t: float) -> float:
     """d/dx ln det(1 + G) as trace((1+G)^{-1} dG/dx), fully analytic.
 
     Cross-check mode for the finite-difference engine: dG/dx follows from
     the theta log-derivatives of the numerator and background arguments plus
     the linear phase rates.
     """
-    sp = ctx.spectrum
-    n = len(sp)
+    n = len(spectrum)
     if n == 0:
         return 0.0
-    curve = ctx.curve
+    curve = spectrum.curve
     w4 = 4.0 * abs(curve.varpi3)
-    y = (x - sp.x0) / w4 - sp.background_shift_A
+    y = (x - spectrum.x0) / w4 - spectrum.background_shift_A
     ld_bg = (theta3(y, curve.tau, 1) / theta3(y, curve.tau)) / w4
-    g = g_matrix(ctx, x, t)
-    args = sp.beta[:, None] - sp.beta_star[None, :] + y
+    g = g_matrix(spectrum, x, t)
+    args = spectrum.beta[:, None] - spectrum.beta_star[None, :] + y
     ld_num = (theta3(args, curve.tau, 1) / theta3(args, curve.tau)) / w4
-    rates = ld_num - ld_bg - 0.5 * (sp.p[:, None] + sp.p[None, :])
+    rates = ld_num - ld_bg - 0.5 * (spectrum.p[:, None] + spectrum.p[None, :])
     val = np.trace(np.linalg.solve(np.eye(n) + g, g * rates))
     if abs(val.imag) > _REALITY_TOL * (1.0 + abs(val)):
         raise NonRealTau(f"analytic log-derivative {val} not real")
     return float(val.real)
 
 
-def _eval_rows(ctx: TauContext, xs, ts):
+def _eval_rows(spectrum: SolitonSpectrum, xs, ts):
     """Yield (u, tau, det(1+G)) per t from the subset sum, tau and det(1+G) inf above DBL_MAX."""
-    for u, log_tau, log_det in _subset_sums(ctx, np.asarray(xs, dtype=float),
+    for u, log_tau, log_det in _subset_sums(spectrum, np.asarray(xs, dtype=float),
                                             [float(t) for t in ts]):
         with np.errstate(over="ignore"):
             cells = np.exp(log_tau), np.exp(log_det)
         yield u, *cells
 
 
-def u_field(ctx: TauContext, xs, ts) -> np.ndarray:
+def u_field(spectrum: SolitonSpectrum, xs, ts) -> np.ndarray:
     """u sampled on a (t, x) grid; shape (nt, nx), ln det(1 + G) differenced on the D2 stencil."""
     xs = np.asarray(xs, dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     out = np.empty((ts.size, xs.size))
-    ubg = u_background(ctx, xs)
-    if len(ctx.spectrum) == 0:
+    ubg = u_background(spectrum, xs)
+    if len(spectrum) == 0:
         out[:] = ubg[None, :]
         return out
-    h = fd.d2_step(ctx.curve.period_x)
+    h = fd.d2_step(spectrum.curve.period_x)
     grid = fd.d2_grid(xs, h)
-    a = _a_tensor(ctx.spectrum, _background_phase(ctx, grid))
+    a = _a_tensor(spectrum, _background_phase(spectrum, grid))
     for i, t in enumerate(ts):
-        ld = _logdet_one_plus_g(ctx, grid, float(t), a=a).reshape(xs.size, fd.D2_OFFSETS.size)
+        ld = _logdet_one_plus_g(spectrum, grid, float(t), a=a).reshape(xs.size, fd.D2_OFFSETS.size)
         out[i] = ubg + 2.0 * fd.second_derivative(ld, h)
     return out
 
 
-def u_grid(ctx: TauContext, xs, t: float) -> np.ndarray:
+def u_grid(spectrum: SolitonSpectrum, xs, t: float) -> np.ndarray:
     """u(x, t) on an array of x values at fixed t: eval's u row, from the subset sum."""
-    return next(_subset_sums(ctx, np.asarray(xs, dtype=float), [float(t)]))[0]
+    return next(_subset_sums(spectrum, np.asarray(xs, dtype=float), [float(t)]))[0]
 
 
-def kdv_residual(ctx: TauContext, x_span: tuple[float, float], nx: int,
+def kdv_residual(spectrum: SolitonSpectrum, x_span: tuple[float, float], nx: int,
                  t_span: tuple[float, float], nt: int) -> float:
     """max |u_t + u_xxx + 6 u u_x| over the interior of the sampled grid.
 
@@ -582,11 +561,11 @@ def kdv_residual(ctx: TauContext, x_span: tuple[float, float], nx: int,
     dt = (t_span[1] - t_span[0]) / (nt - 1)
     if dx == 0.0 or dt == 0.0:
         raise GridTooCoarse(f"zero-span grid: dx = {dx}, dt = {dt}")
-    if dx > ctx.curve.period_x / 9.0:
+    if dx > spectrum.curve.period_x / 9.0:
         raise GridTooCoarse(f"dx = {dx} under-resolves the cnoidal period")
     xs = x_span[0] + dx * np.arange(-3, nx + 3)
     ts = t_span[0] + dt * np.arange(-2, nt + 2)
-    u = u_field(ctx, xs, ts)
+    u = u_field(spectrum, xs, ts)
     u_t = fd.first_derivative_axis(u, dt, axis=0)          # (nt, nx+6)
     u_x = fd.first_derivative_axis(u, dx, axis=1)[2:-2]    # (nt, nx+2)
     u_xxx = fd.third_derivative_axis(u, dx, axis=1)[2:-2]  # (nt, nx)

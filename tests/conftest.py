@@ -28,24 +28,23 @@ def bright_point():
 
 
 @pytest.fixture(scope="session")
-def ctx_cnoidal(curve):
-    return tu.build_context(tu.build_spectrum(curve, []))
+def sp_cnoidal(curve):
+    return tu.build_spectrum(curve, [])
 
 
 @pytest.fixture(scope="session")
-def ctx_dim(curve, dim_point):
-    return tu.build_context(tu.spectrum_from_points(curve, [(dim_point, 0.0)]))
+def sp_dim(curve, dim_point):
+    return tu.spectrum_from_points(curve, [(dim_point, 0.0)])
 
 
 @pytest.fixture(scope="session")
-def ctx_bright(curve, bright_point):
-    return tu.build_context(tu.spectrum_from_points(curve, [(bright_point, 0.0)]))
+def sp_bright(curve, bright_point):
+    return tu.spectrum_from_points(curve, [(bright_point, 0.0)])
 
 
 @pytest.fixture(scope="session")
-def ctx_dimbright(curve, dim_point, bright_point):
-    spectrum = tu.spectrum_from_points(curve, [(dim_point, 0.0), (bright_point, 0.0)])
-    return tu.build_context(spectrum)
+def sp_dimbright(curve, dim_point, bright_point):
+    return tu.spectrum_from_points(curve, [(dim_point, 0.0), (bright_point, 0.0)])
 
 
 def _count_calls(monkeypatch, names, entry=None):

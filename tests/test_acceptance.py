@@ -89,13 +89,13 @@ def test_criterion_4_soliton_transport(curve, dim_point, bright_point):
     gate(4, "soliton transport", ok, "; ".join(details))
 
 
-def test_criterion_5_pde_residual(curve, ctx_cnoidal, ctx_bright, ctx_dimbright):
+def test_criterion_5_pde_residual(curve, sp_cnoidal, sp_bright, sp_dimbright):
     nx = int(round(20.0 / (curve.period_x / 64.0))) + 1
     details = []
     ok = True
-    for label, ctx in (("N=0", ctx_cnoidal), ("N=1", ctx_bright), ("N=2", ctx_dimbright)):
+    for label, sp in (("N=0", sp_cnoidal), ("N=1", sp_bright), ("N=2", sp_dimbright)):
         t0 = time.perf_counter()
-        resid = tu.kdv_residual(ctx, (-10.0, 10.0), nx, (-1.0, 1.0), 2001)
+        resid = tu.kdv_residual(sp, (-10.0, 10.0), nx, (-1.0, 1.0), 2001)
         elapsed = time.perf_counter() - t0
         ok = ok and resid < 1e-3 and elapsed < 30.0
         details.append(f"{label}: {resid:.2e} in {elapsed:.1f}s")
@@ -132,18 +132,18 @@ def test_criterion_7_fay(curve):
     gate(7, "fay identity", worst < 1e-9, f"worst residual {worst:.2e}")
 
 
-def test_criterion_8_trace_envelope(curve, ctx_dim):
-    c_val = ctx_dim.spectrum.b[0]
+def test_criterion_8_trace_envelope(curve, sp_dim):
+    c_val = sp_dim.b[0]
     far = np.concatenate([np.linspace(-130, -80, 8001), np.linspace(80, 130, 8001)])
-    u_far = tu.u_grid(ctx_dim, far, 0.0)
+    u_far = tu.u_grid(sp_dim, far, 0.0)
     err_max = abs(np.max(u_far) - curve.e1 / 2.0)
     err_min = abs(np.min(u_far) - curve.e2 / 2.0)
 
-    v = ctx_dim.spectrum.velocity[0]
+    v = sp_dim.velocity[0]
     extrema = []
     for t in np.linspace(0.0, curve.period_x / abs(v), 60):
         xs = np.linspace(v * t - 2.5, v * t + 2.5, 1500)
-        u = tu.u_grid(ctx_dim, xs, float(t))
+        u = tu.u_grid(sp_dim, xs, float(t))
         for idx in (argrelextrema(u, np.greater)[0], argrelextrema(u, np.less)[0]):
             extrema.extend(u[idx])
     extrema = np.array(extrema)

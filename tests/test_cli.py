@@ -69,8 +69,8 @@ class TestEval:
         base = us[xs <= xs.max() - period]
         assert np.max(np.abs(shifted - base)) < 1e-4
 
-    def test_bright_travels_ten_units(self, tmp_path, curve, ctx_bright):
-        v = ctx_bright.spectrum.velocity[0]
+    def test_bright_travels_ten_units(self, tmp_path, curve, sp_bright):
+        v = sp_bright.velocity[0]
         cfg = {
             "curve": BASE_CURVE,
             "solitons": [{"beta": 0.30, "kind": "hot"}],
@@ -92,9 +92,8 @@ class TestEval:
         assert abs((centers[1] - centers[0]) - 10.0) < 1.5
         assert abs((centers[2] - centers[1]) - 10.0) < 1.5
 
-    def test_dimbright_opposite_directions(self, tmp_path, ctx_dimbright):
-        sp = ctx_dimbright.spectrum
-        by_kind = {pt.kind: v for pt, v in zip(sp.points, sp.velocity)}
+    def test_dimbright_opposite_directions(self, tmp_path, sp_dimbright):
+        by_kind = {pt.kind: v for pt, v in zip(sp_dimbright.points, sp_dimbright.velocity)}
         v_hot = by_kind["hot"]
         t_end = 30.0 / v_hot
         cfg = {
@@ -164,15 +163,15 @@ class TestEvalPath:
         rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
         _, cfg = cli._load_config(str(path))
         curve = cli._build_curve(cfg)
-        ctx = tu.build_context(cli._build_spectrum(cfg, curve))
+        sp = cli._build_spectrum(cfg, curve)
         xs, ts = cli._grid(cfg)
         want = []
         for t in ts:
-            u_row = tu.u_grid(ctx, xs, float(t))
-            tau_row, det_row = tu.tau_grid(ctx, xs, float(t))
+            u_row = tu.u_grid(sp, xs, float(t))
+            tau_row, det_row = tu.tau_grid(sp, xs, float(t))
             want += [",".join(cli._fmt(v) for v in (x, float(t), u, tv, dv))
                      for x, u, tv, dv in zip(xs, u_row, tau_row, det_row)]
-            stencil = tu.u_field(ctx, xs, [float(t)])[0]
+            stencil = tu.u_field(sp, xs, [float(t)])[0]
             assert np.max(np.abs(u_row - stencil)) < 1e-7
         assert rows[1:] == want
 
@@ -183,7 +182,7 @@ class TestEvalPath:
         path.write_text(json.dumps(cfg))
         _, cfg = cli._load_config(str(path))
         curve = cli._build_curve(cfg)
-        tu.build_context(cli._build_spectrum(cfg, curve))
+        cli._build_spectrum(cfg, curve)
         spectrum_passes = len(series_calls)
         setups = []
         original = tu._subset_tables
@@ -372,8 +371,8 @@ class TestDynamics:
         assert abs(shifts[0.25] - (-17.32)) < 1e-2
         assert abs(shifts[0.36] - 22.878) < 1e-2
 
-    def test_track_mode_zero_mean(self, tmp_path, curve, ctx_bright):
-        v = ctx_bright.spectrum.velocity[0]
+    def test_track_mode_zero_mean(self, tmp_path, curve, sp_bright):
+        v = sp_bright.velocity[0]
         period = curve.period_x / v
         n = 64
         cfg = {"curve": BASE_CURVE,
@@ -491,11 +490,11 @@ class TestExitCodes:
         assert not np.any(np.isnan(data))
         _, cfg = cli._load_config(str(path))
         curve = cli._build_curve(cfg)
-        ctx = tu.build_context(cli._build_spectrum(cfg, curve))
+        sp = cli._build_spectrum(cfg, curve)
         xs, ts = cli._grid(cfg)
         log_max = np.log(np.finfo(float).max)
         for k, t in enumerate(ts):
-            _, log_tau, log_det = next(tu._subset_sums(ctx, xs, [float(t)]))
+            _, log_tau, log_det = next(tu._subset_sums(sp, xs, [float(t)]))
             block = data[k * xs.size:(k + 1) * xs.size]
             assert np.array_equal(np.isinf(block[:, 3]), log_tau > log_max)
             assert np.array_equal(np.isinf(block[:, 4]), log_det > log_max)
@@ -772,6 +771,14 @@ class TestConfigSchema:
             assert first.startswith("config error:")
         if code == 3:
             assert first.split(":")[0] in error_names()
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_tol_flag_read_as_a_positive_number(self, tmp_path, monkeypatch, capsys, tol):
+        # these ran the whole verification: exit 4, or every check passed at inf
+        monkeypatch.setattr(cli, "_build_spectrum", lambda *args: pytest.fail("numerics ran"))
+        config = Path(__file__).resolve().parents[1] / "demos/configs/verify_all.json"
+        assert cli.main(["verify", "--config", str(config), "--tol", tol]) == 2
+        assert capsys.readouterr().err.startswith("config error: --tol: ")
 
     def test_unknown_key_is_named(self, tmp_path):
         # a misspelt sigma used to solve at the default sigma = 1 with exit 0

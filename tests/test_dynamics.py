@@ -276,41 +276,40 @@ class TestSchedule:
 
 
 class TestBackgroundProbe:
-    def test_unbroken_background(self, ctx_cnoidal):
+    def test_unbroken_background(self, sp_cnoidal):
         phases = dy.background_shift_probe(
-            ctx_cnoidal, 0.0, [(-20, -14), (-3, 3), (14, 20)])
+            sp_cnoidal, 0.0, [(-20, -14), (-3, 3), (14, 20)])
         for p in phases[1:]:
             assert dy.phase_distance_mod1(p, phases[0]) < 1e-6
 
-    def test_single_hot_jump(self, curve, ctx_bright):
-        mu1 = ctx_bright.spectrum.mu[0]
-        v = ctx_bright.spectrum.velocity[0]
+    def test_single_hot_jump(self, curve, sp_bright):
+        mu1 = sp_bright.mu[0]
+        v = sp_bright.velocity[0]
         t = 15.0 / v
-        phases = dy.background_shift_probe(ctx_bright, t, [(30, 36), (-36, -30)])
+        phases = dy.background_shift_probe(sp_bright, t, [(30, 36), (-36, -30)])
         jump = phases[1] - phases[0]  # left minus right
         assert dy.phase_distance_mod1(jump, mu1) < 1e-4
 
-    def test_fit_diverges_on_soliton_core(self, curve, ctx_bright):
+    def test_fit_diverges_on_soliton_core(self, curve, sp_bright):
         # a window straddling the core is not a shifted cnoidal wave
         with pytest.raises(FitDiverged):
-            dy.background_shift_probe(ctx_bright, 0.0, [(-2.0, 2.0)])
+            dy.background_shift_probe(sp_bright, 0.0, [(-2.0, 2.0)])
 
-    def test_dimbright_three_regions(self, curve, ctx_dimbright):
+    def test_dimbright_three_regions(self, curve, sp_dimbright):
         # middle windows need about 90 units of clearance from the slowly
         # decaying cool core (|P_cool| ~ 0.118), so probe late
-        sp = ctx_dimbright.spectrum
-        shift_a = sp.background_shift_A
-        by_kind = {pt.kind: k for k, pt in enumerate(sp.points)}
-        v_hot = sp.velocity[by_kind["hot"]]
-        v_cool = sp.velocity[by_kind["cool"]]
-        mu_hot = sp.mu[by_kind["hot"]]
+        shift_a = sp_dimbright.background_shift_A
+        by_kind = {pt.kind: k for k, pt in enumerate(sp_dimbright.points)}
+        v_hot = sp_dimbright.velocity[by_kind["hot"]]
+        v_cool = sp_dimbright.velocity[by_kind["cool"]]
+        mu_hot = sp_dimbright.mu[by_kind["hot"]]
         t = 100.0 / v_hot
         x_hot, x_cool = v_hot * t, v_cool * t
         windows = [(x_hot + 100, x_hot + 106),
                    (x_cool + 110, x_hot - 110),
                    (x_cool - 116, x_cool - 110)]
         windows[1] = (max(windows[1][0], -20.0), min(windows[1][1], -14.0))
-        right, middle, left = dy.background_shift_probe(ctx_dimbright, t, windows)
+        right, middle, left = dy.background_shift_probe(sp_dimbright, t, windows)
         assert dy.phase_distance_mod1(right, -shift_a) < 1e-3
         assert dy.phase_distance_mod1(middle, -shift_a + mu_hot) < 1e-3
         assert dy.phase_distance_mod1(left, shift_a) < 1e-3

@@ -743,6 +743,14 @@ class TestWeierstrass:
         with pytest.raises(LatticePoint):
             el.weierstrass(2.0 * curve.varpi1, curve)
 
+    @pytest.mark.parametrize("branch_points", FIVE_CURVES)
+    def test_quad_const_real(self, branch_points):
+        # C = zeta(varpi3) / (8 varpi3) of tau's factor exp(-C x^2), held by the curve
+        curve = el.half_periods(*branch_points)
+        quad = el.zeta_half_period(curve) / (8.0 * curve.varpi3)
+        assert abs(quad.imag) <= 1e-12 * max(1.0, abs(quad))
+        assert np.float64(curve.quad_const).tobytes() == np.float64(quad.real).tobytes()
+
     def test_array_matches_scalar_calls(self, curve):
         # hot and cool points and generic points mixed in one 2-D array; numpy
         # and Python complex arithmetic round differently, so allow 50 ulps

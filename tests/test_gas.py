@@ -242,6 +242,20 @@ class TestFreeSpeed:
         m = gas.build_model(curve, [gas.GasInterval(1, 0.03, 0.47)], 1.0, 20)
         assert np.all(gas.free_speeds(m) < 0)
 
+    def test_node_terms_take_one_series_pass(self, curve, series_orders):
+        # P, E and b of all 64 nodes from one pass at beta itself, also where
+        # 2 varpi3 beta / (2 varpi3) is not beta (a second pass at beta was taken there)
+        m = hot_model(curve)
+        betas = m.betas
+        assert np.any(2.0 * curve.varpi3 * betas / (2.0 * curve.varpi3) != betas)
+        el.zeta_half_period(curve)          # cached on the curve
+        series_orders.clear()
+        terms = el._quasi_terms(betas, m.nodes_chi, curve)
+        assert series_orders == [(0, 1, 2, 3)]
+        for beta, chi, *node in zip(betas, m.nodes_chi, *terms):
+            for got, want in zip(node, el._quasi_terms(complex(beta), int(chi), curve)):
+                assert abs(got - want) <= 1e-13 * abs(want)
+
 
 class TestNdrSolve:
     def test_dilute_limit(self, curve):

@@ -7,6 +7,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cnoidal_kdv
@@ -22,6 +23,15 @@ def test_all_names_resolve_and_none_is_a_module():
         assert not isinstance(getattr(cnoidal_kdv, name), types.ModuleType), name
 
 
+def test_readme_library_snapshot_runs(capsys):
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library snapshot\n\n```python\n(.*?)```", text, re.S).group(1)
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["u"].shape == (801,) and np.all(np.isfinite(names["u"]))
+    assert len(capsys.readouterr().out.split()) == 2
+
+
 def test_import_loads_no_scipy_solver():
     # the runtime is numpy alone: neither a gas solve nor the phase probe loads scipy
     code = f"""
@@ -32,8 +42,8 @@ with contextlib.redirect_stdout(io.StringIO()):
                      "--double-nodes"]) == 0
 curve = elliptic.half_periods(2.0, 1.0, -3.0)
 point = elliptic.JacobianPoint(beta=0.30 + 0j, chi=0)
-ctx = tau.build_context(tau.spectrum_from_points(curve, [(point, 0.0)]))
-dynamics.background_shift_probe(ctx, 15.0 / ctx.spectrum.velocity[0], [(30, 36)])
+spectrum = tau.spectrum_from_points(curve, [(point, 0.0)])
+dynamics.background_shift_probe(spectrum, 15.0 / spectrum.velocity[0], [(30, 36)])
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

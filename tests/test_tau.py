@@ -15,6 +15,7 @@ from cnoidal_kdv import tau as tu
 from cnoidal_kdv.errors import (
     DuplicateSpectralPoint,
     GridTooCoarse,
+    NonRealTau,
     PhaseOverflow,
     TooManySolitons,
 )
@@ -24,20 +25,26 @@ from oracles import (a_tensor_loop, eval_oracle_cases, mp_group_velocity, normin
 
 
 class TestSpectrum:
-    def test_quad_const_real(self, ctx_cnoidal):
-        z3 = el.zeta_half_period(ctx_cnoidal.curve)
-        quad = z3 / (8.0 * ctx_cnoidal.curve.varpi3)
-        assert abs(quad.imag) <= 1e-12
-        assert abs(ctx_cnoidal.quad_const - quad.real) == 0.0
+    @pytest.mark.parametrize("routine", ["u_grid", "u_background"])
+    def test_non_real_quad_const_raises_before_theta_work(self, curve, bright_point,
+                                                           monkeypatch, routine):
+        # varpi3 turned off the imaginary axis makes C = zeta(varpi3) / (8 varpi3) complex
+        tilted = dataclasses.replace(curve, varpi3=curve.varpi3 * np.exp(0.1j))
+        sp = dataclasses.replace(tu.spectrum_from_points(curve, [(bright_point, 0.0)]),
+                                 curve=tilted)
+        for name in ("_theta_grid", "_subset_block", "_cnoidal_wave"):
+            monkeypatch.setattr(tu, name, lambda *args, _name=name: pytest.fail(_name))
+        xs = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(NonRealTau, match="quadratic constant"):
+            tu.u_grid(sp, xs, 0.0) if routine == "u_grid" else tu.u_background(sp, xs)
 
-    def test_momentum_classes(self, ctx_dimbright):
-        sp = ctx_dimbright.spectrum
-        for pt, p, energy in zip(sp.points, sp.p, sp.energy):
-            P, E, _ = el._quasi_terms(pt.beta, pt.chi, sp.curve)
+    def test_momentum_classes(self, sp_dimbright):
+        for pt, p, energy in zip(sp_dimbright.points, sp_dimbright.p, sp_dimbright.energy):
+            P, E, _ = el._quasi_terms(pt.beta, pt.chi, sp_dimbright.curve)
             assert abs(P.real) <= 1e-12 and P.imag > 0 and P.imag == p
             assert abs(E.real) <= 1e-12 and E.imag == energy
         # measured energy sign classes: hot in i R_-, cool in i R_+
-        by_kind = {pt.kind: energy for pt, energy in zip(sp.points, sp.energy)}
+        by_kind = {pt.kind: energy for pt, energy in zip(sp_dimbright.points, sp_dimbright.energy)}
         assert by_kind["hot"] < 0
         assert by_kind["cool"] > 0
 
@@ -66,11 +73,10 @@ class TestSpectrum:
         assert abs(sp.norming[0] - c_expected) < 1e-14
         assert sp.norming[0] > 0
 
-    def test_background_shift(self, ctx_dimbright):
-        sp = ctx_dimbright.spectrum
-        mus = [pt.mu() for pt in sp.points]
-        assert abs(sp.background_shift_A - 0.5 * sum(mus)) < 1e-15
-        assert sp.mu.tolist() == mus
+    def test_background_shift(self, sp_dimbright):
+        mus = [pt.mu() for pt in sp_dimbright.points]
+        assert abs(sp_dimbright.background_shift_A - 0.5 * sum(mus)) < 1e-15
+        assert sp_dimbright.mu.tolist() == mus
 
     def test_duplicate_rejected(self, curve):
         with pytest.raises(DuplicateSpectralPoint):
@@ -91,15 +97,14 @@ class TestSpectrum:
         with pytest.raises(ValueError, match=r"^Re\(beta\) = 0.7 outside"):
             tu.spectrum_from_points(curve, [(pt, 0.0) for pt in pts[::-1]])
 
-    def test_arrays_are_read_only(self, ctx_dimbright):
-        sp = ctx_dimbright.spectrum
+    def test_arrays_are_read_only(self, sp_dimbright):
         names = ("beta", "beta_star", "b", "p", "energy", "norming", "x_shift")
         for name in names:
             with pytest.raises(ValueError, match="read-only"):
-                getattr(sp, name)[0] = 1.0
+                getattr(sp_dimbright, name)[0] = 1.0
         # dataclasses.replace hands over arrays that the spectrum copies
         handed = np.array([2.0, 3.0])
-        copy = dataclasses.replace(sp, p=handed)
+        copy = dataclasses.replace(sp_dimbright, p=handed)
         handed[0] = 5.0
         assert copy.p.tolist() == [2.0, 3.0] and not copy.p.flags.writeable
         assert [getattr(copy, name).dtype.kind for name in names] == ["c", "c"] + ["f"] * 5
@@ -112,112 +117,111 @@ class TestSpectrum:
 
 
 class TestGMatrix:
-    def test_phases_real_positive(self, ctx_dimbright):
-        g = tu.g_matrix(ctx_dimbright, 0.7, 0.3)
+    def test_phases_real_positive(self, sp_dimbright):
+        g = tu.g_matrix(sp_dimbright, 0.7, 0.3)
         # diagonal entries are positive reals (phases exp(i pi psi) are real)
         assert np.all(np.diag(g).real > 0)
         assert np.max(np.abs(np.diag(g).imag)) < 1e-12
 
-    def test_single_soliton_two_term_form(self, curve, ctx_dim):
-        sp = ctx_dim.spectrum
+    def test_single_soliton_two_term_form(self, curve, sp_dim):
         xs = np.linspace(-8, 8, 100)
         for x in xs:
-            lhs = 1.0 + tu.g_matrix(ctx_dim, float(x), 0.0)[0, 0]
-            rhs = single_soliton_two_term(
-                curve, sp.mu[0], sp.p[0], sp.energy[0], sp.background_shift_A, float(x), 0.0)
+            lhs = 1.0 + tu.g_matrix(sp_dim, float(x), 0.0)[0, 0]
+            rhs = single_soliton_two_term(curve, sp_dim.mu[0], sp_dim.p[0], sp_dim.energy[0],
+                                          sp_dim.background_shift_A, float(x), 0.0)
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
-    def test_diagonal_decay_right(self, ctx_dimbright):
-        g20 = np.abs(np.diag(tu.g_matrix(ctx_dimbright, 20.0, 0.0)))
-        g60 = np.abs(np.diag(tu.g_matrix(ctx_dimbright, 60.0, 0.0)))
+    def test_diagonal_decay_right(self, sp_dimbright):
+        g20 = np.abs(np.diag(tu.g_matrix(sp_dimbright, 20.0, 0.0)))
+        g60 = np.abs(np.diag(tu.g_matrix(sp_dimbright, 60.0, 0.0)))
         assert np.all(g60 < g20)
         assert np.all(g60 < 1e-2)
 
-    def test_from_phases_matches_xt_matrix(self, ctx_dimbright):
+    def test_from_phases_matches_xt_matrix(self, sp_dimbright):
         # g_matrix_from_phases at the phases of (x, t) is G(x, t)
-        sp = ctx_dimbright.spectrum
         x, t = 0.7, 0.3
-        expo = tu._phase_exponents(ctx_dimbright, np.array([x]), t)[0]
-        beta = float(tu._background_phase(ctx_dimbright, np.array([x]))[0])
-        g = tu.g_matrix_from_phases(sp, expo / (1j * np.pi), beta + sp.background_shift_A)
-        want = tu.g_matrix(ctx_dimbright, x, t)
+        expo = tu._phase_exponents(sp_dimbright, np.array([x]), t)[0]
+        beta = float(tu._background_phase(sp_dimbright, np.array([x]))[0])
+        g = tu.g_matrix_from_phases(sp_dimbright, expo / (1j * np.pi),
+                                    beta + sp_dimbright.background_shift_A)
+        want = tu.g_matrix(sp_dimbright, x, t)
         assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_phase_overflow_guard(self, ctx_bright):
+    def test_phase_overflow_guard(self, sp_bright):
         with pytest.raises(PhaseOverflow):
-            tu.g_matrix(ctx_bright, -1e4, 0.0)
+            tu.g_matrix(sp_bright, -1e4, 0.0)
 
     def test_phase_overflow_guard_rejects_nan(self, curve, bright_point):
         # a NaN exponent fails every comparison; it must not pass the guard
         sp = tu.spectrum_from_points(curve, [(bright_point, float("nan"))])
         with pytest.raises(PhaseOverflow):
-            tu.u_grid(tu.build_context(sp), np.linspace(-1.0, 1.0, 5), 0.0)
+            tu.u_grid(sp, np.linspace(-1.0, 1.0, 5), 0.0)
 
 
 class TestTau:
-    def test_cnoidal_tau(self, ctx_cnoidal, curve):
+    def test_cnoidal_tau(self, sp_cnoidal, curve):
         xs = np.array([-3.3, 0.4, 7.1])
-        tau, _ = tu.tau_grid(ctx_cnoidal, xs, 0.0)
+        tau, _ = tu.tau_grid(sp_cnoidal, xs, 0.0)
         for x, value in zip(xs, tau):
-            expect = (np.exp(-ctx_cnoidal.quad_const * x * x)
+            expect = (np.exp(-sp_cnoidal.curve.quad_const * x * x)
                       * el.theta3(x / (4 * abs(curve.varpi3)), curve.tau).real)
             assert abs(value - expect) <= 1e-13 * abs(expect)
 
-    def test_positive_on_dimbright_sweep(self, ctx_dimbright):
+    def test_positive_on_dimbright_sweep(self, sp_dimbright):
         xs = np.linspace(-20, 20, 250)
         for t in np.linspace(-5, 5, 40):
-            vals, _ = tu.tau_grid(ctx_dimbright, xs, float(t))
+            vals, _ = tu.tau_grid(sp_dimbright, xs, float(t))
             assert np.min(vals) > 0.0
 
-    def test_det_at_least_one(self, ctx_dimbright):
+    def test_det_at_least_one(self, sp_dimbright):
         # every principal minor is positive and the empty one is 1
         xs = np.linspace(-30, 30, 400)
         for t in (-2.0, 0.0, 2.0):
-            _, det = tu.tau_grid(ctx_dimbright, xs, t)
+            _, det = tu.tau_grid(sp_dimbright, xs, t)
             assert np.min(det) >= 1.0 - 1e-9
 
 
 class TestUField:
-    def test_cnoidal_wave(self, ctx_cnoidal, curve):
+    def test_cnoidal_wave(self, sp_cnoidal, curve):
         xs = np.linspace(-10, 10, 2000)
-        u = tu.u_grid(ctx_cnoidal, xs, 0.0)
+        u = tu.u_grid(sp_cnoidal, xs, 0.0)
         period = curve.period_x
         assert period > 0
-        u_shift = tu.u_grid(ctx_cnoidal, xs + period, 0.0)
+        u_shift = tu.u_grid(sp_cnoidal, xs + period, 0.0)
         assert np.max(np.abs(u - u_shift)) < 1e-8
         # trace-formula range [e2/2, e1/2]
         assert abs(np.max(u) - curve.e1 / 2.0) < 1e-5
         assert abs(np.min(u) - curve.e2 / 2.0) < 1e-5
 
-    def test_background_is_cnoidal_reference(self, ctx_cnoidal, curve):
+    def test_background_is_cnoidal_reference(self, sp_cnoidal, curve):
         # the same cnoidal wave from tau (complex y) and riemann (real y)
         xs = np.linspace(-10, 10, 301)
-        u_bg = tu.u_background(ctx_cnoidal, xs) + 4.0 * ctx_cnoidal.quad_const
+        u_bg = tu.u_background(sp_cnoidal, xs) + 4.0 * sp_cnoidal.curve.quad_const
         assert np.max(np.abs(u_bg - rm.cnoidal_reference(curve, xs))) <= 1e-12
 
-    def test_reality(self, ctx_dimbright):
+    def test_reality(self, sp_dimbright):
         xs = np.linspace(-12, 12, 200)
         for t in (-1.0, 0.5):
-            u = tu.u_grid(ctx_dimbright, xs, t)
+            u = tu.u_grid(sp_dimbright, xs, t)
             assert np.all(np.isfinite(u))
             assert np.all(np.abs(u) < 50)
 
-    def test_dim_envelope_critical_values(self, curve, ctx_dim):
+    def test_dim_envelope_critical_values(self, curve, sp_dim):
         # the four critical values of the dented cnoidal wave: background
         # extremes far away, dip envelope values near the core
-        c_val = ctx_dim.spectrum.b[0]
+        c_val = sp_dim.b[0]
         far = np.concatenate([np.linspace(-130, -80, 8001), np.linspace(80, 130, 8001)])
-        u_far = tu.u_grid(ctx_dim, far, 0.0)
+        u_far = tu.u_grid(sp_dim, far, 0.0)
         assert abs(np.max(u_far) - curve.e1 / 2.0) < 1e-3
         assert abs(np.min(u_far) - curve.e2 / 2.0) < 1e-3
 
-        v = ctx_dim.spectrum.velocity[0]
+        v = sp_dim.velocity[0]
         period_t = curve.period_x / abs(v)
         extrema = []
         for t in np.linspace(0.0, period_t, 60):
             xc = v * t
             xs = np.linspace(xc - 2.5, xc + 2.5, 1500)
-            u = tu.u_grid(ctx_dim, xs, float(t))
+            u = tu.u_grid(sp_dim, xs, float(t))
             for idx in (argrelextrema(u, np.greater)[0], argrelextrema(u, np.less)[0]):
                 extrema.extend(u[idx])
         extrema = np.array(extrema)
@@ -232,20 +236,17 @@ class TestUField:
         sp_shift = tu.spectrum_from_points(curve, [(bright_point, delta)])
         base = tu.spectrum_from_points(curve, [(bright_point, 0.0)])
         sp_scaled = dataclasses.replace(base, norming=base.norming * np.exp(base.p * delta))
-        ctx_a = tu.build_context(sp_shift)
-        ctx_b = tu.build_context(sp_scaled)
         xs = np.linspace(-5, 5, 50)
-        _, det_a = tu.tau_grid(ctx_a, xs, 0.4)
-        _, det_b = tu.tau_grid(ctx_b, xs, 0.4)
+        _, det_a = tu.tau_grid(sp_shift, xs, 0.4)
+        _, det_b = tu.tau_grid(sp_scaled, xs, 0.4)
         assert np.max(np.abs(det_a - det_b) / det_a) < 1e-12
-        assert np.max(np.abs(tu.u_grid(ctx_a, xs, 0.4) - tu.u_grid(ctx_b, xs, 0.4))) < 1e-8
+        assert np.max(np.abs(tu.u_grid(sp_shift, xs, 0.4) - tu.u_grid(sp_scaled, xs, 0.4))) < 1e-8
 
-    def test_asymptotic_background_phases(self, curve, ctx_bright):
+    def test_asymptotic_background_phases(self, curve, sp_bright):
         # u tends to the cnoidal wave with phase -A on the right and
         # -A + mu_1 on the left (conveyer-belt remark), windows |x| in [20, 30]
-        sp = ctx_bright.spectrum
-        shift_a = sp.background_shift_A
-        mu1 = sp.mu[0]
+        shift_a = sp_bright.background_shift_A
+        mu1 = sp_bright.mu[0]
         w3a = abs(curve.varpi3)
 
         def cnoidal(xs, phase):
@@ -254,24 +255,23 @@ class TestUField:
             t1 = el.theta3(y, curve.tau, 1)
             t2 = el.theta3(y, curve.tau, 2)
             return ((t2 / t0 - (t1 / t0) ** 2).real / (8.0 * w3a * w3a)
-                    - 4.0 * ctx_bright.quad_const)
+                    - 4.0 * sp_bright.curve.quad_const)
 
         xs_r = np.linspace(20, 30, 120)
-        assert np.max(np.abs(tu.u_grid(ctx_bright, xs_r, 0.0)
+        assert np.max(np.abs(tu.u_grid(sp_bright, xs_r, 0.0)
                              - cnoidal(xs_r, -shift_a))) < 1e-4
         xs_l = np.linspace(-30, -20, 120)
-        assert np.max(np.abs(tu.u_grid(ctx_bright, xs_l, 0.0)
+        assert np.max(np.abs(tu.u_grid(sp_bright, xs_l, 0.0)
                              - cnoidal(xs_l, -shift_a + mu1))) < 1e-4
 
     def test_free_soliton_limit_profile(self, curve):
         # a very energetic hot soliton approaches the sech^2 profile
         b = -3000.0
         sp = tu.build_spectrum(curve, [(b, 0.0)])
-        ctx = tu.build_context(sp)
         p = sp.p[0]
         xs = np.linspace(-0.15, 0.15, 1001)
-        u = tu.u_grid(ctx, xs, 0.0)
-        u_bg = tu.u_background(ctx, xs)
+        u = tu.u_grid(sp, xs, 0.0)
+        u_bg = tu.u_background(sp, xs)
         prof = u - u_bg
         amp = np.max(prof)
         assert abs(amp - abs(b) / 2.0) < 0.01 * abs(b) / 2.0
@@ -279,7 +279,7 @@ class TestUField:
         sech2 = amp / np.cosh(0.5 * p * (xs - x_core)) ** 2
         assert np.max(np.abs(prof - sech2)) < 0.01 * amp
 
-    def test_galilean_boost_field_solves_kdv(self, ctx_bright, curve):
+    def test_galilean_boost_field_solves_kdv(self, sp_bright, curve):
         # u(x - 2vt, t) + v/3 is the solution for branch points e_i + v/3;
         # verify it still satisfies the KdV residual operator
         v = 0.3
@@ -290,7 +290,7 @@ class TestUField:
         ts = -dt * 2 + dt * np.arange(nt + 4)
         u = np.empty((ts.size, xs.size))
         for i, t in enumerate(ts):
-            u[i] = tu.u_grid(ctx_bright, xs - 2.0 * v * t, float(t)) + v / 3.0
+            u[i] = tu.u_grid(sp_bright, xs - 2.0 * v * t, float(t)) + v / 3.0
         u_t = fd.first_derivative_axis(u, dt, axis=0)
         u_x = fd.first_derivative_axis(u, dx, axis=1)[2:-2]
         u_xxx = fd.third_derivative_axis(u, dx, axis=1)[2:-2]
@@ -332,10 +332,9 @@ class TestBatchedThetaKeepsBits:
         # u_field's row at t, which the verify pde gate reads, keeps the bytes of
         # the per-t stencil formula (u_grid, once that row, is the subset sum's)
         sp = tu.spectrum_from_points(curve, [(p, 0.5 - k) for k, p in enumerate(mixed_points(curve, n))])
-        ctx = tu.build_context(sp)
         xs = np.linspace(-6.0, 6.0, 97)
         for t in (0.0, 0.3):
-            assert tu.u_field(ctx, xs, [t])[0].tobytes() == u_grid_stencil(ctx, xs, t).tobytes()
+            assert tu.u_field(sp, xs, [t])[0].tobytes() == u_grid_stencil(sp, xs, t).tobytes()
 
     def test_u_grid_on_a_hot_n6_spectrum_is_the_oracle_u(self, curve):
         # the dense stencil read u = 1.4605592 at x = -2.55, t = 0.3 on this
@@ -345,7 +344,7 @@ class TestBatchedThetaKeepsBits:
         sp = tu.spectrum_from_points(curve, [(el.JacobianPoint(b + 0j, 0), s) for b, s in hot])
         xs = np.array([-2.55, -1.0, 0.0])
         want = np.array([1.4603098673588768, 0.6314098123733747, 2.2002249516122516])
-        u = tu.u_grid(tu.build_context(sp), xs, 0.3)
+        u = tu.u_grid(sp, xs, 0.3)
         assert np.max(np.abs(u - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 4])
@@ -374,36 +373,36 @@ class TestBatchedThetaKeepsBits:
         assert theta_calls == []
 
 
-def pool_context(label: str):
-    """TauContext and grid of a field_tau eval pool member, read as the CLI reads it."""
+def pool_member(label: str):
+    """SolitonSpectrum and grid of a field_tau eval pool member, read as the CLI reads it."""
     cfg = next(cfg for name, cfg, _ in eval_oracle_cases() if name == label)
     cfg = cli._check(cfg, cli._SCHEMA)
     curve = cli._build_curve(cfg)
-    return tu.build_context(cli._build_spectrum(cfg, curve)), *cli._grid(cfg)
+    return cli._build_spectrum(cfg, curve), *cli._grid(cfg)
 
 
 class TestPrunedSubsets:
     @pytest.fixture(scope="class")
     def member12(self):
-        return pool_context("eval-N12-mixed-1")
+        return pool_member("eval-N12-mixed-1")
 
     def test_n12_member_sums_fewer_subsets_than_all(self, member12):
-        ctx, xs, ts = member12
+        sp, xs, ts = member12
         before = dict(tu._SUBSET_TERMS)
-        list(tu._eval_rows(ctx, xs, ts))
+        list(tu._eval_rows(sp, xs, ts))
         every, summed = (tu._SUBSET_TERMS[key] - before[key] for key in ("all", "summed"))
         assert every == 2 ** 12 * 25            # subsets x blocks of 16 points, one t
         assert 0 < summed < every
 
     def test_failed_certificate_sums_every_subset(self, member12, monkeypatch):
-        ctx, xs, _ = member12
+        sp, xs, _ = member12
         ts = [0.0, 0.5]
-        pruned = list(tu._subset_sums(ctx, xs, ts))
+        pruned = list(tu._subset_sums(sp, xs, ts))
         monkeypatch.setattr(el, "_KEEP_LOG", -np.inf)          # every subset kept
-        every = list(tu._subset_sums(ctx, xs, ts))
+        every = list(tu._subset_sums(sp, xs, ts))
         monkeypatch.setattr(el, "_KEEP_LOG", np.inf)           # none kept, so none certified
         before = tu._SUBSET_TERMS["summed"]
-        fallback = list(tu._subset_sums(ctx, xs, ts))
+        fallback = list(tu._subset_sums(sp, xs, ts))
         assert tu._SUBSET_TERMS["summed"] - before == 2 ** 12 * 25 * 2
         for got, want in zip(fallback, every):
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
@@ -423,12 +422,12 @@ class TestPrunedSubsets:
 
     @pytest.mark.parametrize("label", sorted(N12_SUMMED))
     def test_n12_members_sum_the_recorded_subsets(self, label, monkeypatch):
-        ctx, xs, ts = pool_context(label)
+        sp, xs, ts = pool_member(label)
         counts = []
         for cells in (tu._SUBSET_CELLS, 2 ** 15):
             monkeypatch.setattr(tu, "_SUBSET_CELLS", cells)
             before = dict(tu._SUBSET_TERMS)
-            list(tu._subset_sums(ctx, xs, ts))
+            list(tu._subset_sums(sp, xs, ts))
             counts.append({key: tu._SUBSET_TERMS[key] - before[key] for key in ("all", "summed")})
         assert counts[1] == {"all": 2 ** 12 * 50, "summed": self.N12_SUMMED[label]}
         assert counts[0]["all"] == 2 ** 12 * 25
@@ -438,15 +437,15 @@ class TestPrunedSubsets:
         # _subset_block writes every buffer of its workspace before reading it:
         # one filled with NaN for the N = 12 member, then the same one, left as
         # that member left it, for an N = 8 member give a fresh workspace's bytes
-        members = [member12, pool_context("eval-N8-mixed-0")]
+        members = [member12, pool_member("eval-N8-mixed-0")]
         original, sizes = tu._subset_block, []
         monkeypatch.setattr(tu, "_subset_block", lambda *args: sizes.append(
             [buffer.size for buffer in args[-1]]) or original(*args))
-        fresh = [list(tu._subset_sums(ctx, xs, ts)) for ctx, xs, ts in members]
+        fresh = [list(tu._subset_sums(sp, xs, ts)) for sp, xs, ts in members]
         shared = tuple(np.full(max(size), np.nan) for size in zip(*sizes))
         monkeypatch.setattr(tu, "_subset_block", lambda *args: original(*args[:-1], shared))
-        for (ctx, xs, ts), want in zip(members, fresh):
-            got = list(tu._subset_sums(ctx, xs, ts))
+        for (sp, xs, ts), want in zip(members, fresh):
+            got = list(tu._subset_sums(sp, xs, ts))
             assert len(got) == len(want)
             for row, want_row in zip(got, want):
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(row, want_row))
@@ -460,54 +459,52 @@ class TestPrunedSubsets:
         if given == "b":
             points = [el.invert_wp(el.wp_on_segment(p, curve) + 0.01, curve) for p in points]
         sp = tu.spectrum_from_points(curve, [(p, 1.5 - 0.6 * k) for k, p in enumerate(points)])
-        ctx = tu.build_context(sp)
         xs = np.linspace(-3.0, 3.0, 25)
         for t in (0.0, 0.3):
-            _, det = tu.tau_grid(ctx, xs, t)
-            dense = [np.linalg.det(np.eye(n) + tu.g_matrix(ctx, x, t)).real for x in xs]
+            _, det = tu.tau_grid(sp, xs, t)
+            dense = [np.linalg.det(np.eye(n) + tu.g_matrix(sp, x, t)).real for x in xs]
             assert np.max(np.abs(det / dense - 1.0)) <= 1e-13
 
     @pytest.mark.parametrize("label", [case[0] for case in eval_oracle_cases()])
     def test_sums_match_the_cell_kernel(self, label, monkeypatch):
         # the per-point centring keeps u at the per-cell kernel's rounding; one
         # centre per block moved u on eval-N8-hot-3 by 1.6e-12 max(1, |u|)
-        ctx, xs, ts = pool_context(label)
-        got = list(tu._subset_sums(ctx, xs, ts))
+        sp, xs, ts = pool_member(label)
+        got = list(tu._subset_sums(sp, xs, ts))
         monkeypatch.setattr(tu, "_subset_block", subset_block_cells)
-        for (u, log_tau, _), (u_cells, log_tau_cells, _) in zip(got, tu._subset_sums(ctx, xs, ts)):
+        for (u, log_tau, _), (u_cells, log_tau_cells, _) in zip(got, tu._subset_sums(sp, xs, ts)):
             assert np.max(np.abs(u - u_cells) / np.maximum(1.0, np.abs(u_cells))) <= 1e-13
             assert np.max(np.abs(log_tau - log_tau_cells)
                           / np.maximum(1.0, np.abs(log_tau_cells))) <= 1e-14
 
     def test_cap_refused_before_any_work(self, curve, monkeypatch):
         sp = tu.spectrum_from_points(curve, [(p, 0.0) for p in mixed_points(curve, 17)])
-        ctx = tu.build_context(sp)
         monkeypatch.setattr(tu, "_theta_grid", lambda *args: pytest.fail("theta table built"))
         with pytest.raises(TooManySolitons, match="at most 16"):
-            tu.tau_grid(ctx, np.linspace(-1.0, 1.0, 5), 0.0)
+            tu.tau_grid(sp, np.linspace(-1.0, 1.0, 5), 0.0)
 
 
 @pytest.fixture(scope="module")
-def ctx3(curve):
+def sp3(curve):
     # moderate |P| values keep every soliton resolvable at period/64
     pts = [(el.JacobianPoint(0.28 + 0j, 0), 0.0),
            (el.JacobianPoint(0.42 + 0j, 0), 0.0),
            (el.JacobianPoint(0.27 + curve.tau / 2, 1), 0.0)]
-    return tu.build_context(tu.spectrum_from_points(curve, pts))
+    return tu.spectrum_from_points(curve, pts)
 
 
 class TestThreeSolitons:
-    def test_generic_det_path_matches_minor_expansion(self, ctx3):
+    def test_generic_det_path_matches_minor_expansion(self, sp3):
         # N = 3 exercises the stacked-determinant branch; compare with the
         # Fredholm (principal-minor) expansion assembled by hand
         x, t = 0.9, 0.4
-        g = tu.g_matrix(ctx3, x, t)
+        g = tu.g_matrix(sp3, x, t)
         expansion = 1.0 + np.trace(g)
         for i in range(3):
             for j in range(i + 1, 3):
                 expansion += g[i, i] * g[j, j] - g[i, j] * g[j, i]
         expansion += np.linalg.det(g)
-        det = tu._det_one_plus_g(ctx3, np.array([x]), t)[0]
+        det = tu._det_one_plus_g(sp3, np.array([x]), t)[0]
         assert abs(det - expansion) <= 1e-12 * abs(det)
 
     @pytest.mark.parametrize("n", [3, 4, 6])
@@ -519,38 +516,37 @@ class TestThreeSolitons:
         if given == "b":
             points = [el.invert_wp(el.wp_on_segment(p, curve) + 0.01, curve) for p in points]
         sp = tu.spectrum_from_points(curve, [(p, 1.5 - 0.6 * k) for k, p in enumerate(points)])
-        ctx = tu.build_context(sp)
         xs = np.linspace(-3.0, 3.0, 25)
-        a = tu._a_tensor(sp, tu._background_phase(ctx, xs))
+        a = tu._a_tensor(sp, tu._background_phase(sp, xs))
         for t in (0.0, 0.3):
-            d = np.sqrt(sp.norming)[None, :] * np.exp(tu._phase_exponents(ctx, xs, t))
+            d = np.sqrt(sp.norming)[None, :] * np.exp(tu._phase_exponents(sp, xs, t))
             want = np.linalg.slogdet(np.eye(n)[None] + a * d[:, :, None] * d[:, None, :])[1]
-            assert tu._logdet_one_plus_g(ctx, xs, t).tobytes() == want.tobytes()
-            assert tu._logdet_one_plus_g(ctx, xs, t, a=a).tobytes() == want.tobytes()
+            assert tu._logdet_one_plus_g(sp, xs, t).tobytes() == want.tobytes()
+            assert tu._logdet_one_plus_g(sp, xs, t, a=a).tobytes() == want.tobytes()
 
-    def test_logdet_slogdet_consistent(self, ctx3):
+    def test_logdet_slogdet_consistent(self, sp3):
         xs = np.linspace(-6, 6, 31)
-        ld = tu._logdet_one_plus_g(ctx3, xs, 0.3)
-        det = tu._det_one_plus_g(ctx3, xs, 0.3)
+        ld = tu._logdet_one_plus_g(sp3, xs, 0.3)
+        det = tu._det_one_plus_g(sp3, xs, 0.3)
         assert np.max(np.abs(ld - np.log(det))) < 1e-12
 
-    def test_kdv_residual(self, ctx3, curve):
+    def test_kdv_residual(self, sp3, curve):
         nx = int(round(12.0 / (curve.period_x / 64.0))) + 1
-        resid = tu.kdv_residual(ctx3, (-6, 6), nx, (-0.1, 0.1), 21)
+        resid = tu.kdv_residual(sp3, (-6, 6), nx, (-0.1, 0.1), 21)
         assert resid < 1e-3
 
-    def test_u_real_and_finite(self, ctx3):
-        u = tu.u_field(ctx3, np.linspace(-15, 15, 301), [-1.0, 0.0, 1.0])
+    def test_u_real_and_finite(self, sp3):
+        u = tu.u_field(sp3, np.linspace(-15, 15, 301), [-1.0, 0.0, 1.0])
         assert np.all(np.isfinite(u))
 
 
 class TestDerivativeModes:
-    def test_analytic_logdet_derivative_vs_fd(self, ctx_dimbright):
+    def test_analytic_logdet_derivative_vs_fd(self, sp_dimbright):
         # optional analytic cross-check: trace((1+G)^{-1} dG/dx)
         h = 1e-5
         for x, t in ((0.7, 0.3), (-2.1, -0.4), (3.3, 1.0)):
-            an = tu.logdet_x_analytic(ctx_dimbright, x, t)
-            ld = np.log(tu._det_one_plus_g(ctx_dimbright, np.array([x - h, x + h]), t))
+            an = tu.logdet_x_analytic(sp_dimbright, x, t)
+            ld = np.log(tu._det_one_plus_g(sp_dimbright, np.array([x - h, x + h]), t))
             assert abs(an - (ld[1] - ld[0]) / (2 * h)) < 1e-8
 
 
@@ -563,24 +559,24 @@ class TestKdvResidual:
         assert np.max(np.abs(fd.first_derivative_axis(const, 0.1, 0))) < 1e-12
         assert np.max(np.abs(fd.third_derivative_axis(const, 0.1, 1))) < 1e-11
 
-    def test_cnoidal(self, ctx_cnoidal, curve):
+    def test_cnoidal(self, sp_cnoidal, curve):
         nx = int(round(20.0 / (curve.period_x / 64.0))) + 1
-        resid = tu.kdv_residual(ctx_cnoidal, (-10, 10), nx, (-1, 1), 201)
+        resid = tu.kdv_residual(sp_cnoidal, (-10, 10), nx, (-1, 1), 201)
         assert resid < 1e-4
 
-    def test_single_bright(self, ctx_bright, curve):
+    def test_single_bright(self, sp_bright, curve):
         nx = int(round(20.0 / (curve.period_x / 64.0))) + 1
-        resid = tu.kdv_residual(ctx_bright, (-10, 10), nx, (-1, 1), 201)
+        resid = tu.kdv_residual(sp_bright, (-10, 10), nx, (-1, 1), 201)
         assert resid < 1e-3
 
-    def test_grid_too_coarse(self, ctx_cnoidal):
+    def test_grid_too_coarse(self, sp_cnoidal):
         with pytest.raises(GridTooCoarse):
-            tu.kdv_residual(ctx_cnoidal, (-10, 10), 20, (-1, 1), 11)
+            tu.kdv_residual(sp_cnoidal, (-10, 10), 20, (-1, 1), 11)
 
     @pytest.mark.parametrize("x_span, t_span", [((-1, 1), (0.5, 0.5)), ((2, 2), (-1, 1))],
                              ids=["dt=0", "dx=0"])
-    def test_zero_span_grid_raises(self, ctx_cnoidal, x_span, t_span, monkeypatch):
+    def test_zero_span_grid_raises(self, sp_cnoidal, x_span, t_span, monkeypatch):
         # a zero step used to give a nan residual; the check runs before any u is taken
         monkeypatch.setattr(tu, "u_field", lambda *args: pytest.fail("u_field called"))
         with pytest.raises(GridTooCoarse, match="zero-span"):
-            tu.kdv_residual(ctx_cnoidal, x_span, 40, t_span, 3)
+            tu.kdv_residual(sp_cnoidal, x_span, 40, t_span, 3)
